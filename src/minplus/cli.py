@@ -12,6 +12,8 @@ Exit codes: 0 success / check passed, 1 check or stats found a mismatch,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,10 +33,8 @@ from .convolution import (
 )
 from .core import (
     ConvVerificationInstance,
-    DimensionMismatchError,
     IntArray,
     MonotoneTag,
-    PromiseViolationError,
     VerificationInstance,
     minplus_convolution_naive,
     minplus_product_naive,
@@ -60,7 +60,7 @@ from .segments import (
     sprime_conv_flat,
     sprime_rows_flat,
 )
-from .shifting import residue_class
+from .shifting import first_live_pair
 
 FORMAT_VERSION = 1
 KINDS = ("product-row", "product-col", "conv", "verify-row", "verify-col", "verify-conv")
@@ -154,14 +154,6 @@ def _free_matrix(rng, family: str, rows: int, cols: int, bound: int) -> np.ndarr
     raise CliError(f"unknown family {family!r}", families=list(FAMILIES))
 
 
-def _lift_matrix(A, B, C, M: int, variant: str) -> VerificationInstance:
-    """Shift a true product through the first live class pair."""
-    s = int(residue_class(A + M, M).min())
-    t = int(residue_class(B + M, M).min())
-    inst = _shift_instance(A, B, C, M, s, t)
-    return VerificationInstance(A=inst.A, B=inst.B, C=inst.C, M=M, variant=variant)
-
-
 def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: str,
                       M: int | None = None) -> dict:
     if kind not in KINDS:
@@ -196,21 +188,20 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
     if kind == "verify-row":
         A = _free_matrix(rng, family, n, n, entry_bound)
         B = _monotone_rows(rng, family, n, n, entry_bound)
-        inst = _lift_matrix(A, B, minplus_product_naive(A, B), M, "row")
+        inst = _shift_instance(A, B, minplus_product_naive(A, B), M, *first_live_pair(A, B, M))
     elif kind == "verify-col":
         A = normalize_nonincreasing(_free_matrix(rng, family, n, n, entry_bound))
         B = _monotone_rows(rng, family, n, n, entry_bound).T
         C = minplus_product_naive(A, B)
         W = int(max(A.max(), B.max(), C.max()))
         rot = rotate_to_problem2prime(A, B, C, W)
-        inst = _lift_matrix(rot.A, rot.B, rot.C, M, "col")
+        s, t = first_live_pair(rot.A, rot.B, M)
+        inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t, variant="col")
     else:
         a = _monotone_rows(rng, family, 1, n, entry_bound)[0]
         b = _monotone_rows(rng, family, 1, n, entry_bound)[0]
         c = minplus_convolution_naive(a, b).values
-        s = int(residue_class(a + M, M).min())
-        t = int(residue_class(b + M, M).min())
-        inst = _shift_instance_conv(a, b, c, M, s, t)
+        inst = _shift_instance_conv(a, b, c, M, *first_live_pair(a, b, M))
 
     require_valid_instance(inst)
     if kind == "verify-conv":
@@ -230,31 +221,67 @@ def _config_from(args) -> SolverConfig:
         engine=args.engine,
         M=args.M,
         R=args.R,
-        omega_exponent=args.omega,
         slack=args.slack,
         fast_shared_modulus=args.fast_shared_modulus,
         oracle_limit=args.oracle_limit,
-        col_engine=getattr(args, "col_engine", "auto"),
+        col_engine=args.col_engine,
     )
+
+
+def _int64(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.int64)
+
+
+def _field(payload: dict, key: str, convert=_int64):
+    """A required field of an instance file, converted; a missing or
+    malformed field is a CliError that names it."""
+    if key not in payload:
+        raise CliError(f"missing field {key!r}", field=key, kind=payload.get("kind"))
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise CliError(f"malformed field {key!r}", field=key, reason=str(e))
+
+
+def _kind_of(payload: dict) -> str:
+    kind = payload.get("kind")
+    if kind not in KINDS:
+        raise CliError(f"unknown kind {kind!r}", kinds=list(KINDS))
+    return kind
+
+
+@contextlib.contextmanager
+def _diagnosed(kind: str):
+    """Report a refusal from the library (broken promise, shape mismatch,
+    unsupported option) as a CliError."""
+    try:
+        yield
+    except ValueError as e:
+        coord = getattr(e, "coord", None)
+        raise CliError(str(e), kind=kind, coord=list(coord) if coord else None)
+
+
+def _driver_inputs(payload: dict, kind: str):
+    """(driver, A, B, tag) for a product-row, product-col or conv file."""
+    driver, axis = {
+        "product-row": (minplus_monotone_row, "row-monotone"),
+        "product-col": (minplus_monotone_col, "column-monotone"),
+        "conv": (minplus_conv_monotone, "array-monotone"),
+    }[kind]
+    tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", int))
+    return driver, _field(payload, "A"), _field(payload, "B"), tag
 
 
 def _instance_from(payload: dict):
     kind = payload["kind"]
+    A, B, C = (_field(payload, key) for key in ("A", "B", "C"))
+    M = _field(payload, "M", int)
     if kind == "verify-conv":
         return ConvVerificationInstance(
-            A=IntArray(values=np.asarray(payload["A"], dtype=np.int64)),
-            B=IntArray(values=np.asarray(payload["B"], dtype=np.int64)),
-            C=IntArray(values=np.asarray(payload["C"], dtype=np.int64), origin=2),
-            M=int(payload["M"]),
+            A=IntArray(values=A), B=IntArray(values=B), C=IntArray(values=C, origin=2), M=M
         )
     variant = "col" if kind == "verify-col" else "row"
-    return VerificationInstance(
-        A=np.asarray(payload["A"], dtype=np.int64),
-        B=np.asarray(payload["B"], dtype=np.int64),
-        C=np.asarray(payload["C"], dtype=np.int64),
-        M=int(payload["M"]),
-        variant=variant,
-    )
+    return VerificationInstance(A=A, B=B, C=C, M=M, variant=variant)
 
 
 def _timed(timings: dict, phase: str, fn, *args, **kwargs):
@@ -270,32 +297,18 @@ def run_instance(payload: dict, config: SolverConfig):
     The report's checksum covers the canonical output bytes only, so it is
     stable across reruns while the timing fields are free to vary.
     """
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise CliError(f"unknown kind {kind!r}", kinds=list(KINDS))
+    kind = _kind_of(payload)
     timings = {"reductions": 0.0, "modulus_search": 0.0, "counting": 0.0, "segments": 0.0}
     digests = []
-    bound = int(payload.get("entry_bound", 0))
 
-    try:
-        if kind == "product-row":
-            A = np.asarray(payload["A"], dtype=np.int64)
-            B = np.asarray(payload["B"], dtype=np.int64)
-            tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
-            C = _timed(timings, "reductions", minplus_monotone_row, A, B, tag, config)
-            body = {"C": C.tolist()}
-        elif kind == "product-col":
-            A = np.asarray(payload["A"], dtype=np.int64)
-            B = np.asarray(payload["B"], dtype=np.int64)
-            tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
-            C = _timed(timings, "reductions", minplus_monotone_col, A, B, tag, config)
-            body = {"C": C.tolist()}
-        elif kind == "conv":
-            a = np.asarray(payload["A"], dtype=np.int64)
-            b = np.asarray(payload["B"], dtype=np.int64)
-            tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
-            out = _timed(timings, "reductions", minplus_conv_monotone, a, b, tag, config)
-            body = {"C": out.values.tolist(), "origin": out.origin}
+    with _diagnosed(kind):
+        if kind in ("product-row", "product-col", "conv"):
+            driver, A, B, tag = _driver_inputs(payload, kind)
+            out = _timed(timings, "reductions", driver, A, B, tag, config)
+            if kind == "conv":
+                body = {"C": out.values.tolist(), "origin": out.origin}
+            else:
+                body = {"C": out.tolist()}
         else:
             inst = _instance_from(payload)
             require_valid_instance(inst)
@@ -325,9 +338,6 @@ def run_instance(payload: dict, config: SolverConfig):
                 s_prime = _timed(timings, "segments", aggregate, layout, starts, ends, Q)
             mask = s > s_prime
             body = {"mask": mask.astype(int).tolist()}
-    except (PromiseViolationError, DimensionMismatchError, ValueError) as e:
-        coord = getattr(e, "coord", None)
-        raise CliError(str(e), kind=kind, coord=list(coord) if coord else None)
 
     output = {"format": FORMAT_VERSION, "kind": "output", "of_kind": kind, **body}
     report = {
@@ -351,13 +361,9 @@ def _out_paths(args, in_path: Path):
 # ---------------------------------------------------------------------------
 # check
 
-def _oracle_cells(payload: dict) -> int:
-    dims = payload.get("dims", [])
-    if payload["kind"] in ("conv", "verify-conv"):
-        n = int(dims[0]) if dims else len(payload["A"])
-        return n * n
-    na, nb, nc = (int(d) for d in dims)
-    return na * nb * nc
+def _oracle_cells(payload: dict, kind: str) -> int:
+    cells = math.prod(_field(payload, "dims", lambda dims: [int(d) for d in dims]))
+    return cells * cells if kind in ("conv", "verify-conv") else cells
 
 
 def check_instance(payload: dict, config: SolverConfig):
@@ -366,39 +372,30 @@ def check_instance(payload: dict, config: SolverConfig):
     Returns (ok, first_mismatch_coord). Raises CliError when the oracle
     volume exceeds config.oracle_limit.
     """
-    cells = _oracle_cells(payload)
+    kind = _kind_of(payload)
+    cells = _oracle_cells(payload, kind)
     if cells > config.oracle_limit:
         raise CliError(
             "instance too large for the oracle; raise --oracle-limit to force",
             cells=cells, oracle_limit=config.oracle_limit,
         )
-    kind = payload["kind"]
-    bound = int(payload.get("entry_bound", 0))
-    if kind == "product-row":
-        A = np.asarray(payload["A"], dtype=np.int64)
-        B = np.asarray(payload["B"], dtype=np.int64)
-        got = minplus_monotone_row(A, B, MonotoneTag(axis="row-monotone", entry_bound=bound), config)
-        want = minplus_product_naive(A, B)
-    elif kind == "product-col":
-        A = np.asarray(payload["A"], dtype=np.int64)
-        B = np.asarray(payload["B"], dtype=np.int64)
-        got = minplus_monotone_col(A, B, MonotoneTag(axis="column-monotone", entry_bound=bound), config)
-        want = minplus_product_naive(A, B)
-    elif kind == "conv":
-        a = np.asarray(payload["A"], dtype=np.int64)
-        b = np.asarray(payload["B"], dtype=np.int64)
-        got = minplus_conv_monotone(a, b, MonotoneTag(axis="array-monotone", entry_bound=bound), config).values
-        want = minplus_convolution_naive(a, b).values
-    else:
-        inst = _instance_from(payload)
-        solver = {
-            "verify-row": solve_verification_row,
-            "verify-col": solve_verification_col,
-            "verify-conv": solve_verification_conv,
-        }[kind]
-        got = solver(inst, config=config)
-        want = witness_mask_naive(inst, "k" if kind == "verify-conv" else
-                                  ("ik" if kind == "verify-col" else "ij"))
+    with _diagnosed(kind):
+        if kind in ("product-row", "product-col", "conv"):
+            driver, A, B, tag = _driver_inputs(payload, kind)
+            got = driver(A, B, tag, config)
+            if kind == "conv":
+                got, want = got.values, minplus_convolution_naive(A, B).values
+            else:
+                want = minplus_product_naive(A, B)
+        else:
+            inst = _instance_from(payload)
+            solver, axis = {
+                "verify-row": (solve_verification_row, "ij"),
+                "verify-col": (solve_verification_col, "ik"),
+                "verify-conv": (solve_verification_conv, "k"),
+            }[kind]
+            got = solver(inst, config=config)
+            want = witness_mask_naive(inst, axis)
     if np.array_equal(got, want):
         return True, None
     bad = np.argwhere(np.asarray(got) != np.asarray(want))[0]
@@ -412,8 +409,9 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
     kind = payload.get("kind")
     if kind not in ("verify-row", "verify-col", "verify-conv"):
         raise CliError("stats needs a verify-* instance file", kind=kind)
-    inst = _instance_from(payload)
-    require_valid_instance(inst)
+    with _diagnosed(kind):
+        inst = _instance_from(payload)
+        require_valid_instance(inst)
     Q, rep = find_good_modulus(
         inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
     )
@@ -471,13 +469,7 @@ def _bench_one(job):
 def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kwargs = {
-        "engine": config.engine, "M": config.M, "R": config.R,
-        "omega_exponent": config.omega_exponent, "slack": config.slack,
-        "fast_shared_modulus": config.fast_shared_modulus,
-        "oracle_limit": config.oracle_limit, "col_engine": config.col_engine,
-    }
-    jobs_list = [(str(p), str(out_dir), kwargs) for p in paths]
+    jobs_list = [(str(p), str(out_dir), dataclasses.asdict(config)) for p in paths]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_bench_one, jobs_list))
@@ -497,10 +489,9 @@ def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--engine", choices=ENGINES, default="det")
-    p.add_argument("--col-engine", choices=COL_ENGINES, default="auto")
+    p.add_argument("--col-engine", choices=COL_ENGINES, default="twopointer")
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--R", type=int, default=None)
-    p.add_argument("--omega", type=float, default=3.0)
     p.add_argument("--slack", type=float, default=None)
     p.add_argument("--fast-shared-modulus", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--oracle-limit", type=int, default=1 << 22)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 ENGINES = ("det", "naive", "det-reference")
-COL_ENGINES = ("auto", "verification", "twopointer")
+COL_ENGINES = ("twopointer", "verification")
 Y_METHODS = ("counting", "ring")
 
 
@@ -14,24 +14,24 @@ class SolverConfig:
 
     engine selects the candidate-verification backend: "det" is the batched
     deterministic kernel, "naive" the brute-force product, "det-reference"
-    the literal one-instance-at-a-time verification loop (small inputs only).
-    M and R override the promise modulus and the prime-pool range. slack
-    scales the good-modulus audit. fast_shared_modulus lets det-reference
-    reuse one Q across the (s, t) instances of a recursion level instead of
-    searching per instance.
+    the literal one-instance-at-a-time verification loop (small inputs only;
+    row and convolution drivers). col_engine selects how the column driver
+    checks its rotated candidates: "twopointer" scans constant blocks
+    directly, "verification" runs the congruence scan. M and R override the
+    promise modulus and the prime-pool range. slack scales the good-modulus
+    audit. fast_shared_modulus lets det-reference reuse one Q across the
+    (s, t) instances of a recursion level instead of searching per instance.
     """
 
     engine: str = "det"
     M: int | None = None
     R: int | None = None
-    omega_exponent: float = 3.0
     slack: float | None = None
     fast_shared_modulus: bool = True
     oracle_limit: int = 1 << 22
     test_mode: bool = False
-    col_engine: str = "auto"
+    col_engine: str = "twopointer"
     y_method: str = "counting"
-    numeric_backend: str = "schoolbook"
 
     def __post_init__(self):
         if self.engine not in ENGINES:

@@ -34,10 +34,11 @@ from .core import (
 )
 from .modulus import audit_modulus, find_good_modulus
 from .polyring import DEFAULT_PRIME, PrimeField, bivariate_convolve
-from .product_row import BalanceConfig
+from .product_row import M_MAX, M_MIN
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
     congruent_witness_scan_conv,
+    first_live_pair,
     residue_class,
     shift_operand,
     shift_output,
@@ -45,23 +46,20 @@ from .shifting import (
 
 __all__ = [
     "choose_M_conv",
-    "shift_residues_conv",
     "compute_s_array",
     "solve_verification_conv",
     "minplus_conv_monotone",
 ]
 
 
-def choose_M_conv(entry_bound: int, cfg: BalanceConfig | None = None) -> int:
+def choose_M_conv(entry_bound: int) -> int:
     """Shift modulus for convolution: the multiple of 100 nearest sqrt(bound).
 
     Balances the O(Mn) verification volume against the O(n^2 / M) counting
-    volume when entries go up to entry_bound; clamped to [M_min, M_max].
+    volume when entries go up to entry_bound; clamped to [M_MIN, M_MAX].
     """
-    if cfg is None:
-        cfg = BalanceConfig()
     M = int(round(math.sqrt(max(entry_bound, 1)) / 100.0)) * 100
-    return min(max(M, cfg.M_min), cfg.M_max)
+    return min(max(M, M_MIN), M_MAX)
 
 
 def _shift_instance_conv(
@@ -73,23 +71,6 @@ def _shift_instance_conv(
         C=IntArray(values=shift_output(c_cand + 2 * M, s + t, M), origin=2),
         M=M,
     )
-
-
-def shift_residues_conv(
-    a: np.ndarray, b: np.ndarray, c_cand: np.ndarray, M: int
-) -> list[tuple[int, int, ConvVerificationInstance]]:
-    """All 10000 shifted convolution instances for one candidate array.
-
-    Same construction as the matrix version: operands pre-shifted by M,
-    output by 2M, then the class-s / class-t / window-(s + t) maps. Slot k
-    of c_cand is a true convolution value iff some pair's instance has a
-    witness there.
-    """
-    out = []
-    for s in range(100):
-        for t in range(100):
-            out.append((s, t, _shift_instance_conv(a, b, c_cand, M, s, t)))
-    return out
 
 
 def compute_s_array(
@@ -177,9 +158,7 @@ def _reference_mask_conv(
 def _level_modulus_conv(
     a: np.ndarray, b: np.ndarray, c_cand: np.ndarray, M: int, config: SolverConfig
 ) -> int:
-    s = int(residue_class(a + M, M).min())
-    t = int(residue_class(b + M, M).min())
-    inst = _shift_instance_conv(a, b, c_cand, M, s, t)
+    inst = _shift_instance_conv(a, b, c_cand, M, *first_live_pair(a, b, M))
     Q, _ = find_good_modulus(
         inst, M, R=config.R, slack=config.slack, y_method=config.y_method
     )

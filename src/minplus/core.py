@@ -30,6 +30,7 @@ __all__ = [
     "validate_promises",
     "validate_instance",
     "require_valid_instance",
+    "require_product_shapes",
     "minplus_product_naive",
     "minplus_convolution_naive",
     "witness_mask_naive",
@@ -234,14 +235,21 @@ def require_valid_instance(inst) -> None:
         raise PromiseViolationError(f"invalid instance: {rep.reason}", coord=rep.coord)
 
 
-def minplus_product_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """C[i,j] = min over k of A[i,k] + B[k,j], straight from the definition."""
-    A = as_int_matrix(A)
-    B = as_int_matrix(B)
+def require_product_shapes(A: np.ndarray, B: np.ndarray) -> None:
+    """Raise DimensionMismatchError unless A and B are matrices that chain."""
+    if A.ndim != 2 or B.ndim != 2:
+        raise DimensionMismatchError(f"expected 2-D matrices, got ndim {A.ndim} and {B.ndim}")
     if A.shape[1] != B.shape[0]:
         raise DimensionMismatchError(
             f"inner dimensions differ: {A.shape[1]} vs {B.shape[0]}"
         )
+
+
+def minplus_product_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """C[i,j] = min over k of A[i,k] + B[k,j], straight from the definition."""
+    A = as_int_matrix(A)
+    B = as_int_matrix(B)
+    require_product_shapes(A, B)
     ni, nb = A.shape[0], B.shape[1]
     C = np.empty((ni, nb), dtype=np.int64)
     for i in range(ni):

@@ -261,7 +261,32 @@ def _counting_columns(level_deltas, Q_prev: int, pool: PrimePool) -> YTable:
     return YTable(primes=pool.primes, Y=np.array(cols, dtype=np.int64).T)
 
 
-def find_good_modulus(inst, M: int, R: int | None = None, backend: str | None = None,
+def _instance_scale(inst):
+    """Flat layout, size scale n and value bound U of a verification instance."""
+    if isinstance(inst, ConvVerificationInstance):
+        layout = conv_layout(inst)
+        n_scale = max(len(inst.A.values), len(inst.B.values))
+        U = int(max(inst.A.values.max(), inst.B.values.max(), inst.C.values.max(), 1))
+    else:
+        layout = matrix_layout(inst)
+        n_scale = max(*inst.A.shape, inst.B.shape[1])
+        U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
+    return layout, n_scale, U
+
+
+def _active_audit(layout, deltas, U: int, Q: int, slack: float):
+    """Per-level active-segment counts |S_l(Q)| and the audit bound
+    slack * groups * U / Q that each of them must stay within."""
+    counts = []
+    for level, (delta, eqhigh) in enumerate(deltas):
+        win = 4 << level
+        r = delta % Q
+        counts.append(int((~eqhigh & ((r <= win) | (r >= Q - win))).sum()))
+    groups = len(layout.gstarts) - 1
+    return counts, slack * groups * U / Q
+
+
+def find_good_modulus(inst, M: int, R: int | None = None,
                       y_method: str = "counting", slack: float | None = None,
                       test_mode: bool = False,
                       field_: PrimeField | None = None):
@@ -273,16 +298,7 @@ def find_good_modulus(inst, M: int, R: int | None = None, backend: str | None = 
     """
     if M <= 0 or M % 100:
         raise ValueError("M must be a positive multiple of 100")
-    if backend is None:
-        backend = "conv" if isinstance(inst, ConvVerificationInstance) else "matrix"
-    if backend == "conv":
-        layout = conv_layout(inst)
-        n_scale = max(len(inst.A.values), len(inst.B.values))
-    elif backend == "matrix":
-        layout = matrix_layout(inst)
-        n_scale = max(*inst.A.shape, inst.B.shape[1])
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    layout, n_scale, U = _instance_scale(inst)
 
     if R is None:
         R = default_range_parameter(n_scale)
@@ -302,7 +318,8 @@ def find_good_modulus(inst, M: int, R: int | None = None, backend: str | None = 
         if y_method == "counting":
             table = _counting_columns(deltas, Q, pool)
         elif y_method == "ring":
-            compute = compute_Y_all_conv if backend == "conv" else compute_Y_all_matrix
+            conv = isinstance(inst, ConvVerificationInstance)
+            compute = compute_Y_all_conv if conv else compute_Y_all_matrix
             table = compute(inst, Q, pool, lmax, field_=field_)
         else:
             raise ValueError(f"unknown y_method {y_method!r}")
@@ -313,23 +330,13 @@ def find_good_modulus(inst, M: int, R: int | None = None, backend: str | None = 
         primes.append(p)
         q_values.append(Q)
 
-    active_counts = []
-    for level, (delta, eqhigh) in enumerate(deltas):
-        win = 4 << level
-        r = delta % Q
-        active_counts.append(int((~eqhigh & ((r <= win) | (r >= Q - win))).sum()))
-
-    groups = len(layout.gstarts) - 1
-    if backend == "conv":
-        U = int(max(inst.A.values.max(), inst.B.values.max(), inst.C.values.max(), 1))
-    else:
-        U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
-    audit_bounds = tuple(slack * groups * U / Q for _ in range(lmax + 1))
-    audit_ok = all(c <= b for c, b in zip(active_counts, audit_bounds))
+    active_counts, bound = _active_audit(layout, deltas, U, Q, slack)
+    audit_bounds = (bound,) * (lmax + 1)
+    audit_ok = all(c <= bound for c in active_counts)
     if not audit_ok:
         msg = (
             f"active-segment audit failed: counts {active_counts} exceed "
-            f"slack bound {audit_bounds[0]:.1f} at Q={Q}"
+            f"slack bound {bound:.1f} at Q={Q}"
         )
         if test_mode:
             raise AssertionError(msg)
@@ -352,35 +359,19 @@ def find_good_modulus(inst, M: int, R: int | None = None, backend: str | None = 
     return Q, report
 
 
-def audit_modulus(inst, Q: int, slack: float | None = None, backend: str | None = None) -> bool:
+def audit_modulus(inst, Q: int, slack: float | None = None) -> bool:
     """Check |S_l(Q)| <= slack * groups * U / Q at every level.
 
     This is the same audit find_good_modulus runs on its own result; callers
     that reuse a Q found on a different instance run it to decide whether a
     fresh search is needed.
     """
-    if backend is None:
-        backend = "conv" if isinstance(inst, ConvVerificationInstance) else "matrix"
-    if backend == "conv":
-        layout = conv_layout(inst)
-        n_scale = max(len(inst.A.values), len(inst.B.values))
-        U = int(max(inst.A.values.max(), inst.B.values.max(), inst.C.values.max(), 1))
-    else:
-        layout = matrix_layout(inst)
-        n_scale = max(*inst.A.shape, inst.B.shape[1])
-        U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
+    layout, n_scale, U = _instance_scale(inst)
     if slack is None:
         slack = default_slack(n_scale)
-    groups = len(layout.gstarts) - 1
-    bound = slack * groups * U / Q
-    M = inst.M
-    for level, (delta, eqhigh) in enumerate(level_start_deltas(layout, levelmax_for(M))):
-        win = 4 << level
-        r = delta % Q
-        count = int((~eqhigh & ((r <= win) | (r >= Q - win))).sum())
-        if count > bound:
-            return False
-    return True
+    deltas = level_start_deltas(layout, levelmax_for(inst.M))
+    counts, bound = _active_audit(layout, deltas, U, Q, slack)
+    return all(c <= bound for c in counts)
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -419,10 +410,8 @@ def _scan_segments_conv(inst, level):
     return np.array(out, dtype=np.int64)
 
 
-def _guarded_deltas(inst, level: int, backend: str | None, limit: int):
-    if backend is None:
-        backend = "conv" if isinstance(inst, ConvVerificationInstance) else "matrix"
-    if backend == "conv":
+def _guarded_deltas(inst, level: int, limit: int):
+    if isinstance(inst, ConvVerificationInstance):
         cells = len(inst.A.values) * len(inst.B.values)
         scan = _scan_segments_conv
     else:
@@ -433,18 +422,16 @@ def _guarded_deltas(inst, level: int, backend: str | None, limit: int):
     return scan(inst, level)
 
 
-def count_X_bruteforce(inst, Q: int, level: int, backend: str | None = None,
-                       limit: int = BRUTE_CELL_LIMIT) -> int:
+def count_X_bruteforce(inst, Q: int, level: int, limit: int = BRUTE_CELL_LIMIT) -> int:
     """#{(segment, s) : Q divides delta - s, delta != s}, enumerated directly."""
-    deltas = _guarded_deltas(inst, level, backend, limit)
+    deltas = _guarded_deltas(inst, level, limit)
     w = 4 << level
     s = np.arange(-w, w + 1)
     diff = deltas[:, None] - s[None, :]
     return int(((diff % Q == 0) & (diff != 0)).sum())
 
 
-def count_Z_bruteforce(inst, level: int, backend: str | None = None,
-                       limit: int = BRUTE_CELL_LIMIT) -> int:
+def count_Z_bruteforce(inst, level: int, limit: int = BRUTE_CELL_LIMIT) -> int:
     """#{segments : delta lies inside the window}; independent of Q."""
-    deltas = _guarded_deltas(inst, level, backend, limit)
+    deltas = _guarded_deltas(inst, level, limit)
     return int((np.abs(deltas) <= (4 << level)).sum())

@@ -108,7 +108,6 @@ class PrimeField:
             self.two_adicity += 1
         self._bitrev_cache: dict = {}
         self._stage_cache: dict = {}
-        self._pow_cache: dict = {}
 
     def _bitrev(self, L: int) -> np.ndarray:
         rev = self._bitrev_cache.get(L)
@@ -138,20 +137,6 @@ class PrimeField:
             self._stage_cache[key] = w
         return w
 
-    def unit_powers(self, L: int) -> np.ndarray:
-        """omega^0 .. omega^(L-1) for the order-L root omega."""
-        pw = self._pow_cache.get(L)
-        if pw is None:
-            p = self.p
-            w = pow(self.root, (p - 1) // L, p)
-            pw = np.empty(L, dtype=np.int64)
-            cur = 1
-            for i in range(L):
-                pw[i] = cur
-                cur = cur * w % p
-            self._pow_cache[L] = pw
-        return pw
-
     def ntt(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Length-L transform along the last axis, L a power of two."""
         p = self.p
@@ -178,42 +163,19 @@ class PrimeField:
             a = a * pow(L, p - 2, p) % p
         return a
 
-    def mod_matmul(self, A: np.ndarray, B: np.ndarray, backend: str = "schoolbook") -> np.ndarray:
+    def mod_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """(stacked) integer matrix product reduced mod p, overflow-safe."""
-        if backend == "schoolbook":
-            return _matmul_chunked(A, B, self.p)
-        if backend == "blocked":
-            return _matmul_blocked(A, B, self.p)
-        raise ValueError(f"unknown numeric backend {backend!r}")
-
-
-def _matmul_chunked(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    inner = A.shape[-1]
-    out = None
-    for c0 in range(0, inner, _MATMUL_CHUNK):
-        c1 = min(inner, c0 + _MATMUL_CHUNK)
-        part = np.matmul(A[..., :, c0:c1], B[..., c0:c1, :]) % p
-        out = part if out is None else out + part
-    if out is None:
-        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
-        return np.zeros(shape, dtype=np.int64)
-    return out % p
-
-
-def _matmul_blocked(A: np.ndarray, B: np.ndarray, p: int, tile: int = 16) -> np.ndarray:
-    rows, inner, cols = A.shape[-2], A.shape[-1], B.shape[-1]
-    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (rows, cols)
-    out = np.zeros(shape, dtype=np.int64)
-    for r0 in range(0, rows, tile):
-        r1 = min(rows, r0 + tile)
-        for c0 in range(0, cols, tile):
-            c1 = min(cols, c0 + tile)
-            acc = np.zeros(shape[:-2] + (r1 - r0, c1 - c0), dtype=np.int64)
-            for k0 in range(0, inner, _MATMUL_CHUNK):
-                k1 = min(inner, k0 + _MATMUL_CHUNK)
-                acc += np.matmul(A[..., r0:r1, k0:k1], B[..., k0:k1, c0:c1]) % p
-            out[..., r0:r1, c0:c1] = acc % p
-    return out
+        p = self.p
+        inner = A.shape[-1]
+        out = None
+        for c0 in range(0, inner, _MATMUL_CHUNK):
+            c1 = min(inner, c0 + _MATMUL_CHUNK)
+            part = np.matmul(A[..., :, c0:c1], B[..., c0:c1, :]) % p
+            out = part if out is None else out + part
+        if out is None:
+            shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+            return np.zeros(shape, dtype=np.int64)
+        return out % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +270,7 @@ def cyclic_convolve(u: CyclicPoly, v: CyclicPoly) -> CyclicPoly:
 
 
 def polymat_mul(
-    Pm: CyclicPolyMatrix,
-    Qm: CyclicPolyMatrix,
-    method: str = "frequency",
-    numeric_backend: str = "schoolbook",
+    Pm: CyclicPolyMatrix, Qm: CyclicPolyMatrix, method: str = "frequency"
 ) -> CyclicPolyMatrix:
     """Matrix product over the cyclic ring.
 
@@ -342,7 +301,7 @@ def polymat_mul(
         raise ValueError(f"unknown method {method!r}")
 
     if Q == 1:
-        prod = field.mod_matmul(Pm.coeffs[:, :, 0], Qm.coeffs[:, :, 0], numeric_backend)
+        prod = field.mod_matmul(Pm.coeffs[:, :, 0], Qm.coeffs[:, :, 0])
         return CyclicPolyMatrix(Q=1, coeffs=prod[:, :, None], field=field)
 
     L = next_pow2(2 * Q - 1)
@@ -355,7 +314,7 @@ def polymat_mul(
     # one numeric product per frequency slot
     fa = np.moveaxis(fa, 2, 0)
     fb = np.moveaxis(fb, 2, 0)
-    fc = field.mod_matmul(fa, fb, numeric_backend)
+    fc = field.mod_matmul(fa, fb)
     fc = np.moveaxis(fc, 0, 2)
     prod = field.ntt(fc, inverse=True)
     out = _fold_modQ(prod, Q) % p

@@ -12,7 +12,7 @@ applies unchanged.
 Two engines solve the rotated check: the congruence scan shared with the row
 driver, and a direct two-pointer pass over the constant-block decompositions
 of the rotated rows, which needs no residue promise at all and wins whenever
-entries are small.  ``col_engine="auto"`` picks by estimated cost.
+entries are small.  ``col_engine`` picks one; two-pointer is the default.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from .core import (
     VerificationInstance,
     WitnessMask,
     minplus_product_naive,
+    require_product_shapes,
     require_valid_instance,
     validate_promises,
 )
 from .modulus import find_good_modulus
 from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
-from .product_row import choose_M, normalize_A
+from .product_row import _shift_instance, choose_M, normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
-from .shifting import congruent_witness_scan, residue_class, shift_operand, shift_output
+from .shifting import congruent_witness_scan, first_live_pair
 
 
 @dataclass(frozen=True)
@@ -152,32 +153,10 @@ def twopointer_direct(inst: VerificationInstance) -> WitnessMask:
     return mask
 
 
-def _shift_rotated(rot: RotatedInstance, M: int, s: int, t: int) -> VerificationInstance:
-    return VerificationInstance(
-        A=shift_operand(rot.A + M, s, M),
-        B=shift_operand(rot.B + M, t, M),
-        C=shift_output(rot.C + 2 * M, s + t, M),
-        M=M,
-        variant="col",
-    )
-
-
-def _resolve_engine(dims: tuple[int, int, int], entry_bound: int, config: SolverConfig) -> str:
-    if config.col_engine != "auto":
-        return config.col_engine
-    na, nb, nc = dims
-    ver_cost = config.M if config.M is not None else choose_M(dims, entry_bound)
-    ver_cost *= float(na * nb * nc) ** (config.omega_exponent / 3.0)
-    two_cost = na * nc * min(nb, 2 * entry_bound + 2)
-    return "twopointer" if two_cost <= ver_cost else "verification"
-
-
-def _recurse_col(
-    A: IntMatrix, B: IntMatrix, M: int, engine: str, config: SolverConfig
-) -> IntMatrix:
+def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> IntMatrix:
     if not A.any() and not B.any():
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    base = 2 * _recurse_col(A >> 1, B >> 1, M, engine, config)
+    base = 2 * _recurse_col(A >> 1, B >> 1, M, config)
     result = np.empty_like(base)
     pending = np.ones(base.shape, dtype=bool)
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
@@ -189,15 +168,14 @@ def _recurse_col(
             pending[:] = False
             break
         rot = rotate_to_problem2prime(A, B, cand, W)
-        if engine == "twopointer":
+        if config.col_engine == "twopointer":
             inst = VerificationInstance(A=rot.A, B=rot.B, C=rot.C, M=M, variant="col")
             mask = twopointer_direct(inst) & pending
         else:
             if Q is None:
-                s0 = int(residue_class(rot.A + M, M).min())
-                t0 = int(residue_class(rot.B + M, M).min())
+                s0, t0 = first_live_pair(rot.A, rot.B, M)
                 Q, _ = find_good_modulus(
-                    _shift_rotated(rot, M, s0, t0),
+                    _shift_instance(rot.A, rot.B, rot.C, M, s0, t0, variant="col"),
                     M,
                     R=config.R,
                     slack=config.slack,
@@ -219,15 +197,20 @@ def minplus_monotone_col(
     """Min-plus product of A and B given the column-monotone promise on B.
 
     ``tag`` states the promise: columns of B are non-decreasing with entries
-    in ``[1, tag.entry_bound]``.  Raises PromiseViolationError when B breaks
-    the promise and ValueError for a tag on the wrong axis.
+    in ``[1, tag.entry_bound]``.  Raises DimensionMismatchError when the
+    shapes do not chain, PromiseViolationError when B breaks the promise, and
+    ValueError for a tag on the wrong axis or the det-reference engine, which
+    only the row and convolution drivers have.
     """
     if tag.axis != "column-monotone":
         raise ValueError(f"expected a column-monotone tag, got axis={tag.axis!r}")
     if config is None:
         config = SolverConfig()
+    if config.engine == "det-reference":
+        raise ValueError("engine 'det-reference' is not available for the column driver")
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
+    require_product_shapes(A, B)
     rep = validate_promises(B, tag)
     if not rep.ok:
         raise PromiseViolationError(f"B violates the promise: {rep.reason}", coord=rep.coord)
@@ -237,6 +220,5 @@ def minplus_monotone_col(
     A_norm = normalize_nonincreasing(A_norm)
     dims = (A.shape[0], A.shape[1], B.shape[1])
     M = config.M if config.M is not None else choose_M(dims, tag.entry_bound)
-    engine = _resolve_engine(dims, tag.entry_bound, config)
-    C_norm = _recurse_col(A_norm, B, M, engine, config)
+    C_norm = _recurse_col(A_norm, B, M, config)
     return C_norm + deltas[:, None]

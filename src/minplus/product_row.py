@@ -24,7 +24,6 @@ aggregation) so the batched kernel has something independent to agree with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +36,26 @@ from .core import (
     VerificationInstance,
     WitnessMask,
     minplus_product_naive,
+    require_product_shapes,
     require_valid_instance,
     validate_promises,
 )
 from .modulus import audit_modulus, find_good_modulus
 from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
-from .shifting import congruent_witness_scan, residue_class, shift_operand, shift_output
+from .shifting import (
+    congruent_witness_scan,
+    first_live_pair,
+    residue_class,
+    shift_operand,
+    shift_output,
+)
 
 
-@dataclass(frozen=True)
-class BalanceConfig:
-    """Knobs for the modulus-size heuristic ``choose_M``."""
-
-    omega_exponent: float = 3.0
-    M_min: int = 100
-    M_max: int = 10000
+# The matrix-product exponent choose_M balances against, and its clamp on M.
+MATMUL_EXPONENT = 3.0
+M_MIN = 100
+M_MAX = 10000
 
 
 def normalize_A(A: IntMatrix, bound: int) -> tuple[IntMatrix, np.ndarray]:
@@ -70,55 +73,37 @@ def normalize_A(A: IntMatrix, bound: int) -> tuple[IntMatrix, np.ndarray]:
     return A_norm, deltas
 
 
-def choose_M(dims: tuple[int, int, int], entry_bound: int, cfg: BalanceConfig | None = None) -> int:
+def choose_M(dims: tuple[int, int, int], entry_bound: int) -> int:
     """Pick the shift modulus M balancing verification work against counting work.
 
     Dimensions are measured as powers of ``n = max(dims)`` and the returned M
-    is ``n ** d`` rounded to a multiple of 100, where d balances the matmul
-    exponent against the instance shape.  With the cubic default
-    ``omega_exponent = 3`` the exponent is never positive, so the floor of 100
-    applies at every size this package targets; the knob exists so the
-    crossover can be explored.
+    is ``n ** d`` rounded to a multiple of 100, where d balances the cubic
+    matmul exponent against the instance shape.  ``n ** d`` works out to
+    ``sqrt(entry_bound / nc)``, so M stays at the floor of 100 unless the
+    entry bound exceeds about 22500 times the output width.
     """
-    if cfg is None:
-        cfg = BalanceConfig()
     n = max(max(dims), 2)
     logn = math.log(n)
     ea, eb, ec = (math.log(max(d, 1)) / logn for d in dims)
     mu = math.log(max(entry_bound, 1)) / logn
-    omega_rect = cfg.omega_exponent * (ea + eb + ec) / 3.0
+    omega_rect = MATMUL_EXPONENT * (ea + eb + ec) / 3.0
     d = (ea + eb + mu - omega_rect) / 2.0
     M = int(round(n**d / 100.0)) * 100
-    return min(max(M, cfg.M_min), cfg.M_max)
+    return min(max(M, M_MIN), M_MAX)
 
 
 def _shift_instance(
-    A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, s: int, t: int
+    A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, s: int, t: int, variant: str = "row"
 ) -> VerificationInstance:
+    """The class-(s, t) instance of one candidate; operands are pre-shifted
+    by M and the output by 2M here, so callers pass raw non-negative data."""
     return VerificationInstance(
         A=shift_operand(A + M, s, M),
         B=shift_operand(B + M, t, M),
         C=shift_output(C_cand + 2 * M, s + t, M),
         M=M,
-        variant="row",
+        variant=variant,
     )
-
-
-def shift_residues(
-    A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int
-) -> list[tuple[int, int, VerificationInstance]]:
-    """All 10000 shifted verification instances for one candidate matrix.
-
-    The pre-shift by M (operands) and 2M (output) happens here, so callers
-    pass raw non-negative matrices.  A cell of C_cand is a true product value
-    iff some (s, t) instance has a witness at it, and no instance ever
-    produces a witness at an incorrect cell.
-    """
-    out = []
-    for s in range(100):
-        for t in range(100):
-            out.append((s, t, _shift_instance(A, B, C_cand, M, s, t)))
-    return out
 
 
 def compute_s_matrix(
@@ -211,11 +196,9 @@ def _reference_mask(
 
 
 def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config: SolverConfig) -> int:
-    """One good modulus per recursion level, searched on the lexicographically
-    first class-pair instance of the level's first candidate."""
-    s = int(residue_class(A + M, M).min())
-    t = int(residue_class(B + M, M).min())
-    inst = _shift_instance(A, B, C_cand, M, s, t)
+    """One good modulus per recursion level, searched on the first live
+    class-pair instance of the level's first candidate."""
+    inst = _shift_instance(A, B, C_cand, M, *first_live_pair(A, B, M))
     Q, _ = find_good_modulus(
         inst, M, R=config.R, slack=config.slack, y_method=config.y_method
     )
@@ -258,8 +241,9 @@ def minplus_monotone_row(
 
     ``tag`` states the promise: rows of B are non-decreasing with entries in
     ``[1, tag.entry_bound]``.  A is unrestricted beyond fitting in int64.
-    Raises PromiseViolationError when B breaks the promise and ValueError for
-    a tag on the wrong axis.
+    Raises DimensionMismatchError when the shapes do not chain,
+    PromiseViolationError when B breaks the promise and ValueError for a tag
+    on the wrong axis.
     """
     if tag.axis != "row-monotone":
         raise ValueError(f"expected a row-monotone tag, got axis={tag.axis!r}")
@@ -269,6 +253,7 @@ def minplus_monotone_row(
         config = SolverConfig()
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
+    require_product_shapes(A, B)
     rep = validate_promises(B, tag)
     if not rep.ok:
         raise PromiseViolationError(f"B violates the promise: {rep.reason}", coord=rep.coord)

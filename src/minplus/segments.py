@@ -11,9 +11,8 @@ delta = A + B - C lands, mod Q, inside the window [-4*2^l, 4*2^l].
 Both cases run through one flat engine: every (pair, column) or
 (diagonal, index) cell becomes one position in a single concatenated array,
 and segment enumeration, refinement and the difference-array aggregations
-are vectorised over that layout. The dataclass API below mirrors the flat
-engine one-to-one and is what the tests exercise; the solvers call the flat
-functions directly.
+are vectorised over that layout. A family of segments is a pair of flat
+(starts, ends) arrays; the tests check it against per-row linear scans.
 
 Indices are 0-based throughout, including the convolution output slot k
 (slot k holds the sum of entries whose index sum is k, i.e. position k+2
@@ -28,20 +27,7 @@ import numpy as np
 from .core import ConvVerificationInstance, VerificationInstance
 
 __all__ = [
-    "LevelParams",
-    "Segment",
-    "ConvSegment",
-    "ActiveSet",
     "levelmax_for",
-    "top_segments_matrix",
-    "top_segments_conv",
-    "is_active",
-    "initial_active_set",
-    "refine_active",
-    "refine_active_conv",
-    "aggregate_sprime_rows",
-    "aggregate_rprime_by_ik",
-    "aggregate_sprime_conv",
     "matrix_layout",
     "conv_layout",
     "segment_bounds",
@@ -61,59 +47,6 @@ def levelmax_for(M: int) -> int:
         raise ValueError("M must be a positive multiple of 100")
     return (M // 20 - 1).bit_length()
 
-
-@dataclass(frozen=True)
-class LevelParams:
-    M: int
-    lmax: int
-
-    def __post_init__(self):
-        if self.lmax != levelmax_for(self.M):
-            raise ValueError(f"lmax={self.lmax} inconsistent with M={self.M}")
-
-    @classmethod
-    def for_modulus(cls, M: int) -> "LevelParams":
-        return cls(M=M, lmax=levelmax_for(M))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Matrix-case segment: pair (i, k), column interval [j0, j1]."""
-
-    level: int
-    i: int
-    k: int
-    j0: int
-    j1: int
-
-    def __post_init__(self):
-        if self.j0 > self.j1:
-            raise ValueError("empty interval")
-
-
-@dataclass(frozen=True)
-class ConvSegment:
-    """Convolution-case segment: output slot k, index interval [i0, i1]."""
-
-    level: int
-    k: int
-    i0: int
-    i1: int
-
-    def __post_init__(self):
-        if self.i0 > self.i1:
-            raise ValueError("empty interval")
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    level: int
-    segments: tuple
-    Q: int
-
-
-# ---------------------------------------------------------------------------
-# flat engine
 
 @dataclass(frozen=True, eq=False)
 class FlatLayout:
@@ -322,148 +255,3 @@ def sprime_conv_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q
     s, e = starts[cong], ends[cong]
     g = _groups_of(layout, s)
     return np.bincount(layout.glabel1[g], weights=(e - s + 1), minlength=nT).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# dataclass API
-
-def _matrix_members(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, level: int):
-    g = _groups_of(layout, starts)
-    j0 = starts - layout.gstarts[g]
-    j1 = ends - layout.gstarts[g]
-    i, k = layout.glabel1[g], layout.glabel2[g]
-    return [
-        Segment(level=level, i=int(i[m]), k=int(k[m]), j0=int(j0[m]), j1=int(j1[m]))
-        for m in range(len(starts))
-    ]
-
-
-def _conv_members(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, level: int):
-    g = _groups_of(layout, starts)
-    i0 = starts - layout.gstarts[g] + layout.gbase[g]
-    i1 = ends - layout.gstarts[g] + layout.gbase[g]
-    k = layout.glabel1[g]
-    return [
-        ConvSegment(level=level, k=int(k[m]), i0=int(i0[m]), i1=int(i1[m]))
-        for m in range(len(starts))
-    ]
-
-
-def top_segments_matrix(inst: VerificationInstance, lmax: int):
-    layout = matrix_layout(inst)
-    starts, ends = segment_bounds(layout, lmax)
-    return _matrix_members(layout, starts, ends, lmax)
-
-
-def top_segments_conv(inst: ConvVerificationInstance, lmax: int):
-    layout = conv_layout(inst)
-    starts, ends = segment_bounds(layout, lmax)
-    return _conv_members(layout, starts, ends, lmax)
-
-
-def _start_values(seg, inst):
-    if isinstance(seg, Segment):
-        a = int(inst.A[seg.i, seg.k])
-        b = int(inst.B[seg.k, seg.j0])
-        c = int(inst.C[seg.i, seg.j0])
-    else:
-        a = int(inst.A.values[seg.i0])
-        b = int(inst.B.values[seg.k - seg.i0])
-        c = int(inst.C.values[seg.k])
-    return a, b, c
-
-
-def is_active(seg, inst, Q: int) -> bool:
-    """High parts disagree at the start and delta mod Q is in the window."""
-    a, b, c = _start_values(seg, inst)
-    M = inst.M
-    if a // M + b // M == c // M:
-        return False
-    win = 4 << seg.level
-    r = (a + b - c) % Q
-    return r <= win or r >= Q - win
-
-
-def initial_active_set(inst, Q: int, lmax: int) -> ActiveSet:
-    """Top-level segments filtered by the active predicate."""
-    if isinstance(inst, ConvVerificationInstance):
-        segs = top_segments_conv(inst, lmax)
-    else:
-        segs = top_segments_matrix(inst, lmax)
-    return ActiveSet(level=lmax, segments=tuple(s for s in segs if is_active(s, inst, Q)), Q=Q)
-
-
-def _member_bounds_matrix(layout: FlatLayout, members):
-    nb, nc = layout.dims[1], layout.dims[2]
-    starts = np.array([(m.i * nb + m.k) * nc + m.j0 for m in members], dtype=np.int64)
-    ends = np.array([(m.i * nb + m.k) * nc + m.j1 for m in members], dtype=np.int64)
-    order = np.argsort(starts)
-    return starts[order], ends[order]
-
-
-def _member_bounds_conv(layout: FlatLayout, members):
-    starts = np.array(
-        [layout.gstarts[m.k] + m.i0 - layout.gbase[m.k] for m in members], dtype=np.int64
-    )
-    ends = np.array(
-        [layout.gstarts[m.k] + m.i1 - layout.gbase[m.k] for m in members], dtype=np.int64
-    )
-    order = np.argsort(starts)
-    return starts[order], ends[order]
-
-
-def refine_active(S: ActiveSet, inst: VerificationInstance, Q: int) -> ActiveSet:
-    """Active level-(l-1) children of the members of S."""
-    layout = matrix_layout(inst)
-    starts, ends = _member_bounds_matrix(layout, S.segments)
-    level = S.level - 1
-    cs, ce, _ = refine_bounds(layout, starts, ends, level)
-    m = active_start_mask(layout, cs, level, Q)
-    return ActiveSet(level=level, segments=tuple(_matrix_members(layout, cs[m], ce[m], level)), Q=Q)
-
-
-def refine_active_conv(S: ActiveSet, inst: ConvVerificationInstance, Q: int) -> ActiveSet:
-    layout = conv_layout(inst)
-    starts, ends = _member_bounds_conv(layout, S.segments)
-    level = S.level - 1
-    cs, ce, _ = refine_bounds(layout, starts, ends, level)
-    m = active_start_mask(layout, cs, level, Q)
-    return ActiveSet(level=level, segments=tuple(_conv_members(layout, cs[m], ce[m], level)), Q=Q)
-
-
-def aggregate_sprime_rows(S0: ActiveSet, inst: VerificationInstance, Q: int) -> np.ndarray:
-    """s' per (i, j): the number of k whose congruent segment covers j.
-
-    Members with A[i,k] + B[k,j0] == C[i,j0] mod Q stamp +1 over [j0, j1]
-    of row i through a difference array.
-    """
-    na, nc = inst.C.shape
-    D = np.zeros((na, nc + 1), dtype=np.int64)
-    for seg in S0.segments:
-        a, b, c = _start_values(seg, inst)
-        if (a + b - c) % Q == 0:
-            D[seg.i, seg.j0] += 1
-            D[seg.i, seg.j1 + 1] -= 1
-    return np.cumsum(D[:, :-1], axis=1)
-
-
-def aggregate_rprime_by_ik(S0: ActiveSet, inst: VerificationInstance, Q: int) -> np.ndarray:
-    """r' per (i, k): total length of congruent segments of the pair."""
-    na, nb = inst.A.shape
-    out = np.zeros((na, nb), dtype=np.int64)
-    for seg in S0.segments:
-        a, b, c = _start_values(seg, inst)
-        if (a + b - c) % Q == 0:
-            out[seg.i, seg.k] += seg.j1 - seg.j0 + 1
-    return out
-
-
-def aggregate_sprime_conv(S0: ActiveSet, inst: ConvVerificationInstance, Q: int) -> np.ndarray:
-    """s' per output slot: total length of congruent segments of the diagonal."""
-    nT = len(inst.C.values)
-    out = np.zeros(nT, dtype=np.int64)
-    for seg in S0.segments:
-        a, b, c = _start_values(seg, inst)
-        if (a + b - c) % Q == 0:
-            out[seg.k] += seg.i1 - seg.i0 + 1
-    return out

@@ -18,8 +18,7 @@ __all__ = [
     "residue_class",
     "shift_operand",
     "shift_output",
-    "operand_high",
-    "output_high",
+    "first_live_pair",
     "congruent_witness_scan",
     "congruent_witness_scan_conv",
 ]
@@ -47,13 +46,14 @@ def shift_output(values: np.ndarray, u: int, M: int) -> np.ndarray:
     return np.where(in_window, base, flattened)
 
 
-def operand_high(values: np.ndarray, s: int, M: int) -> np.ndarray:
-    """floor(shifted / M); one formula covers both shift cases."""
-    return (values - s * (M // 100)) // M
+def first_live_pair(A: np.ndarray, B: np.ndarray, M: int) -> tuple[int, int]:
+    """The lexicographically first class pair (s, t) that holds entries of
+    both operands after their pre-shift by M.
 
-
-def output_high(values: np.ndarray, u: int, M: int) -> np.ndarray:
-    return (values - u * (M // 100)) // M
+    The drivers search their per-level modulus on this pair's instance, and
+    the instance generator lifts true products through it.
+    """
+    return int(residue_class(A + M, M).min()), int(residue_class(B + M, M).min())
 
 
 def congruent_witness_scan(

@@ -1,7 +1,9 @@
 """Instance builders shared by the test modules."""
 import numpy as np
 
+from minplus.convolution import _shift_instance_conv
 from minplus.core import ConvVerificationInstance, IntArray, VerificationInstance
+from minplus.product_row import _shift_instance
 
 
 def minst(A, B, C, M=100):
@@ -42,3 +44,13 @@ def promised_conv(rng, n, M=100, hi=5):
     b = np.sort(M * rng.integers(0, hi, n, dtype=np.int64) + res(n))
     c = M * rng.integers(0, 2 * hi, 2 * n - 1, dtype=np.int64) + res(2 * n - 1)
     return cinst(a, b, c, M=M)
+
+
+def all_shift_pairs(A, B, C, M=100, conv=False):
+    """Every class-pair shifted instance of one candidate, as (s, t, instance)
+    in (s, t) order. A cell of C is a true value iff some pair's instance has
+    a witness at it."""
+    shift = _shift_instance_conv if conv else _shift_instance
+    for s in range(100):
+        for t in range(100):
+            yield s, t, shift(A, B, C, M, s, t)

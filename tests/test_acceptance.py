@@ -35,7 +35,6 @@ from minplus.product_col import (
 from minplus.product_row import (
     _shift_instance,
     minplus_monotone_row,
-    shift_residues,
     solve_verification_row,
 )
 from minplus.segments import (
@@ -45,7 +44,7 @@ from minplus.segments import (
     matrix_layout,
     segment_bounds,
 )
-from minplus.shifting import residue_class
+from minplus.shifting import first_live_pair
 
 FAMILIES = cli.FAMILIES
 
@@ -126,13 +125,7 @@ def _lifted_matrix_instance(rng, n, bound, family, variant):
     else:
         C = minplus_product_naive(A, B)
     M = 100
-    s = int(residue_class(A + M, M).min())
-    t = int(residue_class(B + M, M).min())
-    if n <= 12:
-        shifted = shift_residues(A, B, C, M)[s * 100 + t][2]
-    else:
-        shifted = _shift_instance(A, B, C, M, s, t)
-    return VerificationInstance(A=shifted.A, B=shifted.B, C=shifted.C, M=M, variant=variant)
+    return _shift_instance(A, B, C, M, *first_live_pair(A, B, M), variant=variant)
 
 
 def test_criterion_04_verification_solvers_in_isolation():
@@ -148,10 +141,7 @@ def test_criterion_04_verification_solvers_in_isolation():
             a = cli._monotone_rows(rng, family, 1, n, bound)[0]
             b = cli._monotone_rows(rng, family, 1, n, bound)[0]
             c = minplus_convolution_naive(a, b).values
-            M = 100
-            s = int(residue_class(a + M, M).min())
-            t = int(residue_class(b + M, M).min())
-            inst = _shift_instance_conv(a, b, c, M, s, t)
+            inst = _shift_instance_conv(a, b, c, 100, *first_live_pair(a, b, 100))
             got = solve_verification_conv(inst)
             want = witness_mask_naive(inst, "k")
         else:

@@ -180,3 +180,43 @@ def test_main_subprocess_gen_run_check(tmp_path):
     r = invoke("run", str(bad))
     assert r.returncode == 2
     assert "error" in json.loads(r.stderr)
+
+
+def _main_diagnostic(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_missing_field_is_a_diagnostic(tmp_path, capsys, command):
+    payload = cli.load_payload(GOLDEN / "product-row-n4.json")
+    del payload["A"]
+    path = tmp_path / "no-a.json"
+    cli.write_payload(path, payload)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag["field"] == "A"
+
+
+def test_malformed_field_is_a_diagnostic(tmp_path, capsys):
+    payload = {**cli.load_payload(GOLDEN / "verify-row-n3.json"), "M": [100]}
+    path = tmp_path / "bad-m.json"
+    cli.write_payload(path, payload)
+    code, diag = _main_diagnostic(capsys, "check", str(path))
+    assert code == 2
+    assert diag["field"] == "M"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_col_reference_engine_is_a_diagnostic(tmp_path, capsys, command):
+    path = tmp_path / "col.json"
+    cli.write_payload(path, cli.load_payload(GOLDEN / "product-col-n4.json"))
+    argv = [command, str(path), "--engine", "det-reference"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert "det-reference" in diag["error"]

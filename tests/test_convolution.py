@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from helpers import cinst, promised_conv
+from helpers import all_shift_pairs, cinst, promised_conv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus.config import SolverConfig
 from minplus.convolution import (
+    _shift_instance_conv,
     choose_M_conv,
     compute_s_array,
     minplus_conv_monotone,
-    shift_residues_conv,
     solve_verification_conv,
 )
 from minplus.core import (
@@ -42,10 +42,7 @@ def test_choose_M_conv_tracks_sqrt_bound():
 
 def test_shift_entry_157_class_57():
     a = np.array([157])
-    _, _, inst = next(
-        item for item in shift_residues_conv(a - 100, a - 100, np.array([0]), 100)
-        if item[0] == 57 and item[1] == 57
-    )
+    inst = _shift_instance_conv(a - 100, a - 100, np.array([0]), 100, 57, 57)
     assert inst.A.values[0] == 100
 
 
@@ -57,7 +54,7 @@ def test_shifted_arrays_stay_monotone_and_promised():
     live_a = set(np.unique(residue_class(a + 100, 100)).tolist())
     live_b = set(np.unique(residue_class(b + 100, 100)).tolist())
     seen = 0
-    for s, t, inst in shift_residues_conv(a, b, c, 100):
+    for s, t, inst in all_shift_pairs(a, b, c, conv=True):
         if s not in live_a or t not in live_b:
             continue
         seen += 1
@@ -74,7 +71,7 @@ def test_shift_union_reproduces_naive_witnesses():
         c = minplus_convolution_naive(a, b).values + rng.integers(0, 2, 2 * n - 1)
         want = witness_mask_naive(cinst(a, b, c), "k")
         got = np.zeros_like(want)
-        for s, t, inst in shift_residues_conv(a, b, c, 100):
+        for s, t, inst in all_shift_pairs(a, b, c, conv=True):
             got |= witness_mask_naive(inst, "k")
         assert np.array_equal(got, want)
 

@@ -206,7 +206,7 @@ def test_X_identity_conv():
     for _ in range(8):
         n = int(rng.integers(1, 9))
         inst = promised_conv(rng, n)
-        _, report = find_good_modulus(inst, 100, R=16, backend="conv", test_mode=True)
+        _, report = find_good_modulus(inst, 100, R=16, test_mode=True)
         for step in report.steps:
             for pi, p in enumerate(step.table.primes):
                 for level in range(lmax + 1):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from helpers import promised_matrix
+from helpers import all_shift_pairs, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus.config import SolverConfig
 from minplus.core import (
+    DimensionMismatchError,
     MonotoneTag,
     PromiseViolationError,
     VerificationInstance,
@@ -20,7 +21,7 @@ from minplus.product_col import (
     solve_verification_col,
     twopointer_direct,
 )
-from minplus.product_row import shift_residues
+from minplus.product_row import minplus_monotone_row
 
 
 def random_col_inputs(rng, max_n=9, max_bound=40):
@@ -157,7 +158,7 @@ def test_col_solver_equals_union_of_shift_pair_masks():
 
     live_a = set(np.unique(residue_class(rot.A + 100, 100)).tolist())
     live_b = set(np.unique(residue_class(rot.B + 100, 100)).tolist())
-    for s, t, shifted in shift_residues(rot.A, rot.B, rot.C, 100):
+    for s, t, shifted in all_shift_pairs(rot.A, rot.B, rot.C):
         if s not in live_a or t not in live_b:
             continue
         inst = VerificationInstance(A=shifted.A, B=shifted.B, C=shifted.C, M=100, variant="col")
@@ -249,7 +250,7 @@ def test_col_product_rejects_broken_promise():
     assert exc.value.coord == (1, 0)
 
 
-@pytest.mark.parametrize("engine", ["twopointer", "verification", "auto"])
+@pytest.mark.parametrize("engine", ["twopointer", "verification"])
 def test_col_product_matches_naive(engine):
     rng = np.random.default_rng(12)
     for _ in range(25):
@@ -309,3 +310,23 @@ def test_col_product_matches_naive_property(data, na, nb, nc, bound):
     tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
     got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
     assert np.array_equal(got, minplus_product_naive(A, B))
+
+
+@pytest.mark.parametrize("engine", ["det", "naive"])
+@pytest.mark.parametrize("driver,axis", [
+    (minplus_monotone_row, "row-monotone"),
+    (minplus_monotone_col, "column-monotone"),
+])
+def test_drivers_refuse_mismatched_shapes(driver, axis, engine):
+    A = np.ones((2, 3), dtype=np.int64)
+    B = np.ones((2, 3), dtype=np.int64)
+    with pytest.raises(DimensionMismatchError):
+        driver(A, B, MonotoneTag(axis=axis, entry_bound=1), SolverConfig(engine=engine))
+
+
+def test_col_product_refuses_reference_engine():
+    A = np.ones((4, 4), dtype=np.int64)
+    B = np.ones((4, 4), dtype=np.int64)
+    tag = MonotoneTag(axis="column-monotone", entry_bound=1)
+    with pytest.raises(ValueError, match="det-reference"):
+        minplus_monotone_col(A, B, tag, SolverConfig(engine="det-reference"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import promised_matrix
+from helpers import all_shift_pairs, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +14,13 @@ from minplus.core import (
     witness_mask_naive,
 )
 from minplus.product_row import (
-    BalanceConfig,
     choose_M,
     compute_s_matrix,
     minplus_monotone_row,
     normalize_A,
-    shift_residues,
     solve_verification_row,
 )
 from minplus.shifting import (
-    operand_high,
-    output_high,
     residue_class,
     shift_operand,
     shift_output,
@@ -73,15 +69,15 @@ def test_choose_M_unit_bound_hits_floor():
     assert choose_M((1000, 1000, 1000), 1) == 100
 
 
-def test_choose_M_subcubic_exponent():
-    # d = (1 + 1 + 1 - 2.372) / 2 = 0.314; (10^7)^0.314 = 157.76 rounds to 200
-    cfg = BalanceConfig(omega_exponent=2.372)
-    assert choose_M((10**7, 10**7, 10**7), 10**7, cfg) == 200
+def test_choose_M_rises_above_floor_on_thin_shapes():
+    # n ** d = sqrt(bound / nc): sqrt(10^6 / 1) = 1000, sqrt(10^6 / 25) = 200
+    assert choose_M((100, 100, 1), 10**6) == 1000
+    assert choose_M((100, 100, 25), 10**6) == 200
 
 
 def test_choose_M_clamps_to_cap():
-    cfg = BalanceConfig(omega_exponent=0.0)
-    assert choose_M((10**4, 10**4, 10**4), 10**4, cfg) == 10000
+    # sqrt(10^12 / 1) = 10^6 is far past the cap
+    assert choose_M((10**4, 10**4, 1), 10**12) == 10000
 
 
 # --- residue shifting -----------------------------------------------------------
@@ -103,12 +99,13 @@ def test_shift_output_window_and_fallback():
 
 
 def test_shift_highs_match_closed_form():
+    # the fused scan reads the high part of a shifted entry as (x - sW) // M
     rng = np.random.default_rng(11)
     v = rng.integers(100, 5000, 200)
     for s in (0, 3, 57, 99):
-        assert np.array_equal(operand_high(v, s, 100), shift_operand(v, s, 100) // 100)
+        assert np.array_equal((v - s) // 100, shift_operand(v, s, 100) // 100)
     for u in (0, 57, 123, 198):
-        assert np.array_equal(output_high(v, u, 100), shift_output(v, u, 100) // 100)
+        assert np.array_equal((v - u) // 100, shift_output(v, u, 100) // 100)
 
 
 def test_shift_maps_preserve_order_and_shrink_residues():
@@ -125,19 +122,19 @@ def test_shift_maps_preserve_order_and_shrink_residues():
         assert (w % M <= M // 10).all()
 
 
-def test_shift_residues_emits_all_pairs_as_valid_instances():
+def test_all_shift_pairs_are_valid_instances():
     rng = np.random.default_rng(5)
     A = rng.integers(0, 60, (2, 3))
     B = np.sort(rng.integers(1, 30, (3, 2)), axis=1)
     C = minplus_product_naive(A, B)
-    out = shift_residues(A, B, C, 100)
+    out = list(all_shift_pairs(A, B, C))
     assert [(s, t) for s, t, _ in out] == [(s, t) for s in range(100) for t in range(100)]
     for s, t, inst in out[::37]:
         rep = validate_instance(inst)
         assert rep.ok, (s, t, rep.reason)
 
 
-def test_shift_residues_witness_equivalence():
+def test_shift_pair_union_witness_equivalence():
     rng = np.random.default_rng(6)
     for _ in range(3):
         A = rng.integers(0, 50, (3, 2))
@@ -147,7 +144,7 @@ def test_shift_residues_witness_equivalence():
             VerificationInstance(A=A, B=B, C=C_cand, M=100), query_axis="ij"
         )
         got = np.zeros_like(want)
-        for _, _, inst in shift_residues(A, B, C_cand, 100):
+        for _, _, inst in all_shift_pairs(A, B, C_cand):
             got |= witness_mask_naive(inst, query_axis="ij")
         assert np.array_equal(got, want)
 

@@ -4,29 +4,17 @@ from helpers import cinst, minst, promised_conv, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus.core import ConvVerificationInstance, IntArray, VerificationInstance
 from minplus.segments import (
-    ActiveSet,
-    ConvSegment,
-    LevelParams,
-    Segment,
     active_level0_bounds,
-    aggregate_rprime_by_ik,
-    aggregate_sprime_conv,
-    aggregate_sprime_rows,
+    active_start_mask,
     conv_layout,
-    initial_active_set,
-    is_active,
     levelmax_for,
     matrix_layout,
-    refine_active,
-    refine_active_conv,
+    refine_bounds,
     rprime_ik_flat,
     segment_bounds,
     sprime_conv_flat,
     sprime_rows_flat,
-    top_segments_conv,
-    top_segments_matrix,
 )
 
 
@@ -124,12 +112,41 @@ def sprime_conv_oracle(inst, Q):
     return out
 
 
+def matrix_tuples(layout, starts, ends):
+    """Flat matrix segments as (i, k, j0, j1)."""
+    g = np.searchsorted(layout.gstarts, starts, side="right") - 1
+    j0, j1 = starts - layout.gstarts[g], ends - layout.gstarts[g]
+    return [
+        (int(i), int(k), int(a), int(b))
+        for i, k, a, b in zip(layout.glabel1[g], layout.glabel2[g], j0, j1)
+    ]
+
+
+def conv_tuples(layout, starts, ends):
+    """Flat convolution segments as (k, i0, i1)."""
+    g = np.searchsorted(layout.gstarts, starts, side="right") - 1
+    off = layout.gbase[g] - layout.gstarts[g]
+    return [
+        (int(k), int(a), int(b)) for k, a, b in zip(layout.glabel1[g], starts + off, ends + off)
+    ]
+
+
+def one_segment(start, end):
+    return np.array([start], dtype=np.int64), np.array([end], dtype=np.int64)
+
+
 def active_chain(inst, Q, lmax, conv=False):
-    """Active sets at every level, obtained through refinement."""
-    sets = {lmax: initial_active_set(inst, Q, lmax)}
-    step = refine_active_conv if conv else refine_active
-    for level in range(lmax - 1, -1, -1):
-        sets[level] = step(sets[level + 1], inst, Q)
+    """Active segments at every level as tuples, reached by refinement from lmax."""
+    layout = conv_layout(inst) if conv else matrix_layout(inst)
+    label = conv_tuples if conv else matrix_tuples
+    starts, ends = segment_bounds(layout, lmax)
+    sets = {}
+    for level in range(lmax, -1, -1):
+        if level < lmax:
+            starts, ends, _ = refine_bounds(layout, starts, ends, level)
+        m = active_start_mask(layout, starts, level, Q)
+        starts, ends = starts[m], ends[m]
+        sets[level] = label(layout, starts, ends)
     return sets
 
 
@@ -149,108 +166,107 @@ def test_levelmax_rejects_bad_M():
 
 
 def test_level_params_consistency():
-    LevelParams.for_modulus(100)
-    with pytest.raises(ValueError):
-        LevelParams(M=100, lmax=4)
+    for M in range(100, 20001, 100):
+        lmax = levelmax_for(M)
+        assert M / 20 <= (1 << lmax) < M / 10
 
 
 def test_top_segments_constant_rows():
     inst = minst(A=[[7, 7], [7, 7]], B=[[3, 3, 3], [5, 5, 5]], C=[[1, 1, 1], [1, 1, 1]])
-    segs = top_segments_matrix(inst, 3)
+    layout = matrix_layout(inst)
+    segs = matrix_tuples(layout, *segment_bounds(layout, 3))
     assert len(segs) == 4
-    assert all(s.j0 == 0 and s.j1 == 2 for s in segs)
+    assert all(j0 == 0 and j1 == 2 for _, _, j0, j1 in segs)
 
 
 def test_top_segments_floor_split():
     # floor(1/8) != floor(9/8) forces a boundary between the two columns
     inst = minst(A=[[0]], B=[[1, 9]], C=[[1, 1]])
-    segs = top_segments_matrix(inst, 3)
-    assert [(s.j0, s.j1) for s in segs] == [(0, 0), (1, 1)]
+    layout = matrix_layout(inst)
+    segs = matrix_tuples(layout, *segment_bounds(layout, 3))
+    assert [(j0, j1) for _, _, j0, j1 in segs] == [(0, 0), (1, 1)]
 
 
-def test_segment_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        Segment(level=0, i=0, k=0, j0=2, j1=1)
+def test_active_start_mask_cases():
+    def active(inst, Q):
+        return bool(active_start_mask(matrix_layout(inst), np.array([0]), 0, Q)[0])
 
-
-def test_is_active_cases():
     # delta = 1001 = 7 * 143, canonical residue 0, highs 10 + 0 != 0
-    inst = minst(A=[[1000]], B=[[5]], C=[[4]])
-    seg = Segment(level=0, i=0, k=0, j0=0, j1=0)
-    assert is_active(seg, inst, 143)
+    assert active(minst(A=[[1000]], B=[[5]], C=[[4]]), 143)
 
     # high parts agree, inactive for every Q
     inst2 = minst(A=[[5]], B=[[3]], C=[[8]])
-    assert not is_active(seg, inst2, 143)
-    assert not is_active(seg, inst2, 11)
+    assert not active(inst2, 143)
+    assert not active(inst2, 11)
 
     # delta = 905, residue 47, outside the level-0 window
-    inst3 = minst(A=[[1000]], B=[[5]], C=[[100]])
-    assert not is_active(seg, inst3, 143)
+    assert not active(minst(A=[[1000]], B=[[5]], C=[[100]]), 143)
+
+
+def active_children(inst, starts, ends, level, Q):
+    """Active level-`level` children of the given parents, as (j0, j1)."""
+    layout = matrix_layout(inst)
+    cs, ce, _ = refine_bounds(layout, starts, ends, level)
+    m = active_start_mask(layout, cs, level, Q)
+    return [(j0, j1) for _, _, j0, j1 in matrix_tuples(layout, cs[m], ce[m])]
 
 
 def test_refine_constant_region_single_child():
     inst = minst(A=[[1000]], B=[[0, 0, 0, 0]], C=[[0, 0, 0, 0]])
-    S = ActiveSet(level=2, segments=(Segment(level=2, i=0, k=0, j0=0, j1=3),), Q=143)
-    child = refine_active(S, inst, 143)
-    assert child.level == 1
-    assert [(s.j0, s.j1) for s in child.segments] == [(0, 3)]
+    assert active_children(inst, *one_segment(0, 3), 1, 143) == [(0, 3)]
 
 
 def test_refine_splits_on_floor_boundary():
     # at level 1 the B row 0,1,2,3 splits into blocks {0,1} and {2,3}
     inst = minst(A=[[1000]], B=[[0, 1, 2, 3]], C=[[0, 0, 0, 0]])
-    S = ActiveSet(level=2, segments=(Segment(level=2, i=0, k=0, j0=0, j1=3),), Q=143)
-    child = refine_active(S, inst, 143)
-    assert [(s.j0, s.j1) for s in child.segments] == [(0, 1), (2, 3)]
+    assert active_children(inst, *one_segment(0, 3), 1, 143) == [(0, 1), (2, 3)]
 
 
 def test_aggregate_sprime_range_stamp():
     inst = minst(A=[[1001]], B=[[0, 144, 144, 500]], C=[[1, 1, 1, 1]])
-    seg = Segment(level=0, i=0, k=0, j0=1, j1=2)
-    S0 = ActiveSet(level=0, segments=(seg,), Q=143)
-    # delta = 1001 + 144 - 1 = 1144 = 8 * 143
-    got = aggregate_sprime_rows(S0, inst, 143)
+    layout = matrix_layout(inst)
+    # delta = 1001 + 144 - 1 = 1144 = 8 * 143 over columns [1, 2]
+    got = sprime_rows_flat(layout, *one_segment(1, 2), 143)
     assert np.array_equal(got, [[0, 1, 1, 0]])
-    assert np.array_equal(aggregate_rprime_by_ik(S0, inst, 143), [[2]])
+    assert np.array_equal(rprime_ik_flat(layout, *one_segment(1, 2), 143), [[2]])
 
 
 def test_aggregate_skips_noncongruent():
     inst = minst(A=[[1001]], B=[[0, 150, 150, 500]], C=[[1, 1, 1, 1]])
-    seg = Segment(level=0, i=0, k=0, j0=1, j1=2)
-    S0 = ActiveSet(level=0, segments=(seg,), Q=143)
-    assert not aggregate_sprime_rows(S0, inst, 143).any()
-    assert not aggregate_rprime_by_ik(S0, inst, 143).any()
+    layout = matrix_layout(inst)
+    assert not sprime_rows_flat(layout, *one_segment(1, 2), 143).any()
+    assert not rprime_ik_flat(layout, *one_segment(1, 2), 143).any()
 
 
 def test_aggregate_empty_set():
     inst = minst(A=[[0]], B=[[0, 0]], C=[[0, 0]])
-    S0 = ActiveSet(level=0, segments=(), Q=143)
-    assert not aggregate_sprime_rows(S0, inst, 143).any()
-    assert not aggregate_rprime_by_ik(S0, inst, 143).any()
+    layout = matrix_layout(inst)
+    none = np.array([], dtype=np.int64)
+    assert not sprime_rows_flat(layout, none, none, 143).any()
+    assert not rprime_ik_flat(layout, none, none, 143).any()
 
 
 def test_conv_single_point():
     inst = cinst([7], [8], [100])
-    segs = top_segments_conv(inst, 3)
-    assert segs == [ConvSegment(level=3, k=0, i0=0, i1=0)]
+    layout = conv_layout(inst)
+    assert conv_tuples(layout, *segment_bounds(layout, 3)) == [(0, 0, 0)]
 
 
 def test_conv_constant_arrays_one_segment_per_diagonal():
     inst = cinst([5, 5, 5], [5, 5, 5], [10, 10, 10, 10, 10])
-    segs = top_segments_conv(inst, 3)
+    layout = conv_layout(inst)
+    segs = conv_tuples(layout, *segment_bounds(layout, 3))
     assert len(segs) == 5
-    for seg in segs:
-        lo, hi = conv_diagonal(inst, seg.k)
-        assert (seg.i0, seg.i1) == (lo, hi)
+    for k, i0, i1 in segs:
+        assert (i0, i1) == conv_diagonal(inst, k)
 
 
 def test_conv_aggregate_stamp():
     # diagonal k=2 of a 3-point instance covers i in {0,1,2}
     inst = cinst([0, 0, 0], [0, 0, 0], [0, 0, 143, 0, 0], M=100)
-    seg = ConvSegment(level=0, k=2, i0=0, i1=2)
-    S0 = ActiveSet(level=0, segments=(seg,), Q=143)
-    got = aggregate_sprime_conv(S0, inst, 143)
+    layout = conv_layout(inst)
+    first = int(layout.gstarts[2])
+    got = sprime_conv_flat(layout, *one_segment(first, first + 2), 143)
     assert np.array_equal(got, [0, 0, 3, 0, 0])
 
 
@@ -262,9 +278,8 @@ def test_top_segments_match_linear_scan():
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
         for level in (0, 2, 3):
-            got = {
-                (s.i, s.k, s.j0, s.j1) for s in top_segments_matrix(inst, level)
-            }
+            layout = matrix_layout(inst)
+            got = set(matrix_tuples(layout, *segment_bounds(layout, level)))
             want = set()
             for i in range(na):
                 for k in range(nb):
@@ -280,14 +295,7 @@ def test_conv_segments_match_linear_scan():
         inst = promised_conv(rng, n)
         for level in (0, 1, 3):
             layout = conv_layout(inst)
-            starts, ends = segment_bounds(layout, level)
-            got = set()
-            g = np.searchsorted(layout.gstarts, starts, side="right") - 1
-            for m in range(len(starts)):
-                k = int(layout.glabel1[g[m]])
-                base = int(layout.gstarts[g[m]])
-                off = int(layout.gbase[g[m]])
-                got.add((k, int(starts[m]) - base + off, int(ends[m]) - base + off))
+            got = set(conv_tuples(layout, *segment_bounds(layout, level)))
             want = set()
             for k in range(2 * n - 1):
                 lo, hi = conv_diagonal(inst, k)
@@ -307,7 +315,7 @@ def test_active_refinement_matches_direct_enumeration():
             inst = promised_matrix(rng, na, nb, nc)
             sets = active_chain(inst, Q, lmax)
             for level in range(lmax, -1, -1):
-                got = {(s.i, s.k, s.j0, s.j1) for s in sets[level].segments}
+                got = set(sets[level])
                 want = set(active_oracle_matrix(inst, Q, level))
                 assert got == want
 
@@ -321,7 +329,7 @@ def test_active_refinement_conv_matches_direct_enumeration():
             inst = promised_conv(rng, n)
             sets = active_chain(inst, Q, lmax, conv=True)
             for level in range(lmax, -1, -1):
-                got = {(s.k, s.i0, s.i1) for s in sets[level].segments}
+                got = set(sets[level])
                 want = set(active_oracle_conv(inst, Q, level))
                 assert got == want
 
@@ -333,9 +341,10 @@ def test_sprime_matches_triple_loop():
         for _ in range(10):
             na, nb, nc = rng.integers(1, 6, 3)
             inst = promised_matrix(rng, na, nb, nc)
-            S0 = active_chain(inst, Q, lmax)[0]
-            assert np.array_equal(aggregate_sprime_rows(S0, inst, Q), sprime_oracle(inst, Q))
-            assert np.array_equal(aggregate_rprime_by_ik(S0, inst, Q), rprime_oracle(inst, Q))
+            layout = matrix_layout(inst)
+            s0, e0 = active_level0_bounds(layout, lmax, Q)
+            assert np.array_equal(sprime_rows_flat(layout, s0, e0, Q), sprime_oracle(inst, Q))
+            assert np.array_equal(rprime_ik_flat(layout, s0, e0, Q), rprime_oracle(inst, Q))
 
 
 def test_sprime_conv_matches_double_loop():
@@ -345,36 +354,9 @@ def test_sprime_conv_matches_double_loop():
         for _ in range(10):
             n = int(rng.integers(1, 10))
             inst = promised_conv(rng, n)
-            S0 = active_chain(inst, Q, lmax, conv=True)[0]
-            got = aggregate_sprime_conv(S0, inst, Q)
+            layout = conv_layout(inst)
+            got = sprime_conv_flat(layout, *active_level0_bounds(layout, lmax, Q), Q)
             assert np.array_equal(got, sprime_conv_oracle(inst, Q))
-
-
-def test_flat_aggregation_agrees_with_dataclass_route():
-    rng = np.random.default_rng(13)
-    lmax = levelmax_for(100)
-    Q = 143
-    for _ in range(8):
-        na, nb, nc = rng.integers(1, 6, 3)
-        inst = promised_matrix(rng, na, nb, nc)
-        layout = matrix_layout(inst)
-        s0, e0 = active_level0_bounds(layout, lmax, Q)
-        S0 = active_chain(inst, Q, lmax)[0]
-        assert np.array_equal(
-            sprime_rows_flat(layout, s0, e0, Q), aggregate_sprime_rows(S0, inst, Q)
-        )
-        assert np.array_equal(
-            rprime_ik_flat(layout, s0, e0, Q), aggregate_rprime_by_ik(S0, inst, Q)
-        )
-    for _ in range(8):
-        n = int(rng.integers(1, 10))
-        inst = promised_conv(rng, n)
-        layout = conv_layout(inst)
-        s0, e0 = active_level0_bounds(layout, lmax, Q)
-        S0 = active_chain(inst, Q, lmax, conv=True)[0]
-        assert np.array_equal(
-            sprime_conv_flat(layout, s0, e0, Q), aggregate_sprime_conv(S0, inst, Q)
-        )
 
 
 # --- structural invariants ---------------------------------------------------
@@ -383,9 +365,11 @@ def assert_tiling(inst, level):
     na, nb = inst.A.shape
     nc = inst.C.shape[1]
     cover = {}
-    for s in top_segments_matrix(inst, level):
-        for j in range(s.j0, s.j1 + 1):
-            key = (s.i, s.k, j)
+    layout = matrix_layout(inst)
+    for i, k, j0, j1 in matrix_tuples(layout, *segment_bounds(layout, level)):
+        assert j0 <= j1
+        for j in range(j0, j1 + 1):
+            key = (i, k, j)
             assert key not in cover, "overlap"
             cover[key] = True
     assert len(cover) == na * nb * nc
@@ -407,7 +391,7 @@ def test_segment_count_bound():
         inst = promised_matrix(rng, na, nb, nc)
         U = int(max(inst.B.max(), inst.C.max(), 0))
         for level in range(levelmax_for(100) + 1):
-            count = len(top_segments_matrix(inst, level))
+            count = len(segment_bounds(matrix_layout(inst), level)[0])
             bound = na * nb * (2 * -(U // -(1 << level)) + 1)
             assert count <= bound
 
@@ -438,8 +422,6 @@ def test_refinement_produces_at_most_three_children():
         layout = matrix_layout(inst)
         starts, ends = segment_bounds(layout, lmax)
         for level in range(lmax - 1, -1, -1):
-            from minplus.segments import refine_bounds
-
             cs, ce, par = refine_bounds(layout, starts, ends, level)
             _, counts = np.unique(par, return_counts=True)
             assert counts.max(initial=0) <= 3
@@ -466,5 +448,6 @@ def test_sprime_property(na, nc, data):
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     inst = promised_matrix(rng, na, nb, nc)
-    S0 = active_chain(inst, 143, levelmax_for(100))[0]
-    assert np.array_equal(aggregate_sprime_rows(S0, inst, 143), sprime_oracle(inst, 143))
+    layout = matrix_layout(inst)
+    s0, e0 = active_level0_bounds(layout, levelmax_for(100), 143)
+    assert np.array_equal(sprime_rows_flat(layout, s0, e0, 143), sprime_oracle(inst, 143))
