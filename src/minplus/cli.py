@@ -36,6 +36,7 @@ from .core import (
     IntArray,
     MonotoneTag,
     VerificationInstance,
+    as_exact_int64,
     minplus_convolution_naive,
     minplus_product_naive,
     require_valid_instance,
@@ -228,11 +229,7 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _int64(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.int64)
-
-
-def _field(payload: dict, key: str, convert=_int64):
+def _field(payload: dict, key: str, convert=as_exact_int64):
     """A required field of an instance file, converted; a missing or
     malformed field is a CliError that names it."""
     if key not in payload:
@@ -362,8 +359,17 @@ def _out_paths(args, in_path: Path):
 # check
 
 def _oracle_cells(payload: dict, kind: str) -> int:
-    cells = math.prod(_field(payload, "dims", lambda dims: [int(d) for d in dims]))
-    return cells * cells if kind in ("conv", "verify-conv") else cells
+    """Oracle volume, sized from the arrays; a "dims" field that disagrees
+    with their shapes is malformed."""
+    dims = _field(payload, "dims", lambda dims: [int(d) for d in dims])
+    A, B = _field(payload, "A"), _field(payload, "B")
+    conv = kind in ("conv", "verify-conv")
+    shape = list(A.shape[:1] if conv else A.shape[:2] + B.shape[1:2])
+    if dims != shape:
+        raise CliError("malformed field 'dims': it disagrees with the arrays",
+                       field="dims", dims=dims, shape=shape)
+    cells = math.prod(shape)
+    return cells * cells if conv else cells
 
 
 def check_instance(payload: dict, config: SolverConfig):

@@ -25,6 +25,7 @@ __all__ = [
     "ValidationReport",
     "VerificationInstance",
     "ConvVerificationInstance",
+    "as_exact_int64",
     "as_int_matrix",
     "as_int_array",
     "validate_promises",
@@ -118,23 +119,38 @@ class ConvVerificationInstance:
     M: int
 
 
+def as_exact_int64(obj) -> np.ndarray:
+    """obj as an int64 array, refusing what int64 would not hold exactly.
+
+    Raises PromiseViolationError, with coord at the first offender, for a
+    non-integral or non-finite entry (1.5 is refused, not truncated to 1)
+    and for an entry of magnitude INT64_GUARD or more.
+    """
+    a = np.asarray(obj)
+    if a.dtype.kind not in "biu":
+        a = np.asarray(a, dtype=np.float64)
+        bad = ~np.isfinite(a) | (a != np.round(a))
+        if bad.any():
+            coord = _first_bad(bad)
+            raise PromiseViolationError(f"entry {float(a[coord])} is not an integer", coord=coord)
+    if a.size and (a.max() >= INT64_GUARD or a.min() <= -INT64_GUARD):
+        raise PromiseViolationError("entries too large for safe 64-bit arithmetic")
+    return a.astype(np.int64, copy=False)
+
+
 def as_int_matrix(obj) -> np.ndarray:
-    a = np.asarray(obj, dtype=np.int64)
+    a = as_exact_int64(obj)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size and int(np.abs(a).max()) >= INT64_GUARD:
-        raise PromiseViolationError("entries too large for safe 64-bit arithmetic")
     return a
 
 
 def as_int_vector(obj) -> np.ndarray:
-    a = np.asarray(obj, dtype=np.int64)
+    a = as_exact_int64(obj)
     if a.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-D array, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionMismatchError("empty array")
-    if int(np.abs(a).max()) >= INT64_GUARD:
-        raise PromiseViolationError("entries too large for safe 64-bit arithmetic")
     return a
 
 
@@ -236,13 +252,16 @@ def require_valid_instance(inst) -> None:
 
 
 def require_product_shapes(A: np.ndarray, B: np.ndarray) -> None:
-    """Raise DimensionMismatchError unless A and B are matrices that chain."""
+    """Raise DimensionMismatchError unless A and B are non-empty matrices
+    that chain; a zero dimension leaves some minimum over an empty set."""
     if A.ndim != 2 or B.ndim != 2:
         raise DimensionMismatchError(f"expected 2-D matrices, got ndim {A.ndim} and {B.ndim}")
     if A.shape[1] != B.shape[0]:
         raise DimensionMismatchError(
             f"inner dimensions differ: {A.shape[1]} vs {B.shape[0]}"
         )
+    if 0 in A.shape or 0 in B.shape:
+        raise DimensionMismatchError(f"zero dimension in shapes {A.shape} and {B.shape}")
 
 
 def minplus_product_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:

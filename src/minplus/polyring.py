@@ -1,16 +1,28 @@
 """Exact arithmetic in F_p[x]/(x^Q - 1) and bivariate products over it.
 
 The ring order Q is an arbitrary positive integer (a product of search
-primes), so there is no reason for Q-th roots of unity to exist in the
-field. All products therefore run at a padded power-of-two length L >= 2Q-1
-through a number-theoretic transform, and exponents are folded mod Q
-afterwards. Counts stored in the field stay exact as long as they are below
-p, which the solvers assert at entry.
+primes), so Q-th roots of unity need not exist in the field. Products take
+one of two routes, chosen from the operands alone:
+
+* float route: numpy's float64 FFT at the exact length Q, which is already
+  cyclic, so nothing is padded or folded. It computes the integer product
+  over Z, rounds it and reduces it mod p. It is taken whenever an a-priori
+  bound on the rounding error (``_float_limit``) proves that ``np.rint``
+  recovers every coefficient exactly, which holds for all the 0/1 monomial
+  operands the counting solvers build.
+* NTT route: a number-theoretic transform at a padded power-of-two length
+  L >= 2Q - 1, with exponents folded mod Q afterwards. It serves operands
+  with field-size coefficients, and ``cyclic_convolve`` and the
+  ``"schoolbook"`` matrix product always use it, so the test oracle does
+  not share code with the float route.
+
+Counts stored in the field stay exact as long as they are below p, which the
+solvers assert at entry.
 
 The default modulus is 998244353 = 119 * 2^23 + 1 (primitive root 3). It is
 NTT-friendly up to length 2^23 and small enough that a row of eight int64
 products can be summed before reduction without overflow, which is what the
-vectorised kernels rely on.
+vectorised NTT kernels rely on.
 """
 from __future__ import annotations
 
@@ -242,6 +254,59 @@ class CyclicPolyMatrix:
         return CyclicPoly(Q=self.Q, coeffs=self.coeffs[i, j].copy(), field=self.field)
 
 
+def _float_limit(n_sum: int, *lengths: int) -> int:
+    """Largest power of two T for which the float route is provably exact.
+
+    The float route sums ``terms`` products of coefficients bounded by
+    max|a| and max|b|; it is exact when ``terms * max|a| * max|b| <= T``.
+
+    The bound rests on Percival's error bound for a cyclic convolution
+    z = x * y of length 2^k computed with a float FFT (Math. Comp. 72, 2003),
+    with the complex-product constant sqrt(5) of Brent, Percival and
+    Zimmermann (Math. Comp. 76, 2007):
+
+        ||z' - z||_inf <= ||x||_2 ||y||_2 ((1+u)^3k (1+sqrt(5) u)^(3k+1) (1+b)^3k - 1),
+
+    where u = 2^-53 and b <= u is the error of the precomputed roots. To
+    first order the factor is u (13 k + 3). Here:
+
+    * k is the sum over the transformed axes of ceil(log2(4 len)), and the
+      per-level constant 13 is tripled to 39. This covers pocketfft's
+      mixed-radix passes and its Bluestein route for large prime lengths,
+      which runs three transforms of a length below 4 len.
+    * A frequency-domain sum of n_sum complex products adds at most
+      sqrt(2) (n_sum + 2) u <= (2 n_sum + 3) u times the same norm product
+      (Higham's complex dot-product bound; Cauchy-Schwarz and Parseval
+      carry the per-frequency error back to coefficient space).
+    * Summed over the products, ||x||_2 ||y||_2 <= terms * max|a| * max|b|.
+
+    The error therefore stays below 2^-5, sixteen times under the 0.5 that
+    ``np.rint`` tolerates, whenever
+    ``terms * max|a| * max|b| <= 2^48 / (39 k + 2 n_sum + 6)``.
+    """
+    k = sum((4 * n - 1).bit_length() for n in lengths)
+    return 1 << (((1 << 48) // (39 * k + 2 * n_sum + 6)).bit_length() - 1)
+
+
+def _float_route(a: np.ndarray, b: np.ndarray, terms: int, limit: int) -> bool:
+    """True when terms * max(a) * max(b) <= limit; coefficients are >= 0."""
+    if a.size == 0 or b.size == 0:
+        return True
+    return terms * int(a.max()) * int(b.max()) <= limit
+
+
+def _rint_exact(x: np.ndarray) -> np.ndarray:
+    """Round a float-route product to int64.
+
+    ``_float_limit`` proves every value lies within 2^-5 of an integer, so
+    the check below never fires; it raises rather than return a wrong count.
+    """
+    out = np.rint(x)
+    if out.size and float(np.abs(x - out).max()) > 0.25:
+        raise ArithmeticError("float product is not integral despite the a-priori bound")
+    return out.astype(np.int64)
+
+
 def _fold_modQ(flat: np.ndarray, Q: int) -> np.ndarray:
     """Fold degrees [0, 2Q-2] onto [0, Q); input last axis length >= 2Q-1."""
     out = flat[..., :Q].copy()
@@ -274,10 +339,14 @@ def polymat_mul(
 ) -> CyclicPolyMatrix:
     """Matrix product over the cyclic ring.
 
-    method "frequency" transforms every entry once, runs one numeric matrix
-    product per frequency slot, inverse-transforms and folds mod x^Q - 1.
-    method "schoolbook" is the direct triple loop over cyclic_convolve and
-    exists as the comparison oracle.
+    method "frequency" transforms every entry once, runs one matrix product
+    per frequency and transforms back. With inner dimension n, if
+    ``n * Q * max(Pm) * max(Qm) <= _float_limit(n, Q)`` the transform is
+    numpy's float rfft at length Q (one complex matmul per each of the
+    Q//2 + 1 frequencies, then irfft and exact rounding). Otherwise it is
+    the NTT at a padded power-of-two length, folded mod x^Q - 1 afterwards.
+    method "schoolbook" is the direct triple loop over cyclic_convolve (NTT)
+    and exists as the comparison oracle.
     """
     if Pm.Q != Qm.Q:
         raise ValueError("ring orders differ")
@@ -299,6 +368,13 @@ def polymat_mul(
         return CyclicPolyMatrix(Q=Q, coeffs=out, field=field)
     if method != "frequency":
         raise ValueError(f"unknown method {method!r}")
+
+    inner = Pm.cols
+    if _float_route(Pm.coeffs, Qm.coeffs, inner * Q, _float_limit(inner, Q)):
+        fa = np.moveaxis(np.fft.rfft(Pm.coeffs, axis=2), 2, 0)
+        fb = np.moveaxis(np.fft.rfft(Qm.coeffs, axis=2), 2, 0)
+        prod = _rint_exact(np.fft.irfft(np.matmul(fa, fb), n=Q, axis=0))
+        return CyclicPolyMatrix(Q=Q, coeffs=np.moveaxis(prod, 0, 2) % p, field=field)
 
     if Q == 1:
         prod = field.mod_matmul(Pm.coeffs[:, :, 0], Qm.coeffs[:, :, 0])
@@ -332,15 +408,26 @@ def bivariate_convolve(field: PrimeField, P: np.ndarray, R: np.ndarray, Q: int) 
     """Product cyclic in x (order Q) and ordinary in y.
 
     P and R are 2-D coefficient arrays with P[y, x] the coefficient of
-    x^x * y^y, x < Q. The pair (x, y) is packed into a single exponent
-    x + Lx * y with Lx = next_pow2(2Q - 1), so x-sums (at most 2Q - 2) never
-    carry into the y stride; x is folded mod Q after one univariate product.
+    x^x * y^y, x < Q. With ya and yb rows, if
+    ``max(ya, yb) * Q * max(P) * max(R) <= _float_limit(1, ya + yb - 1, Q)``
+    the product is one float rfft2/irfft2 pair of shape (ya + yb - 1, Q):
+    zero-padded, hence linear, in y and cyclic in x. The factor is
+    max(ya, yb), not min(ya, yb): the error bound scales with
+    ||P||_2 ||R||_2 <= sqrt(ya * yb) * Q * max(P) * max(R).
+    Otherwise (x, y) is packed into a single exponent x + Lx * y with
+    Lx = next_pow2(2Q - 1), so x-sums (at most 2Q - 2) never carry into the
+    y stride, and x is folded mod Q after one univariate NTT product.
     """
     P = np.asarray(P, dtype=np.int64) % field.p
     R = np.asarray(R, dtype=np.int64) % field.p
     if P.ndim != 2 or R.ndim != 2 or P.shape[1] > Q or R.shape[1] > Q:
         raise ValueError("bivariate operands must be (ny, <=Q) arrays")
     ny = P.shape[0] + R.shape[0] - 1
+    terms = max(P.shape[0], R.shape[0]) * Q
+    if _float_route(P, R, terms, _float_limit(1, ny, Q)):
+        s = (ny, Q)
+        prod = np.fft.irfft2(np.fft.rfft2(P, s=s) * np.fft.rfft2(R, s=s), s=s)
+        return _rint_exact(prod) % field.p
     Lx = next_pow2(2 * Q - 1)
     L = next_pow2(Lx * ny)
 

@@ -28,6 +28,7 @@ from .core import (
     PromiseViolationError,
     VerificationInstance,
     WitnessMask,
+    as_int_matrix,
     minplus_product_naive,
     require_product_shapes,
     require_valid_instance,
@@ -198,9 +199,10 @@ def minplus_monotone_col(
 
     ``tag`` states the promise: columns of B are non-decreasing with entries
     in ``[1, tag.entry_bound]``.  Raises DimensionMismatchError when the
-    shapes do not chain, PromiseViolationError when B breaks the promise, and
-    ValueError for a tag on the wrong axis or the det-reference engine, which
-    only the row and convolution drivers have.
+    shapes do not chain or have a zero dimension, PromiseViolationError when
+    an entry is not an integer of magnitude below INT64_GUARD or B breaks the
+    promise, and ValueError for a tag on the wrong axis or the det-reference
+    engine, which only the row and convolution drivers have.
     """
     if tag.axis != "column-monotone":
         raise ValueError(f"expected a column-monotone tag, got axis={tag.axis!r}")
@@ -208,8 +210,8 @@ def minplus_monotone_col(
         config = SolverConfig()
     if config.engine == "det-reference":
         raise ValueError("engine 'det-reference' is not available for the column driver")
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A = as_int_matrix(A)
+    B = as_int_matrix(B)
     require_product_shapes(A, B)
     rep = validate_promises(B, tag)
     if not rep.ok:

@@ -35,6 +35,7 @@ from .core import (
     PromiseViolationError,
     VerificationInstance,
     WitnessMask,
+    as_int_matrix,
     minplus_product_naive,
     require_product_shapes,
     require_valid_instance,
@@ -240,10 +241,11 @@ def minplus_monotone_row(
     """Min-plus product of A and B given the row-monotone promise on B.
 
     ``tag`` states the promise: rows of B are non-decreasing with entries in
-    ``[1, tag.entry_bound]``.  A is unrestricted beyond fitting in int64.
-    Raises DimensionMismatchError when the shapes do not chain,
-    PromiseViolationError when B breaks the promise and ValueError for a tag
-    on the wrong axis.
+    ``[1, tag.entry_bound]``.  A is unrestricted beyond holding integers of
+    magnitude below INT64_GUARD.  Raises DimensionMismatchError when the
+    shapes do not chain or have a zero dimension, PromiseViolationError when
+    an entry is not such an integer or B breaks the promise, and ValueError
+    for a tag on the wrong axis.
     """
     if tag.axis != "row-monotone":
         raise ValueError(f"expected a row-monotone tag, got axis={tag.axis!r}")
@@ -251,8 +253,8 @@ def minplus_monotone_row(
         raise ValueError("entry bound too large for exact int64 arithmetic")
     if config is None:
         config = SolverConfig()
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
+    A = as_int_matrix(A)
+    B = as_int_matrix(B)
     require_product_shapes(A, B)
     rep = validate_promises(B, tag)
     if not rep.ok:

@@ -220,3 +220,29 @@ def test_col_reference_engine_is_a_diagnostic(tmp_path, capsys, command):
     code, diag = _main_diagnostic(capsys, *argv)
     assert code == 2
     assert "det-reference" in diag["error"]
+
+
+def test_check_sizes_the_oracle_from_the_arrays(tmp_path, capsys):
+    payload = cli.generate_instance("product-row", 40, 9, seed=3, family="uniform-monotone")
+    path = tmp_path / "p.json"
+    cli.write_payload(path, payload)
+    code, diag = _main_diagnostic(capsys, "check", str(path), "--oracle-limit", "8")
+    assert code == 2
+    assert diag["cells"] == 40**3
+
+    cli.write_payload(path, {**payload, "dims": [1, 1, 1]})
+    code, diag = _main_diagnostic(capsys, "check", str(path), "--oracle-limit", "8")
+    assert code == 2
+    assert diag["field"] == "dims"
+    assert diag["shape"] == [40, 40, 40]
+
+
+def test_non_integral_entry_is_a_diagnostic(tmp_path, capsys):
+    payload = cli.load_payload(GOLDEN / "product-row-n4.json")
+    payload["A"][0][0] += 0.5
+    path = tmp_path / "half.json"
+    cli.write_payload(path, payload)
+    code, diag = _main_diagnostic(capsys, "check", str(path))
+    assert code == 2
+    assert diag["field"] == "A"
+    assert "not an integer" in diag["reason"]

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from minplus.core import (
     ConvVerificationInstance,
     DimensionMismatchError,
+    INT64_GUARD,
     IntArray,
     MonotoneTag,
+    PromiseViolationError,
     ValidationReport,
     VerificationInstance,
+    as_exact_int64,
     as_int_array,
     minplus_convolution_naive,
     minplus_product_naive,
@@ -196,3 +199,31 @@ def test_witness_mask_true_on_lifted_product(n, seed):
     B = np.sort(rng.integers(1, 9, size=(n, n)), axis=1).astype(np.int64)
     C = minplus_product_naive(A, B)
     assert witness_mask_naive(_matrix_instance(A, B, C), "ij").all()
+
+
+def test_as_exact_int64_keeps_integers():
+    got = as_exact_int64([[1.0, -2.0], [3.0, 4.0]])
+    assert got.dtype == np.int64 and got.tolist() == [[1, -2], [3, 4]]
+    assert as_exact_int64(np.array([INT64_GUARD - 1])).tolist() == [INT64_GUARD - 1]
+
+
+@pytest.mark.parametrize("bad,coord", [
+    ([[1, 2], [3, 4.5]], (1, 1)),
+    ([1.0, np.nan], (1,)),
+    ([np.inf], (0,)),
+])
+def test_as_exact_int64_refuses_non_integers(bad, coord):
+    with pytest.raises(PromiseViolationError, match="not an integer") as err:
+        as_exact_int64(bad)
+    assert err.value.coord == coord
+
+
+@pytest.mark.parametrize("big", [
+    np.array([INT64_GUARD]),
+    np.array([np.iinfo(np.int64).min]),  # |min| overflows np.abs
+    np.array([2.0**62]),
+    np.array([2**63], dtype=np.uint64),
+])
+def test_as_exact_int64_refuses_entries_past_the_guard(big):
+    with pytest.raises(PromiseViolationError, match="too large"):
+        as_exact_int64(big)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus.config import SolverConfig
+from minplus.convolution import minplus_conv_monotone
 from minplus.core import (
     DimensionMismatchError,
     MonotoneTag,
@@ -330,3 +331,31 @@ def test_col_product_refuses_reference_engine():
     tag = MonotoneTag(axis="column-monotone", entry_bound=1)
     with pytest.raises(ValueError, match="det-reference"):
         minplus_monotone_col(A, B, tag, SolverConfig(engine="det-reference"))
+
+
+@pytest.mark.parametrize("engine", ["det", "naive"])
+@pytest.mark.parametrize("driver,axis,A,B", [
+    (minplus_monotone_row, "row-monotone", [[1.5, 9.0]], [[1], [1]]),
+    (minplus_monotone_col, "column-monotone", [[1.5, 9.0]], [[1], [1]]),
+    (minplus_monotone_row, "row-monotone", [[1, 9]], [[1.0], [np.nan]]),
+    (minplus_conv_monotone, "array-monotone", [1.5, 2.0], [1, 1]),
+])
+def test_drivers_refuse_non_integral_entries(driver, axis, A, B, engine):
+    # 1.5 used to be truncated to 1, giving [[2]] for a true minimum of 2.5
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        driver(A, B, MonotoneTag(axis=axis, entry_bound=2), SolverConfig(engine=engine))
+
+
+@pytest.mark.parametrize("engine", ["det", "naive"])
+@pytest.mark.parametrize("driver,axis", [
+    (minplus_monotone_row, "row-monotone"),
+    (minplus_monotone_col, "column-monotone"),
+])
+@pytest.mark.parametrize("shape_a,shape_b", [((2, 0), (0, 2)), ((0, 2), (2, 2)), ((2, 2), (2, 0))])
+def test_drivers_refuse_zero_dimensions(driver, axis, engine, shape_a, shape_b):
+    A = np.ones(shape_a, dtype=np.int64)
+    B = np.ones(shape_b, dtype=np.int64)
+    with pytest.raises(DimensionMismatchError, match="zero dimension"):
+        driver(A, B, MonotoneTag(axis=axis, entry_bound=1), SolverConfig(engine=engine))
+    with pytest.raises(DimensionMismatchError, match="zero dimension"):
+        minplus_product_naive(A, B)
