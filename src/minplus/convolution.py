@@ -9,7 +9,10 @@ ordinary in the position variable, so the count lands per output slot.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
 search, bivariate counting, diagonal segment aggregation); the fast driver
-path uses the fused scan from :mod:`minplus.shifting` instead.
+path uses the fused scan from :mod:`minplus.shifting` instead.  The scan's
+answer does not depend on Q, so the driver's per-level modulus search
+changes no output; it stays only until ROADMAP item 2 drops it from the
+benchmark's ``Workload.exercises``.
 """
 
 from __future__ import annotations
@@ -158,6 +161,8 @@ def _reference_mask_conv(
 def _level_modulus_conv(
     a: np.ndarray, b: np.ndarray, c_cand: np.ndarray, M: int, config: SolverConfig
 ) -> int:
+    """The convolution form of product_row._level_modulus; its Q changes no
+    output either."""
     inst = _shift_instance_conv(a, b, c_cand, M, *first_live_pair(a, b, M))
     Q, _ = find_good_modulus(
         inst, M, R=config.R, slack=config.slack, y_method=config.y_method

@@ -26,6 +26,8 @@ __all__ = [
     "VerificationInstance",
     "ConvVerificationInstance",
     "as_exact_int64",
+    "narrow_int_dtype",
+    "magnitude_sum",
     "as_int_matrix",
     "as_int_array",
     "validate_promises",
@@ -117,6 +119,20 @@ class ConvVerificationInstance:
     B: IntArray
     C: IntArray
     M: int
+
+
+def narrow_int_dtype(bound: int) -> np.dtype:
+    """The smallest signed integer dtype that holds every value in [-bound, bound]."""
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    raise OverflowError(f"{bound} does not fit a signed 64-bit integer")
+
+
+def magnitude_sum(*arrays: np.ndarray) -> int:
+    """Sum over the arrays of their largest magnitude: a bound on every signed
+    sum of one entry from each."""
+    return sum(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
 
 
 def as_exact_int64(obj) -> np.ndarray:

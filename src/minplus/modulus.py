@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ConvVerificationInstance
 from .polyring import CyclicPolyMatrix, PrimeField, bivariate_convolve, polymat_mul
-from .segments import conv_layout, level_start_deltas, levelmax_for, matrix_layout
+from .segments import conv_layout, level_breaks, level_start_deltas, levelmax_for, matrix_layout
 
 __all__ = [
     "PrimePool",
@@ -106,15 +106,6 @@ class YTable:
         return self.Y.min(axis=1)
 
 
-def _boundary_cols(rows: np.ndarray, level: int) -> np.ndarray:
-    """Column-start indicator: column 0 plus every level-l floor change."""
-    ind = np.ones_like(rows, dtype=bool)
-    if rows.shape[-1] > 1:
-        f = rows >> level
-        ind[..., 1:] = f[..., 1:] != f[..., :-1]
-    return ind
-
-
 def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int,
                          field_: PrimeField | None = None) -> YTable:
     """Ring-backend Y table: one polynomial transform per candidate Q'."""
@@ -132,8 +123,8 @@ def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int,
         shift = (np.arange(Qp)[None, :] - C.reshape(-1, 1)) % Qp
         col = []
         for level in range(lmax + 1):
-            IB = _boundary_cols(B, level)
-            IC = _boundary_cols(C, level)
+            IB = level_breaks(B, level)
+            IC = level_breaks(C, level)
             B_bdry = CyclicPolyMatrix(Q=Qp, coeffs=Bp.coeffs * IB[:, :, None], field=fld)
             D_bdry = polymat_mul(Ap, B_bdry).coeffs
             U = np.where(IC[:, :, None], D_all, D_bdry).reshape(na * nc, Qp)
@@ -167,7 +158,7 @@ def compute_Y_all_conv(inst: ConvVerificationInstance, Q_prev: int, pool: PrimeP
         shift = (np.arange(Qp)[None, :] - c.reshape(-1, 1)) % Qp
         col = []
         for level in range(lmax + 1):
-            IA = _boundary_cols(a[None, :], level)[0]
+            IA = level_breaks(a, level)
             fB = b >> level
             JB = np.ones(len(b), dtype=bool)
             if len(b) > 1:

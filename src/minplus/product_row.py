@@ -10,10 +10,13 @@ accepted one.
 
 Candidate checking is a batch of equality tests after residue shifting: entry
 ``x`` in residue class ``s = (x % M) // (M // 100)`` maps to a shifted value
-whose low part is below ``7 * M / 100``, so for any modulus ``Q >= M`` a cell
-is correct iff some k has shifted values congruent mod Q with matching high
-parts.  The modulus search from :mod:`minplus.modulus` picks a Q with few
-spurious near-collisions, which is what keeps the check subproblems sparse.
+whose low part is below ``7 * M / 100``, so for any modulus ``Q > 7 * M / 100``
+a cell is correct iff some k has shifted values congruent mod Q with matching
+high parts.  The fused scan in :mod:`minplus.shifting` decides all class pairs
+at once, and its answer does not depend on Q.  The per-level modulus search
+from :mod:`minplus.modulus` therefore changes no output; it stays on the det
+path only until the benchmark drops it from the row and conv workloads'
+``Workload.exercises`` (ROADMAP item 2).
 
 Two slower engines back the batched one: ``naive`` is the cubic scan, and
 ``det-reference`` runs the per-shift-pair verification pipeline literally
@@ -198,7 +201,11 @@ def _reference_mask(
 
 def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config: SolverConfig) -> int:
     """One good modulus per recursion level, searched on the first live
-    class-pair instance of the level's first candidate."""
+    class-pair instance of the level's first candidate.
+
+    The fused scan gives the same mask for every Q > 7M/100, so this Q
+    changes no output; the search stays until ROADMAP item 2 drops it from
+    the benchmark's ``Workload.exercises``."""
     inst = _shift_instance(A, B, C_cand, M, *first_live_pair(A, B, M))
     Q, _ = find_good_modulus(
         inst, M, R=config.R, slack=config.slack, y_method=config.y_method

@@ -24,12 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvVerificationInstance, VerificationInstance
+from .core import (
+    ConvVerificationInstance,
+    VerificationInstance,
+    magnitude_sum,
+    narrow_int_dtype,
+)
 
 __all__ = [
     "levelmax_for",
     "matrix_layout",
     "conv_layout",
+    "level_breaks",
     "segment_bounds",
     "active_start_mask",
     "refine_bounds",
@@ -53,9 +59,14 @@ class FlatLayout:
     """All (pair, column) or (diagonal, index) cells concatenated.
 
     v1/v2 drive the segmentation (the two value rows whose floors must stay
-    constant), delta and eqhigh evaluate the active predicate, gstarts are
-    the per-group offsets, glabel1/glabel2 recover (i, k) or the slot, and
-    gbase is the first in-range local index of each group.
+    constant): a matrix layout keeps the B rows (nb, nc) and the C rows
+    (na, nc) themselves, which every (i, k) group pairs up, and a conv layout
+    keeps the a and b value of each cell along its diagonal. delta and
+    eqhigh evaluate the active predicate per cell, gstarts are the per-group
+    offsets, glabel1/glabel2 recover (i, k) or the slot, and gbase is the
+    first in-range local index of each group. Values are stored in the
+    narrowest signed dtype that holds M and delta; _start_deltas widens
+    the gathered deltas back to int64 before any reduction mod Q.
     """
 
     kind: str
@@ -74,24 +85,31 @@ class FlatLayout:
         return int(self.gstarts[-1])
 
 
+def _narrowed(M: int, *values: np.ndarray) -> list:
+    """The values in the narrowest signed dtype that holds M and a signed sum
+    of one entry of each (delta and the high-part sums)."""
+    dtype = narrow_int_dtype(max(magnitude_sum(*values), M))
+    return [x.astype(dtype) for x in values]
+
+
 def matrix_layout(inst: VerificationInstance) -> FlatLayout:
-    A, B, C, M = inst.A, inst.B, inst.C, inst.M
+    M = inst.M
+    A, B, C = _narrowed(M, inst.A, inst.B, inst.C)
     na, nb = A.shape
     nc = B.shape[1]
-    v1 = np.broadcast_to(B[None, :, :], (na, nb, nc)).reshape(-1)
-    v2 = np.broadcast_to(C[:, None, :], (na, nb, nc)).reshape(-1)
-    delta = (A[:, :, None] + B[None, :, :] - C[:, None, :]).reshape(-1)
-    eqhigh = ((A // M)[:, :, None] + (B // M)[None, :, :] == (C // M)[:, None, :]).reshape(-1)
+    delta = A[:, :, None] + B[None, :, :]
+    delta -= C[:, None, :]
+    eqhigh = (A // M)[:, :, None] + (B // M)[None, :, :] == (C // M)[:, None, :]
     G = na * nb
     gstarts = np.arange(G + 1, dtype=np.int64) * nc
     glabel1 = np.repeat(np.arange(na, dtype=np.int64), nb)
     glabel2 = np.tile(np.arange(nb, dtype=np.int64), na)
     return FlatLayout(
         kind="matrix",
-        v1=v1,
-        v2=v2,
-        delta=delta,
-        eqhigh=eqhigh,
+        v1=B,
+        v2=C,
+        delta=delta.reshape(-1),
+        eqhigh=eqhigh.reshape(-1),
         gstarts=gstarts,
         glabel1=glabel1,
         glabel2=glabel2,
@@ -101,7 +119,8 @@ def matrix_layout(inst: VerificationInstance) -> FlatLayout:
 
 
 def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
-    a, b, c, M = inst.A.values, inst.B.values, inst.C.values, inst.M
+    M = inst.M
+    a, b, c = _narrowed(M, inst.A.values, inst.B.values, inst.C.values)
     na, nb = len(a), len(b)
     nT = na + nb - 1
     t = np.arange(nT, dtype=np.int64)
@@ -109,13 +128,12 @@ def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
     hi = np.minimum(na - 1, t)
     lens = hi - lo + 1
     gstarts = np.concatenate([[0], np.cumsum(lens)])
-    gid = np.repeat(t, lens)
-    i_flat = np.arange(gstarts[-1], dtype=np.int64) - np.repeat(gstarts[:-1], lens) + np.repeat(lo, lens)
-    b_idx = gid - i_flat
+    i_flat = np.arange(gstarts[-1], dtype=np.int64) - np.repeat(gstarts[:-1] - lo, lens)
     v1 = a[i_flat]
-    v2 = b[b_idx]
-    delta = v1 + v2 - c[gid]
-    eqhigh = v1 // M + v2 // M == (c // M)[gid]
+    v2 = b[np.repeat(t, lens) - i_flat]
+    delta = v1 + v2
+    delta -= np.repeat(c, lens)
+    eqhigh = v1 // M + v2 // M == np.repeat(c // M, lens)
     return FlatLayout(
         kind="conv",
         v1=v1,
@@ -130,13 +148,28 @@ def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
     )
 
 
+def level_breaks(rows: np.ndarray, level: int) -> np.ndarray:
+    """Per-row start indicator: column 0 plus every change of floor(x / 2^level)."""
+    ind = np.ones(rows.shape, dtype=bool)
+    f = rows >> level
+    np.not_equal(f[..., 1:], f[..., :-1], out=ind[..., 1:])
+    return ind
+
+
 def _boundary_mask(layout: FlatLayout, level: int) -> np.ndarray:
-    b1 = layout.v1 >> level
-    b2 = layout.v2 >> level
-    bd = np.zeros(layout.size, dtype=bool)
+    if layout.kind == "matrix":
+        # (i, k, j) starts a segment iff j == 0 or the floor of B row k or of
+        # C row i changes at j: two per-row tables OR-ed by broadcasting.
+        bd = level_breaks(layout.v1, level)[None, :, :] | level_breaks(layout.v2, level)[:, None, :]
+        return bd.reshape(-1)
+    bd = level_breaks(layout.v1, level) | level_breaks(layout.v2, level)
     bd[layout.gstarts[:-1]] = True
-    bd[1:] |= (b1[1:] != b1[:-1]) | (b2[1:] != b2[:-1])
     return bd
+
+
+def _start_deltas(layout: FlatLayout, starts: np.ndarray) -> np.ndarray:
+    """delta at the given cells as int64, ready for a reduction mod any Q."""
+    return layout.delta[starts].astype(np.int64)
 
 
 def segment_bounds(layout: FlatLayout, level: int):
@@ -150,7 +183,7 @@ def active_start_mask(layout: FlatLayout, starts: np.ndarray, level: int, Q: int
     # canonical-residue window test; if Q <= 8*2^l + 1 every residue passes,
     # which is the intended meaning (the window covers the whole ring)
     win = 4 << level
-    r = layout.delta[starts] % Q
+    r = _start_deltas(layout, starts) % Q
     return ~layout.eqhigh[starts] & ((r <= win) | (r >= Q - win))
 
 
@@ -214,7 +247,7 @@ def level_start_deltas(layout: FlatLayout, lmax: int):
     out = []
     for level in range(lmax + 1):
         starts = np.flatnonzero(_boundary_mask(layout, level))
-        out.append((layout.delta[starts], layout.eqhigh[starts]))
+        out.append((_start_deltas(layout, starts), layout.eqhigh[starts]))
     return out
 
 
@@ -225,7 +258,7 @@ def _groups_of(layout: FlatLayout, starts: np.ndarray) -> np.ndarray:
 def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segments into s' per (i, j)."""
     na, _, nc = layout.dims
-    cong = layout.delta[starts] % Q == 0
+    cong = _start_deltas(layout, starts) % Q == 0
     s, e = starts[cong], ends[cong]
     g = _groups_of(layout, s)
     i = layout.glabel1[g]
@@ -240,7 +273,7 @@ def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q
 def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into r' per (i, k)."""
     na, nb, _ = layout.dims
-    cong = layout.delta[starts] % Q == 0
+    cong = _start_deltas(layout, starts) % Q == 0
     s, e = starts[cong], ends[cong]
     g = _groups_of(layout, s)
     out = np.zeros((na, nb), dtype=np.int64)
@@ -251,7 +284,7 @@ def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: 
 def sprime_conv_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into s' per output slot."""
     nT = layout.dims[2]
-    cong = layout.delta[starts] % Q == 0
+    cong = _start_deltas(layout, starts) % Q == 0
     s, e = starts[cong], ends[cong]
     g = _groups_of(layout, s)
     return np.bincount(layout.glabel1[g], weights=(e - s + 1), minlength=nT).astype(np.int64)

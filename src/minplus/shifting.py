@@ -13,6 +13,9 @@ result residues are at most 7W = 7M/100, inside the M/10 promise.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .core import magnitude_sum, narrow_int_dtype
 
 __all__ = [
     "residue_class",
@@ -22,6 +25,11 @@ __all__ = [
     "congruent_witness_scan",
     "congruent_witness_scan_conv",
 ]
+
+# Triples (matrix scan) or pairs (conv scan) per block of the fused pass.
+# Every temporary of the pass holds at most one block (256 KB at int16), so
+# the scans' memory does not grow with the instance.
+SCAN_BLOCK = 1 << 17
 
 
 def residue_class(values: np.ndarray, M: int) -> np.ndarray:
@@ -63,7 +71,6 @@ def congruent_witness_scan(
     M: int,
     Q: int,
     query_axis: str = "ij",
-    chunk_elems: int = 1 << 22,
 ) -> np.ndarray:
     """Exact witness mask via the shifted-residue decision rule, all pairs fused.
 
@@ -74,31 +81,23 @@ def congruent_witness_scan(
     entries are congruent mod Q, and the high parts agree.  Exact for any
     non-negative inputs and any Q > 7M/100; no monotonicity is needed.
 
+    The pass runs in blocks of SCAN_BLOCK triples on the hoisted terms of
+    _scan_terms; _fused_rule states how the three conditions read on them.
+
     query_axis "ij" answers per output cell over inner k; "ik" answers per
     (i, k) over output columns j, matching witness_mask_naive.
     """
     if query_axis not in ("ij", "ik"):
         raise ValueError(f"unknown query axis {query_axis!r}")
-    W = M // 100
-    Ash = np.asarray(A, dtype=np.int64) + M
-    Bsh = np.asarray(B, dtype=np.int64) + M
-    Csh = np.asarray(C, dtype=np.int64) + 2 * M
-    uA = residue_class(Ash, M)
-    uB = residue_class(Bsh, M)
-    hA = (Ash - uA * W) // M
-    hB = (Bsh - uB * W) // M
-    na, nb = Ash.shape
-    nc = Bsh.shape[1]
+    tA, tB, tC = _scan_terms(M, Q, A, B, C)
+    na, nb = tA.shape[1:]
+    nc = tB.shape[2]
     out_shape = (na, nc) if query_axis == "ij" else (na, nb)
     mask = np.zeros(out_shape, dtype=bool)
-    rows = max(1, chunk_elems // max(nb * nc, 1))
+    rows = max(1, SCAN_BLOCK // max(nb * nc, 1))
     for lo in range(0, na, rows):
-        sl = slice(lo, min(lo + rows, na))
-        su = uA[sl, :, None] + uB[None, :, :]
-        lhs = Ash[sl, :, None] + Bsh[None, :, :]
-        hit = (lhs - Csh[sl, None, :]) % Q == 0
-        hit &= (residue_class(Csh[sl, None, :], M) - su) % 100 <= 1
-        hit &= hA[sl, :, None] + hB[None, :, :] == (Csh[sl, None, :] - su * W) // M
+        sl = slice(lo, lo + rows)
+        hit = _fused_rule(tA[:, sl, :, None], tB[:, None], tC[:, sl, None, :], Q)
         mask[sl] = hit.any(axis=1 if query_axis == "ij" else 2)
     return mask
 
@@ -108,21 +107,66 @@ def congruent_witness_scan_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray, M: 
 
     a and b have length n, c has length 2n - 1 with slot t holding the
     candidate for semantic index t + 2. The decision rule per pair is the
-    same as in the matrix scan; hits are folded onto their diagonal.
+    same as in the matrix scan; hits are folded onto their diagonal. The
+    pass runs in blocks of whole rows i, SCAN_BLOCK pairs at most.
+    """
+    ta, tb, tc = _scan_terms(M, Q, a, b, c)
+    n = ta.shape[1]
+    # row i of the window view holds c[i : i + n], the candidates of the pairs (i, j)
+    tcw = sliding_window_view(tc, n, axis=1)
+    mask = np.zeros(2 * n - 1, dtype=bool)
+    rows = max(1, SCAN_BLOCK // n)
+    for lo in range(0, n, rows):
+        sl = slice(lo, lo + rows)
+        hit = _fused_rule(ta[:, sl, None], tb[:, None], tcw[:, sl], Q)
+        mask[lo : lo + hit.shape[0] + n - 1] |= _antidiagonal_any(hit)
+    return mask
+
+
+def _scan_terms(M: int, Q: int, *operands) -> list:
+    """The per-operand terms of the fused rule, hoisted out of the pair pass.
+
+    For each operand x, one array stacking its hundredths index x // (M/100)
+    and its residue x mod Q along a new first axis, in the narrowest signed
+    dtype that holds every value the pass forms from them (a difference of
+    three indices, or a sum of two residues and Q, below 2Q).
     """
     W = M // 100
-    ash = np.asarray(a, dtype=np.int64) + M
-    bsh = np.asarray(b, dtype=np.int64) + M
-    csh = np.asarray(c, dtype=np.int64) + 2 * M
-    ua = residue_class(ash, M)
-    ub = residue_class(bsh, M)
-    ha = (ash - ua * W) // M
-    hb = (bsh - ub * W) // M
-    n = ash.shape[0]
-    diag = np.arange(n)[:, None] + np.arange(n)[None, :]
-    su = ua[:, None] + ub[None, :]
-    cd = csh[diag]
-    hit = (ash[:, None] + bsh[None, :] - cd) % Q == 0
-    hit &= (residue_class(cd, M) - su) % 100 <= 1
-    hit &= ha[:, None] + hb[None, :] == (cd - su * W) // M
-    return np.bincount(diag.ravel(), weights=hit.ravel(), minlength=2 * n - 1) > 0
+    values = [np.asarray(x, dtype=np.int64) for x in operands]
+    index = [x // W for x in values]
+    dtype = narrow_int_dtype(max(magnitude_sum(*index), 2 * Q))
+    return [np.stack([k, x % Q]).astype(dtype) for k, x in zip(index, values)]
+
+
+def _fused_rule(a: np.ndarray, b: np.ndarray, c: np.ndarray, Q: int) -> np.ndarray:
+    """The witness rule on broadcast-compatible blocks of stacked
+    (index, residue) terms of the two operands and the output.
+
+    With W = M/100 the hundredths index x // W of a pre-shifted entry is
+    100 * its high part + its residue class, and the pre-shifts (M on each
+    operand, 2M on the output) cancel in the index difference. So the class
+    window, (u_C - u_A - u_B) mod 100 in {0, 1}, and the high-part agreement
+    hold together exactly when the output's index exceeds the sum of the
+    operands' indices by 0 or 1: one compare, done unsigned. The congruence
+    mod Q holds exactly when the operands' residues sum to the output's
+    residue or to that plus Q.
+    """
+    (ka, ra), (kb, rb), (kc, rc) = a, b, c
+    excess = kc - (ka + kb)
+    hit = excess.view(f"u{excess.itemsize}") <= 1
+    total = ra + rb
+    hit &= (total == rc) | (total == rc + Q)
+    return hit
+
+
+def _antidiagonal_any(hit: np.ndarray) -> np.ndarray:
+    """out[t] = any(hit[r, t - r]) for a block of R rows and n columns.
+
+    Row r of the zero-padded (R, n + R) copy, read back with row length
+    R + n - 1, starts r cells later, so its column r + j holds hit[r, j].
+    """
+    R, n = hit.shape
+    L = R + n - 1
+    padded = np.zeros((R, n + R), dtype=bool)
+    padded[:, :n] = hit
+    return padded.reshape(-1)[: R * L].reshape(R, L).any(axis=0)

@@ -4,6 +4,7 @@ import numpy as np
 from minplus.convolution import _shift_instance_conv
 from minplus.core import ConvVerificationInstance, IntArray, VerificationInstance
 from minplus.product_row import _shift_instance
+from minplus.shifting import residue_class
 
 
 def minst(A, B, C, M=100):
@@ -54,3 +55,32 @@ def all_shift_pairs(A, B, C, M=100, conv=False):
     for s in range(100):
         for t in range(100):
             yield s, t, shift(A, B, C, M, s, t)
+
+
+def _fused_rule_int64(Ash, Bsh, Csh, M, Q):
+    """The fused scan's three conditions written out literally in int64, on
+    broadcast-compatible pre-shifted entries: class window, congruence mod Q,
+    high-part agreement."""
+    W = M // 100
+    uA, uB = residue_class(Ash, M), residue_class(Bsh, M)
+    su = uA + uB
+    hit = (Ash + Bsh - Csh) % Q == 0
+    hit &= (residue_class(Csh, M) - su) % 100 <= 1
+    hit &= (Ash - uA * W) // M + (Bsh - uB * W) // M == (Csh - su * W) // M
+    return hit
+
+
+def fused_scan_int64_oracle(A, B, C, M, Q, query_axis="ij"):
+    """congruent_witness_scan as one unblocked int64 pass."""
+    A, B, C = (np.asarray(x, dtype=np.int64) for x in (A, B, C))
+    hit = _fused_rule_int64(A[:, :, None] + M, B[None, :, :] + M, C[:, None, :] + 2 * M, M, Q)
+    return hit.any(axis=1 if query_axis == "ij" else 2)
+
+
+def fused_scan_conv_int64_oracle(a, b, c, M, Q):
+    """congruent_witness_scan_conv as one unblocked int64 pass over all pairs."""
+    a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
+    n = len(a)
+    i, j = np.divmod(np.arange(n * n), n)
+    hit = _fused_rule_int64(a[i] + M, b[j] + M, c[i + j] + 2 * M, M, Q)
+    return np.bincount(i + j, weights=hit, minlength=2 * n - 1) > 0

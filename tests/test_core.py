@@ -14,8 +14,10 @@ from minplus.core import (
     VerificationInstance,
     as_exact_int64,
     as_int_array,
+    magnitude_sum,
     minplus_convolution_naive,
     minplus_product_naive,
+    narrow_int_dtype,
     validate_instance,
     validate_promises,
     witness_mask_naive,
@@ -227,3 +229,21 @@ def test_as_exact_int64_refuses_non_integers(bad, coord):
 def test_as_exact_int64_refuses_entries_past_the_guard(big):
     with pytest.raises(PromiseViolationError, match="too large"):
         as_exact_int64(big)
+
+
+@pytest.mark.parametrize("bound,dtype", [
+    (0, np.int8), (127, np.int8), (128, np.int16),
+    (32767, np.int16), (32768, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+])
+def test_narrow_int_dtype_thresholds(bound, dtype):
+    assert narrow_int_dtype(bound) == np.dtype(dtype)
+
+
+def test_narrow_int_dtype_refuses_past_int64():
+    with pytest.raises(OverflowError):
+        narrow_int_dtype(2**63)
+
+
+def test_magnitude_sum_counts_negative_extremes():
+    assert magnitude_sum(np.array([3, -7]), np.array([[5]]), np.zeros(0, dtype=np.int64)) == 12

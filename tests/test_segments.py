@@ -4,10 +4,12 @@ from helpers import cinst, minst, promised_conv, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus.product_row import M_MAX
 from minplus.segments import (
     active_level0_bounds,
     active_start_mask,
     conv_layout,
+    level_start_deltas,
     levelmax_for,
     matrix_layout,
     refine_bounds,
@@ -31,6 +33,27 @@ def seg_oracle_row(row1, row2, level):
             segs.append((s, j - 1))
             s = j
     return segs
+
+
+def seg_oracle_matrix(inst, level):
+    """Every level segment as (i, k, j0, j1), by per-(i, k) linear scans, in layout order."""
+    return [
+        (i, k, j0, j1)
+        for i in range(inst.A.shape[0])
+        for k in range(inst.A.shape[1])
+        for j0, j1 in seg_oracle_row(inst.B[k], inst.C[i], level)
+    ]
+
+
+def seg_oracle_conv(inst, level):
+    """Every level segment as (k, i0, i1), by per-diagonal linear scans, in layout order."""
+    out = []
+    for k in range(len(inst.C.values)):
+        lo, hi = conv_diagonal(inst, k)
+        r1 = inst.A.values[lo : hi + 1]
+        r2 = np.array([inst.B.values[k - i] for i in range(lo, hi + 1)])
+        out += [(k, lo + s, lo + e) for s, e in seg_oracle_row(r1, r2, level)]
+    return out
 
 
 def in_window(delta, level, Q):
@@ -280,12 +303,7 @@ def test_top_segments_match_linear_scan():
         for level in (0, 2, 3):
             layout = matrix_layout(inst)
             got = set(matrix_tuples(layout, *segment_bounds(layout, level)))
-            want = set()
-            for i in range(na):
-                for k in range(nb):
-                    for j0, j1 in seg_oracle_row(inst.B[k], inst.C[i], level):
-                        want.add((i, k, j0, j1))
-            assert got == want
+            assert got == set(seg_oracle_matrix(inst, level))
 
 
 def test_conv_segments_match_linear_scan():
@@ -296,14 +314,7 @@ def test_conv_segments_match_linear_scan():
         for level in (0, 1, 3):
             layout = conv_layout(inst)
             got = set(conv_tuples(layout, *segment_bounds(layout, level)))
-            want = set()
-            for k in range(2 * n - 1):
-                lo, hi = conv_diagonal(inst, k)
-                r1 = inst.A.values[lo : hi + 1]
-                r2 = np.array([inst.B.values[k - i] for i in range(lo, hi + 1)])
-                for s, e in seg_oracle_row(r1, r2, level):
-                    want.add((k, lo + s, lo + e))
-            assert got == want
+            assert got == set(seg_oracle_conv(inst, level))
 
 
 def test_active_refinement_matches_direct_enumeration():
@@ -451,3 +462,119 @@ def test_sprime_property(na, nc, data):
     layout = matrix_layout(inst)
     s0, e0 = active_level0_bounds(layout, levelmax_for(100), 143)
     assert np.array_equal(sprime_rows_flat(layout, s0, e0, 143), sprime_oracle(inst, 143))
+
+
+# --- narrow layouts: dtype thresholds and large moduli ------------------------
+
+# |A|max + |B|max + |C|max one step either side of the int8, int16 and int32
+# limits, and the dtype the layout must store delta in.
+LAYOUT_TOTALS = [
+    (127, np.int8), (128, np.int16),
+    (32767, np.int16), (32768, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64),
+]
+LAYOUT_MODULI = (101, 143, 40000, 65537, 2**31 - 1)
+
+
+def split_total(draw, total):
+    ta = draw(st.integers(0, total))
+    tb = draw(st.integers(0, total - ta))
+    return ta, tb, total - ta - tb
+
+
+def near_congruent(rng, sums, top, Q):
+    """sum - r*Q - s for r in {0, 1, 2} and |s| <= 4, clipped into [0, top]:
+    starts whose delta is congruent to, or in the window of, 0 mod Q."""
+    shifted = sums - Q * rng.integers(0, 3, sums.shape) - rng.integers(-4, 5, sums.shape)
+    return np.clip(shifted, 0, top)
+
+
+def threshold_matrix(rng, shape, tops, Q, M):
+    (na, nb, nc), (ta, tb, tc) = shape, tops
+    A = rng.integers(0, ta + 1, (na, nb))
+    B = np.sort(rng.integers(0, tb + 1, (nb, nc)), axis=1)
+    A[0, 0], B[:, -1] = ta, tb
+    k = rng.integers(0, nb, (na, nc))
+    C = near_congruent(rng, A[np.arange(na)[:, None], k] + B[k, np.arange(nc)[None, :]], tc, Q)
+    C[0, 0] = tc
+    return minst(A, B, C, M=M)
+
+
+def threshold_conv(rng, n, tops, Q, M):
+    ta, tb, tc = tops
+    a = np.sort(rng.integers(0, ta + 1, n))
+    b = np.sort(rng.integers(0, tb + 1, n))
+    a[-1], b[-1] = ta, tb
+    t = np.arange(2 * n - 1)
+    i = np.clip(t - rng.integers(0, n, 2 * n - 1), np.maximum(0, t - (n - 1)), np.minimum(n - 1, t))
+    c = near_congruent(rng, a[i] + b[t - i], tc, Q)
+    c[0] = tc
+    return cinst(a, b, c, M=M)
+
+
+@st.composite
+def layout_case(draw):
+    total, dtype = draw(st.sampled_from(LAYOUT_TOTALS))
+    M = draw(st.sampled_from((100, M_MAX))) if total > M_MAX else 100
+    Q = draw(st.sampled_from(LAYOUT_MODULI))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    return split_total(draw, total), dtype, M, Q, rng, shape
+
+
+def start_deltas_oracle(inst, level, conv):
+    """(delta, eqhigh) at every linear-scan segment start, in layout order."""
+    if conv:
+        a, b, c, M = inst.A.values, inst.B.values, inst.C.values, inst.M
+        triples = [(a[i0], b[k - i0], c[k]) for k, i0, _ in seg_oracle_conv(inst, level)]
+    else:
+        A, B, C, M = inst.A, inst.B, inst.C, inst.M
+        triples = [(A[i, k], B[k, j0], C[i, j0]) for i, k, j0, _ in seg_oracle_matrix(inst, level)]
+    deltas = [int(x + y - z) for x, y, z in triples]
+    eqhigh = [bool(x // M + y // M == z // M) for x, y, z in triples]
+    return deltas, eqhigh
+
+
+def assert_layout_matches_oracles(inst, layout, Q, conv):
+    lmax = levelmax_for(inst.M)
+    label = conv_tuples if conv else matrix_tuples
+    seg_oracle = seg_oracle_conv if conv else seg_oracle_matrix
+    per_level = level_start_deltas(layout, lmax)
+    for level in range(lmax + 1):
+        want = set(seg_oracle(inst, level))
+        assert set(label(layout, *segment_bounds(layout, level))) == want
+        deltas, eqhigh = per_level[level]
+        assert deltas.dtype == np.int64
+        assert (deltas.tolist(), eqhigh.tolist()) == start_deltas_oracle(inst, level, conv)
+        if level < lmax:
+            children = refine_bounds(layout, *segment_bounds(layout, level + 1), level)
+            assert set(label(layout, *children[:2])) == want
+    active_oracle = active_oracle_conv if conv else active_oracle_matrix
+    for level, got in active_chain(inst, Q, lmax, conv=conv).items():
+        assert set(got) == set(active_oracle(inst, Q, level))
+    s0, e0 = active_level0_bounds(layout, lmax, Q)
+    if conv:
+        assert np.array_equal(sprime_conv_flat(layout, s0, e0, Q), sprime_conv_oracle(inst, Q))
+    else:
+        assert np.array_equal(sprime_rows_flat(layout, s0, e0, Q), sprime_oracle(inst, Q))
+        assert np.array_equal(rprime_ik_flat(layout, s0, e0, Q), rprime_oracle(inst, Q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout_case())
+def test_matrix_layout_exact_across_dtype_thresholds(case):
+    tops, dtype, M, Q, rng, shape = case
+    inst = threshold_matrix(rng, shape, tops, Q, M)
+    layout = matrix_layout(inst)
+    assert layout.delta.dtype == np.dtype(dtype)
+    assert_layout_matches_oracles(inst, layout, Q, conv=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout_case())
+def test_conv_layout_exact_across_dtype_thresholds(case):
+    tops, dtype, M, Q, rng, (n, _, _) = case
+    inst = threshold_conv(rng, n + 1, tops, Q, M)
+    layout = conv_layout(inst)
+    assert layout.delta.dtype == np.dtype(dtype)
+    assert_layout_matches_oracles(inst, layout, Q, conv=True)

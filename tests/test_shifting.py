@@ -1,0 +1,160 @@
+"""The fused witness scans against the brute-force mask and the literal
+int64 formulation, across the dtype thresholds, moduli and block sizes."""
+import numpy as np
+import pytest
+from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minplus import shifting
+from minplus.core import witness_mask_naive
+from minplus.modulus import default_range_parameter
+from minplus.product_row import M_MAX
+from minplus.shifting import (
+    _scan_terms,
+    congruent_witness_scan,
+    congruent_witness_scan_conv,
+)
+
+MODULI = (100, 300, 1000, M_MAX)
+# Entry scales (times M/100) whose hundredths-index sums land on both sides
+# of the int16 and int32 thresholds.
+SCALES = (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 29, 1 << 30, 1 << 31)
+# Moduli that put 2Q on both sides of the int16 and int32 thresholds.
+BIG_Q = ((1 << 14) - 1, 1 << 14, 40000, 65537, (1 << 30) - 1, 1 << 30)
+
+
+def with_near_misses(rng, sums, hi, M, Q):
+    """Half the cells: a witness sum moved by 0, +-1, +-W, M or +-Q; the
+    other half random in [0, 2 hi + 1]. Clipped at 0."""
+    miss = rng.choice([0, 0, 0, 1, -1, M // 100, -(M // 100), M, Q, -Q], sums.shape)
+    noise = rng.integers(0, 2 * hi + 2, sums.shape)
+    return np.maximum(np.where(rng.random(sums.shape) < 0.5, sums + miss, noise), 0)
+
+
+def planted_matrix(rng, shape, hi, M, Q):
+    na, nb, nc = shape
+    A = rng.integers(0, hi + 1, (na, nb))
+    B = rng.integers(0, hi + 1, (nb, nc))
+    A[0, 0] = B[-1, -1] = hi
+    k = rng.integers(0, nb, (na, nc))
+    sums = A[np.arange(na)[:, None], k] + B[k, np.arange(nc)[None, :]]
+    return A, B, with_near_misses(rng, sums, hi, M, Q)
+
+
+def planted_conv(rng, n, hi, M, Q):
+    a = rng.integers(0, hi + 1, n)
+    b = rng.integers(0, hi + 1, n)
+    a[0] = b[-1] = hi
+    t = np.arange(2 * n - 1)
+    lo, top = np.maximum(0, t - (n - 1)), np.minimum(n - 1, t)
+    i = lo + (rng.random(2 * n - 1) * (top - lo + 1)).astype(np.int64)
+    return a, b, with_near_misses(rng, a[i] + b[t - i], hi, M, Q)
+
+
+@st.composite
+def scan_case(draw):
+    M = draw(st.sampled_from(MODULI))
+    hi = draw(st.sampled_from(SCALES)) * (M // 100) + draw(st.integers(-2, 2))
+    Q = draw(st.sampled_from((7 * M // 100 + 1, M + 1) + BIG_Q))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    return M, Q, hi, np.random.default_rng(seed), shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_case())
+def test_scan_matches_oracles_across_dtype_thresholds(case):
+    M, Q, hi, rng, shape = case
+    A, B, C = planted_matrix(rng, shape, hi, M, Q)
+    inst = minst(A, B, C, M=M)
+    for ax in ("ij", "ik"):
+        got = congruent_witness_scan(A, B, C, M, Q, query_axis=ax)
+        assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, M, Q, ax))
+        assert np.array_equal(got, witness_mask_naive(inst, ax))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_case())
+def test_conv_scan_matches_oracles_across_dtype_thresholds(case):
+    M, Q, hi, rng, (n, _, _) = case
+    a, b, c = planted_conv(rng, n + 1, hi, M, Q)
+    got = congruent_witness_scan_conv(a, b, c, M, Q)
+    assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, M, Q))
+    assert np.array_equal(got, witness_mask_naive(cinst(a, b, c, M=M), "k"))
+
+
+# Largest hundredths index of A, B, C (M = 100, so the entry itself) and Q,
+# each case one step either side of a threshold, with the dtype it must give.
+THRESHOLD_CASES = [
+    ((10000, 10000, 12767), 101, np.int16),
+    ((10000, 10000, 12768), 101, np.int32),
+    ((100, 100, 100), (1 << 14) - 1, np.int16),
+    ((100, 100, 100), 1 << 14, np.int32),
+    ((1 << 30, 1 << 29, (1 << 29) - 1), 101, np.int32),
+    ((1 << 30, 1 << 29, 1 << 29), 101, np.int64),
+    ((100, 100, 100), (1 << 30) - 1, np.int32),
+    ((100, 100, 100), 1 << 30, np.int64),
+]
+
+
+@pytest.mark.parametrize("tops, Q, dtype", THRESHOLD_CASES)
+def test_scans_exact_on_both_sides_of_each_threshold(tops, Q, dtype):
+    ta, tb, tc = tops
+    # maxima exactly ta, tb, tc; witnesses at small sums and at tc - 1, a
+    # near miss at 4
+    A = np.array([[ta, 0], [min(ta, tc - 1), 2]])
+    B = np.array([[tb, 1, tc - 1 - A[1, 0]], [0, 2, 3]])
+    C = np.array([[tc, 2, 4], [2, 2, tc - 1]])
+    a, b = A[:, 0], B[0, ::2]
+    c = np.array([tc, 7, tc - 1])
+    assert _scan_terms(100, Q, A, B, C)[0].dtype == dtype
+    assert _scan_terms(100, Q, a, b, c)[0].dtype == dtype
+    for ax in ("ij", "ik"):
+        got = congruent_witness_scan(A, B, C, 100, Q, query_axis=ax)
+        assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, 100, Q, ax))
+        assert np.array_equal(got, witness_mask_naive(minst(A, B, C), ax))
+    assert congruent_witness_scan(A, B, C, 100, Q)[1, 2]
+    got = congruent_witness_scan_conv(a, b, c, 100, Q)
+    assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, 100, Q))
+    assert np.array_equal(got, witness_mask_naive(cinst(a, b, c), "k"))
+    assert got[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MODULI),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_scan_mask_does_not_depend_on_Q(M, n, m, seed):
+    """The fused rule is exact for every Q > 7M/100, so the per-level
+    modulus cannot change its answer: one fixture, several Q up to M * R."""
+    rng = np.random.default_rng(seed)
+    hi = int(rng.integers(1, 4 * M))
+    A, B, C = planted_matrix(rng, (n, m, n), hi, M, M + 1)
+    a, b, c = planted_conv(rng, n, hi, M, M + 1)
+    top = M * default_range_parameter(n)
+    Qs = sorted({7 * M // 100 + 1, M, M + 1, int(rng.integers(7 * M // 100 + 1, top + 1)), top})
+    masks = [congruent_witness_scan(A, B, C, M, Q) for Q in Qs]
+    conv_masks = [congruent_witness_scan_conv(a, b, c, M, Q) for Q in Qs]
+    assert all(np.array_equal(x, masks[0]) for x in masks)
+    assert all(np.array_equal(x, conv_masks[0]) for x in conv_masks)
+    assert np.array_equal(masks[0], witness_mask_naive(minst(A, B, C, M=M), "ij"))
+    assert np.array_equal(conv_masks[0], witness_mask_naive(cinst(a, b, c, M=M), "k"))
+
+
+@pytest.mark.parametrize("block", [1, 5, 37, 200])
+def test_scans_unchanged_by_many_blocks(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    A, B, C = planted_matrix(rng, (9, 7, 11), 600, 100, 113)
+    a, b, c = planted_conv(rng, 23, 600, 100, 113)
+    whole = [congruent_witness_scan(A, B, C, 100, 113, ax) for ax in ("ij", "ik")]
+    whole_conv = congruent_witness_scan_conv(a, b, c, 100, 113)
+    monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
+    for ax, want in zip(("ij", "ik"), whole):
+        assert np.array_equal(congruent_witness_scan(A, B, C, 100, 113, ax), want)
+        assert np.array_equal(want, fused_scan_int64_oracle(A, B, C, 100, 113, ax))
+    assert np.array_equal(congruent_witness_scan_conv(a, b, c, 100, 113), whole_conv)
+    assert np.array_equal(whole_conv, fused_scan_conv_int64_oracle(a, b, c, 100, 113))
