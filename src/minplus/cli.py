@@ -428,7 +428,7 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
         "kind": "stats",
         "of_kind": kind,
         "modulus_report": rep.to_dict(),
-        "level0_segments": [int(len(d)) for d, _ in deltas],
+        "level_segments": [int(len(d)) for d, _ in deltas],
         "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
     }
     if test_mode:

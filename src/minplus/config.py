@@ -16,11 +16,13 @@ class SolverConfig:
     deterministic kernel, "naive" the brute-force product, "det-reference"
     the literal one-instance-at-a-time verification loop (small inputs only;
     row and convolution drivers). col_engine selects how the column driver
-    checks its rotated candidates: "twopointer" scans constant blocks
-    directly, "verification" runs the congruence scan. M and R override the
-    promise modulus and the prime-pool range. slack scales the good-modulus
-    audit. fast_shared_modulus lets det-reference reuse one Q across the
-    (s, t) instances of a recursion level instead of searching per instance.
+    checks its rotated candidates: "twopointer" tests the constant-block
+    starts of the rotated rows directly, vectorised in blocks of narrow
+    integers and exact on any input; "verification" runs the congruence
+    scan. M and R override the promise modulus and the prime-pool range.
+    slack scales the good-modulus audit. fast_shared_modulus lets
+    det-reference reuse one Q across the (s, t) instances of a recursion
+    level instead of searching per instance.
     """
 
     engine: str = "det"

@@ -7,12 +7,13 @@ from minplus.product_row import _shift_instance
 from minplus.shifting import residue_class
 
 
-def minst(A, B, C, M=100):
+def minst(A, B, C, M=100, variant="row"):
     return VerificationInstance(
         A=np.asarray(A, dtype=np.int64),
         B=np.asarray(B, dtype=np.int64),
         C=np.asarray(C, dtype=np.int64),
         M=M,
+        variant=variant,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from minplus import cli
 from minplus.config import SolverConfig
 from minplus.core import minplus_product_naive, witness_mask_naive
+from minplus.segments import level_start_deltas, levelmax_for, matrix_layout
 
 GOLDEN = Path(__file__).parent / "golden"
 CFG = SolverConfig()
@@ -134,7 +135,10 @@ def test_stats_reports_bounds_and_xyz():
     assert dump["first_crossing"]
     assert dump["xyz_verified"]
     assert all(c["ok"] for c in dump["xyz_checks"])
-    assert len(dump["level0_segments"]) == len(rep["active_counts"])
+    assert len(dump["level_segments"]) == len(rep["active_counts"])
+    inst = cli._instance_from(cli.load_payload(GOLDEN / "verify-row-n3.json"))
+    deltas = level_start_deltas(matrix_layout(inst), levelmax_for(inst.M))
+    assert dump["level_segments"] == [len(deltas[level][0]) for level in range(len(deltas))]
 
 
 def test_stats_all_zero_instance_has_no_spurious_matches():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import all_shift_pairs, promised_matrix
+from helpers import all_shift_pairs, minst, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus import cli, shifting
 from minplus.config import SolverConfig
 from minplus.convolution import minplus_conv_monotone
 from minplus.core import (
@@ -15,6 +18,7 @@ from minplus.core import (
     witness_mask_naive,
 )
 from minplus.product_col import (
+    _narrow_operands,
     compute_r_matrix,
     minplus_monotone_col,
     normalize_nonincreasing,
@@ -216,6 +220,114 @@ def test_common_refinement_block_count():
         assert refined.size <= b_starts.size + c_starts.size - 1
 
 
+def planted_col(rng, shape, hi, repeat=1):
+    """Arbitrary signed A, B in [-hi, hi]; B's rows are sorted and coarsened to
+    multiples of `repeat` half the time, so they hold long constant blocks.
+    Half of C are witness sums moved by 0 or +-1, the rest random."""
+    na, nb, nc = shape
+    A = rng.integers(-hi, hi + 1, (na, nb))
+    B = rng.integers(-hi, hi + 1, (nb, nc))
+    if rng.random() < 0.5:
+        B = np.sort(B, axis=1) // repeat * repeat
+    k = rng.integers(0, nb, (na, nc))
+    sums = A[np.arange(na)[:, None], k] + B[k, np.arange(nc)[None, :]]
+    sums += rng.choice([0, 0, 1, -1], sums.shape)
+    C = np.where(rng.random(sums.shape) < 0.5, sums, rng.integers(-2 * hi, 2 * hi + 1, sums.shape))
+    if rng.random() < 0.5:
+        C = np.sort(C, axis=1)
+    return minst(A, B, C, variant="col")
+
+
+# Entry scales on both sides of the int8, int16 and int32 switches.
+TP_SCALES = (1, 40, 43, 10000, 11000, 1 << 29, 3 << 29)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    hi=st.sampled_from(TP_SCALES),
+    repeat=st.sampled_from((1, 3, 50)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_twopointer_matches_oracle_property(shape, hi, repeat, seed):
+    inst = planted_col(np.random.default_rng(seed), shape, hi, repeat)
+    assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
+
+
+# Largest |A|, |B| and |C| one step either side of each switch, with the dtype
+# they must give: A's magnitude and the magnitude of C - B are what is formed.
+TP_THRESHOLD_CASES = [
+    ((127, 60, 67), np.int8),
+    ((127, 60, 68), np.int16),
+    ((128, 1, 1), np.int16),
+    ((100, 32700, 67), np.int16),
+    ((100, 32700, 68), np.int32),
+    ((1 << 15, 1, 1), np.int32),
+    ((7, (1 << 30), (1 << 30) - 1), np.int32),
+    ((7, 1 << 30, 1 << 30), np.int64),
+    ((1 << 31, 1, 1), np.int64),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("tops, dtype", TP_THRESHOLD_CASES)
+def test_twopointer_exact_on_both_sides_of_each_threshold(tops, dtype, sign):
+    ta, tb, tc = tops
+    # extremes at (0, 0), so C[0,0] - B[0,0] = tc + tb (a witness when
+    # ta = tb + tc); small witnesses at (0, 1), (1, 0) and (1, 1)
+    A = sign * np.array([[ta, 0], [0, 1]])
+    B = sign * np.array([[-tb, 0, 1], [0, 1, 0]])
+    C = sign * np.array([[tc, 1, 1], [0, 1, 1]])
+    inst = minst(A, B, C, variant="col")
+    assert all(x.dtype == dtype for x in _narrow_operands(inst))
+    got = twopointer_direct(inst)
+    assert np.array_equal(got, witness_mask_naive(inst, query_axis="ik"))
+    assert got[0, 1] and got[1, 0] and got[1, 1]
+    assert got[0, 0] == (ta == tb + tc)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 1), (1, 1, 9), (8, 1, 1), (1, 5, 30), (6, 1, 30)])
+def test_twopointer_degenerate_shapes(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(10):
+        inst = planted_col(rng, shape, 20, repeat=4)
+        assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
+
+
+@pytest.mark.parametrize("block", [1, 5, 37])
+def test_twopointer_unchanged_by_many_blocks(monkeypatch, block):
+    # 3 x 4 x 40 with long sorted rows: each row has several starts, so with
+    # 37 // 3 = 12 starts per block one row's starts fall into two blocks
+    rng = np.random.default_rng(block)
+    insts = [planted_col(rng, (3, 4, 40), 30, repeat=2) for _ in range(6)]
+    insts.append(minst(rng.integers(0, 9, (3, 4)), np.sort(rng.integers(0, 9, (4, 40)), axis=1),
+                       np.sort(rng.integers(0, 18, (3, 40)), axis=1), variant="col"))
+    whole = [twopointer_direct(inst) for inst in insts]
+    monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
+    for inst, want in zip(insts, whole):
+        assert np.array_equal(twopointer_direct(inst), want)
+        assert np.array_equal(want, witness_mask_naive(inst, query_axis="ik"))
+
+
+def test_twopointer_memory_bounded_by_blocks():
+    """One call at n=256 allocates at most eight n x n int64 arrays' worth
+    (start positions, narrow and transposed copies, masks) plus four blocks
+    of SCAN_BLOCK int64 cells, so no n^3 temporary is formed."""
+    n = 256
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, 20000, (n, n))
+    B = np.sort(rng.integers(0, 20000, (n, n)), axis=1)
+    C = np.sort(rng.integers(0, 40000, (n, n)), axis=1)
+    inst = minst(A, B, C, variant="col")
+    tracemalloc.start()
+    try:
+        twopointer_direct(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n * 8 + 4 * shifting.SCAN_BLOCK * 8
+
+
 # --- end-to-end product -----------------------------------------------------------
 
 
@@ -286,6 +398,18 @@ def test_col_product_rectangular_extremes():
         tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
         got = minplus_monotone_col(A, B, tag)
         assert np.array_equal(got, minplus_product_naive(A, B))
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_col_driver_matches_naive_on_every_family(family):
+    rng = np.random.default_rng(len(family))
+    for na, nb, nc in [(1, 1, 1), (1, 6, 1), (5, 1, 7), (4, 9, 1), (7, 3, 12), (16, 16, 16)]:
+        for bound in (1, 3, 40):
+            A = cli._free_matrix(rng, family, na, nb, bound)
+            B = cli._monotone_rows(rng, family, nc, nb, bound).T
+            tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
+            got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+            assert np.array_equal(got, minplus_product_naive(A, B)), (na, nb, nc, bound)
 
 
 @settings(max_examples=30, deadline=None)
