@@ -54,7 +54,6 @@ from .product_row import _shift_instance, compute_s_matrix, minplus_monotone_row
 from .segments import (
     active_level0_bounds,
     conv_layout,
-    level_start_deltas,
     levelmax_for,
     matrix_layout,
     rprime_ik_flat,
@@ -421,14 +420,12 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
     Q, rep = find_good_modulus(
         inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
     )
-    layout = conv_layout(inst) if kind == "verify-conv" else matrix_layout(inst)
-    deltas = level_start_deltas(layout, levelmax_for(inst.M))
     dump = {
         "format": FORMAT_VERSION,
         "kind": "stats",
         "of_kind": kind,
         "modulus_report": rep.to_dict(),
-        "level_segments": [int(len(d)) for d, _ in deltas],
+        "level_segments": list(rep.level_segments),
         "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
     }
     if test_mode:

@@ -12,7 +12,9 @@ search, bivariate counting, diagonal segment aggregation); the fast driver
 path uses the fused scan from :mod:`minplus.shifting` instead.  The scan's
 answer does not depend on Q, so the driver's per-level modulus search
 changes no output; it stays only until ROADMAP item 2 drops it from the
-benchmark's ``Workload.exercises``.
+benchmark's ``Workload.exercises``.  The diagonal layout lists each level
+instance's segment starts straight from the breaks of a and b, so the
+search costs in proportion to those starts, not to the n^2 index pairs.
 """
 
 from __future__ import annotations

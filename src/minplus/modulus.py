@@ -12,7 +12,9 @@ the starts with delta inside the window exactly; Z_l does not depend on Q,
 so minimising Y minimises X. The search stops at the first Q >= M.
 
 Two interchangeable Y backends exist. The counting backend evaluates the
-sum directly from the per-level start discrepancies with a W lookup table.
+sum directly from the per-level multisets of start discrepancies
+(segments.level_start_deltas), one W lookup per bin of starts that share a
+delta and a depth, so a prime costs O(bins), not O(starts).
 The ring backend follows the polynomial-matrix formulation (boundary
 indicator matrices, products over F_p[x]/(x^Q' - 1)) and is cross-checked
 against the counting backend in the tests; it is the reference definition
@@ -28,7 +30,14 @@ import numpy as np
 
 from .core import ConvVerificationInstance
 from .polyring import CyclicPolyMatrix, PrimeField, bivariate_convolve, polymat_mul
-from .segments import conv_layout, level_breaks, level_start_deltas, levelmax_for, matrix_layout
+from .segments import (
+    StartDeltas,
+    conv_layout,
+    level_breaks,
+    level_start_deltas,
+    levelmax_for,
+    matrix_layout,
+)
 
 __all__ = [
     "PrimePool",
@@ -207,6 +216,7 @@ class ModulusReport:
     steps: tuple
     Q: int
     active_counts: tuple
+    level_segments: tuple
     audit_bounds: tuple
     audit_ok: bool
     slack: float
@@ -224,6 +234,8 @@ class ModulusReport:
             raise ValueError("first-crossing rule violated")
 
     def to_dict(self) -> dict:
+        """The search's choices and audit, as `minplus run` digests them.
+        level_segments, a property of the instance alone, is left out."""
         return {
             "M": self.M,
             "R": self.R,
@@ -240,15 +252,17 @@ class ModulusReport:
         }
 
 
-def _counting_columns(level_deltas, Q_prev: int, pool: PrimePool) -> YTable:
+def _counting_columns(deltas: StartDeltas, Q_prev: int, pool: PrimePool) -> YTable:
+    """Y per (level, prime) from the start-delta bins: one W lookup per bin,
+    weighted by its count, over the bins that hold the level's starts."""
     cols = []
     for p in pool.primes:
         Qp = Q_prev * p
-        col = []
-        for level, (deltas, _) in enumerate(level_deltas):
-            Wt = compute_W(level, Qp)
-            col.append(int(Wt[deltas % Qp].sum()))
-        cols.append(col)
+        r = deltas.values % Qp
+        cols.append([
+            int(deltas.counts[:c] @ compute_W(level, Qp)[r[:c]])
+            for level, c in enumerate(deltas.cut)
+        ])
     return YTable(primes=pool.primes, Y=np.array(cols, dtype=np.int64).T)
 
 
@@ -265,14 +279,15 @@ def _instance_scale(inst):
     return layout, n_scale, U
 
 
-def _active_audit(layout, deltas, U: int, Q: int, slack: float):
+def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
     """Per-level active-segment counts |S_l(Q)| and the audit bound
     slack * groups * U / Q that each of them must stay within."""
+    r = deltas.values % Q
     counts = []
-    for level, (delta, eqhigh) in enumerate(deltas):
+    for level, c in enumerate(deltas.cut):
         win = 4 << level
-        r = delta % Q
-        counts.append(int((~eqhigh & ((r <= win) | (r >= Q - win))).sum()))
+        hit = deltas.differ[:c] & ((r[:c] <= win) | (r[:c] >= Q - win))
+        counts.append(int(deltas.counts[:c][hit].sum()))
     groups = len(layout.gstarts) - 1
     return counts, slack * groups * U / Q
 
@@ -285,7 +300,8 @@ def find_good_modulus(inst, M: int, R: int | None = None,
 
     Returns (Q, ModulusReport). The report keeps the full Y table of every
     step so the X = Y - Z identity can be audited externally, plus the
-    measured per-level active-segment counts at the final Q.
+    measured per-level active-segment counts at the final Q and the number
+    of segment starts per level.
     """
     if M <= 0 or M % 100:
         raise ValueError("M must be a positive multiple of 100")
@@ -342,6 +358,7 @@ def find_good_modulus(inst, M: int, R: int | None = None,
         steps=tuple(steps),
         Q=Q,
         active_counts=tuple(active_counts),
+        level_segments=tuple(int(deltas.counts[:c].sum()) for c in deltas.cut),
         audit_bounds=audit_bounds,
         audit_ok=audit_ok,
         slack=slack,

@@ -16,7 +16,10 @@ pass tests every block start of a row against the whole other axis at once,
 in blocks of ``shifting.SCAN_BLOCK`` narrow-integer cells.  It makes at most
 two compares per triple, and fewer the longer the blocks, where the scan
 evaluates its whole rule on every triple.  ``col_engine`` picks one;
-two-pointer is the default.
+two-pointer is the default.  The candidates of one recursion level differ
+only in the rotated A, so the driver rotates once per level and the
+two-pointer pass tests the candidates' A matrices as one stack against
+B and C's block starts, built once.
 """
 
 from __future__ import annotations
@@ -145,9 +148,14 @@ def twopointer_direct(inst: VerificationInstance) -> WitnessMask:
     on the swapped triple (-A^T, C, B), since A[i,k] + B[k,j] = C[i,j] reads
     -A[i,k] + C[i,j] = B[k,j].  No promise is needed; this is exact on any
     instance.
+
+    A may stack several na x nb matrices along leading axes; the masks come
+    back stacked the same way, and B and C's narrow copies, transposes and
+    block starts are built once for all of them.
     """
     A, B, C = _narrow_operands(inst)
-    return _block_start_hits(A, B, C) | _block_start_hits(-A.T, C, B).T
+    swapped = _block_start_hits(-np.swapaxes(A, -1, -2), C, B)
+    return _block_start_hits(A, B, C) | np.swapaxes(swapped, -1, -2)
 
 
 def _narrow_operands(inst: VerificationInstance) -> list:
@@ -159,25 +167,27 @@ def _narrow_operands(inst: VerificationInstance) -> list:
 
 
 def _block_start_hits(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> WitnessMask:
-    """mask[i, k]: some block start j of B's row k has A[i,k] + B[k,j] == C[i,j].
+    """mask[..., i, k]: some block start j of B's row k has A[..., i,k] + B[k,j] == C[i,j].
 
     The starts come row-major from one mask, so each B row's starts are
     contiguous; they are tested against all i at once, SCAN_BLOCK cells per
-    block, and OR-reduced per row (a row may span blocks).
+    block (over all stacked A), and OR-reduced per row (a row may span
+    blocks).
     """
-    na, nb = A.shape
-    AT, CT = np.ascontiguousarray(A.T), np.ascontiguousarray(C.T)
+    na, nb = A.shape[-2:]
+    stack = A.shape[:-2]
+    AT, CT = np.ascontiguousarray(np.swapaxes(A, -1, -2)), np.ascontiguousarray(C.T)
     is_start = np.ones(B.shape, dtype=bool)
     is_start[:, 1:] = B[:, 1:] != B[:, :-1]
     ks, js = np.nonzero(is_start)
-    maskT = np.zeros((nb, na), dtype=bool)
-    step = max(1, shifting.SCAN_BLOCK // max(na, 1))
+    maskT = np.zeros(stack + (nb, na), dtype=bool)
+    step = max(1, shifting.SCAN_BLOCK // max(na * int(np.prod(stack)), 1))
     for lo in range(0, ks.size, step):
         k, j = ks[lo : lo + step], js[lo : lo + step]
-        hit = CT[j] - B[k, j][:, None] == AT[k]
+        hit = CT[j] - B[k, j][:, None] == AT[..., k, :]
         first = np.flatnonzero(np.diff(k, prepend=-1))
-        maskT[k[first]] |= np.logical_or.reduceat(hit, first, axis=0)
-    return maskT.T
+        maskT[..., k[first], :] |= np.logical_or.reduceat(hit, first, axis=-2)
+    return np.swapaxes(maskT, -1, -2)
 
 
 def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> IntMatrix:
@@ -187,6 +197,13 @@ def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> In
     result = np.empty_like(base)
     pending = np.ones(base.shape, dtype=bool)
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
+    # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
+    rot = rotate_to_problem2prime(A, B, base, W)
+    if config.col_engine == "twopointer":
+        shifts = np.arange(3 if config.test_mode else 2)[:, None, None]
+        inst = VerificationInstance(A=rot.A - shifts, B=rot.B, C=rot.C, M=M, variant="col")
+        del rot  # its A is in the stack; dropping it keeps the level's peak down
+        masks = twopointer_direct(inst)
     Q = None
     for s in (0, 1, 2):
         cand = base + s
@@ -194,10 +211,8 @@ def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> In
             result[pending] = cand[pending]
             pending[:] = False
             break
-        rot = rotate_to_problem2prime(A, B, cand, W)
         if config.col_engine == "twopointer":
-            inst = VerificationInstance(A=rot.A, B=rot.B, C=rot.C, M=M, variant="col")
-            mask = twopointer_direct(inst) & pending
+            mask = masks[s] & pending
         else:
             if Q is None:
                 s0, t0 = first_live_pair(rot.A, rot.B, M)
@@ -208,7 +223,7 @@ def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> In
                     slack=config.slack,
                     y_method=config.y_method,
                 )
-            mask = congruent_witness_scan(rot.A, rot.B, rot.C, M, Q, query_axis="ik") & pending
+            mask = congruent_witness_scan(rot.A - s, rot.B, rot.C, M, Q, query_axis="ik") & pending
         result[mask] = cand[mask]
         pending &= ~mask
         if not pending.any():

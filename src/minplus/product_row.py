@@ -16,7 +16,9 @@ high parts.  The fused scan in :mod:`minplus.shifting` decides all class pairs
 at once, and its answer does not depend on Q.  The per-level modulus search
 from :mod:`minplus.modulus` therefore changes no output; it stays on the det
 path only until the benchmark drops it from the row and conv workloads'
-``Workload.exercises`` (ROADMAP item 2).
+``Workload.exercises`` (ROADMAP item 2).  It costs in proportion to the
+level instance's segment starts, a few percent of its n^3 cells, since the
+segment layout lists the starts without materialising the cells.
 
 Two slower engines back the batched one: ``naive`` is the cubic scan, and
 ``det-reference`` runs the per-shift-pair verification pipeline literally

@@ -9,10 +9,17 @@ floor(B[k-i] / 2^l) stay constant. A segment is active when the high parts
 delta = A + B - C lands, mod Q, inside the window [-4*2^l, 4*2^l].
 
 Both cases run through one flat engine: every (pair, column) or
-(diagonal, index) cell becomes one position in a single concatenated array,
-and segment enumeration, refinement and the difference-array aggregations
-are vectorised over that layout. A family of segments is a pair of flat
-(starts, ends) arrays; the tests check it against per-row linear scans.
+(diagonal, index) cell has one position in a single flat index range, and a
+family of segments is a pair of flat (starts, ends) arrays; the tests check
+them against per-row linear scans. The cells themselves are never
+materialised. Breaks nest -- a change of floor(x / 2^l) is a change at every
+finer level -- so each cell that starts a segment at level 0 has a depth, the
+number of levels 0, 1, ... at which it starts one, and the level-l starts are
+the level-0 starts of depth above l. The layout lists the level-0 starts once
+with their depths. Segment enumeration, refinement, the active test, the
+start-delta multisets of the modulus search and the difference-array
+aggregations all read that list, and evaluate delta only at the starts they
+are given, from the operands.
 
 Indices are 0-based throughout, including the convolution output slot k
 (slot k holds the sum of entries whose index sum is k, i.e. position k+2
@@ -21,15 +28,12 @@ in 1-based output numbering).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
-    ConvVerificationInstance,
-    VerificationInstance,
-    magnitude_sum,
-    narrow_int_dtype,
-)
+from .core import ConvVerificationInstance, VerificationInstance
 
 __all__ = [
     "levelmax_for",
@@ -40,11 +44,22 @@ __all__ = [
     "active_start_mask",
     "refine_bounds",
     "active_level0_bounds",
+    "StartDeltas",
     "level_start_deltas",
     "sprime_rows_flat",
     "rprime_ik_flat",
     "sprime_conv_flat",
 ]
+
+# Depth of a cell that starts a segment at every level: the first cell of a
+# group, and a break across a sign change.
+DEPTH_ALL = np.iinfo(np.int8).max
+
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+# Cells per block when delta is gathered at a list of starts; the block's
+# int64 index and operand temporaries stay near 1 MB.
+GATHER_BLOCK = 1 << 14
 
 
 def levelmax_for(M: int) -> int:
@@ -56,24 +71,26 @@ def levelmax_for(M: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FlatLayout:
-    """All (pair, column) or (diagonal, index) cells concatenated.
+    """All (pair, column) or (diagonal, index) cells as one flat index range.
 
-    v1/v2 drive the segmentation (the two value rows whose floors must stay
-    constant): a matrix layout keeps the B rows (nb, nc) and the C rows
-    (na, nc) themselves, which every (i, k) group pairs up, and a conv layout
-    keeps the a and b value of each cell along its diagonal. delta and
-    eqhigh evaluate the active predicate per cell, gstarts are the per-group
-    offsets, glabel1/glabel2 recover (i, k) or the slot, and gbase is the
-    first in-range local index of each group. Values are stored in the
-    narrowest signed dtype that holds M and delta; _start_deltas widens
-    the gathered deltas back to int64 before any reduction mod Q.
+    A matrix cell (i, k, j) sits at (i*nb + k)*nc + j; conv cell i of
+    diagonal t sits at gstarts[t] + i - gbase[t]. x, y, z are the operands
+    whose entries meet at a cell, x + y against z: A, B, C for a matrix
+    layout and the arrays a, b, c for a conv layout. gstarts are the
+    per-group offsets, glabel1/glabel2 recover (i, k) or the slot, and gbase
+    is the first in-range local index of each group. starts lists, sorted,
+    every cell that starts a level-0 segment, and depth the number of levels
+    0, 1, ... at which it starts one (DEPTH_ALL at group starts). No array
+    has one entry per cell.
     """
 
     kind: str
-    v1: np.ndarray
-    v2: np.ndarray
-    delta: np.ndarray
-    eqhigh: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    M: int
+    starts: np.ndarray
+    depth: np.ndarray
     gstarts: np.ndarray
     glabel1: np.ndarray
     glabel2: np.ndarray
@@ -85,61 +102,119 @@ class FlatLayout:
         return int(self.gstarts[-1])
 
 
-def _narrowed(M: int, *values: np.ndarray) -> list:
-    """The values in the narrowest signed dtype that holds M and a signed sum
-    of one entry of each (delta and the high-part sums)."""
-    dtype = narrow_int_dtype(max(magnitude_sum(*values), M))
-    return [x.astype(dtype) for x in values]
+def _break_depth(rows: np.ndarray) -> np.ndarray:
+    """Per-row depth of each column as a segment start.
+
+    depth[..., j] is the number of levels l = 0, 1, ... at which
+    floor(x / 2^l) changes from column j-1 to j: the bit length of the two
+    entries' xor (how many powers of two are at most it), or DEPTH_ALL
+    across a sign change. Column 0 gets DEPTH_ALL.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    depth = np.zeros(rows.shape, dtype=np.int8)
+    depth[..., :1] = DEPTH_ALL
+    diff = rows[..., 1:] ^ rows[..., :-1]
+    brk = np.nonzero(diff)
+    v = diff[brk]
+    bits = np.searchsorted(_POWERS_OF_TWO, v, side="right")
+    depth[..., 1:][brk] = np.where(v < 0, DEPTH_ALL, bits)
+    return depth
+
+
+def level_breaks(rows: np.ndarray, level: int) -> np.ndarray:
+    """Per-row start indicator: column 0 plus every change of floor(x / 2^level)."""
+    return _break_depth(rows) > level
 
 
 def matrix_layout(inst: VerificationInstance) -> FlatLayout:
-    M = inst.M
-    A, B, C = _narrowed(M, inst.A, inst.B, inst.C)
+    A, B, C = (np.ascontiguousarray(v, dtype=np.int64) for v in (inst.A, inst.B, inst.C))
     na, nb = A.shape
     nc = B.shape[1]
-    delta = A[:, :, None] + B[None, :, :]
-    delta -= C[:, None, :]
-    eqhigh = (A // M)[:, :, None] + (B // M)[None, :, :] == (C // M)[:, None, :]
+    # (i, k, j) starts a segment where B row k or C row i breaks at j, and
+    # column 0 starts one at every level; its depth is the larger of the two
+    # row depths.
+    depth_B, depth_C = np.split(_break_depth(np.concatenate([B, C])), [nb])
+    # B row k breaks at j: the cell (i, k, j) of every i
+    k_B, j_B = np.nonzero(depth_B)
+    pos_B = (np.arange(na, dtype=np.int64) * (nb * nc))[:, None] + (k_B * nc + j_B)[None, :]
+    cell_depth_B = np.maximum(depth_B[k_B, j_B][None, :], depth_C[:, j_B])
+    # C row i breaks at j >= 1: the cell (i, k, j) of every k whose B row
+    # does not break at j (the others are listed above)
+    i_C, j_C = np.nonzero(depth_C[:, 1:])
+    j_C += 1
+    brk, k = np.nonzero(depth_B.T[j_C] == 0)
+    pos_C = i_C[brk]
+    pos_C *= nb
+    pos_C += k
+    pos_C *= nc
+    pos_C += j_C[brk]
+    # each part is freed once merged: the sort below holds two copies
+    depth = np.concatenate([cell_depth_B.reshape(-1), depth_C[i_C, j_C][brk]])
+    del brk, k, cell_depth_B
+    pos = np.concatenate([pos_B.reshape(-1), pos_C])
+    del pos_B, pos_C
+    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
     G = na * nb
-    gstarts = np.arange(G + 1, dtype=np.int64) * nc
-    glabel1 = np.repeat(np.arange(na, dtype=np.int64), nb)
-    glabel2 = np.tile(np.arange(nb, dtype=np.int64), na)
     return FlatLayout(
         kind="matrix",
-        v1=B,
-        v2=C,
-        delta=delta.reshape(-1),
-        eqhigh=eqhigh.reshape(-1),
-        gstarts=gstarts,
-        glabel1=glabel1,
-        glabel2=glabel2,
+        x=A,
+        y=B,
+        z=C,
+        M=inst.M,
+        starts=pos[order],
+        depth=depth[order],
+        gstarts=np.arange(G + 1, dtype=np.int64) * nc,
+        glabel1=np.repeat(np.arange(na, dtype=np.int64), nb),
+        glabel2=np.broadcast_to(np.arange(nb, dtype=np.int64), (na, nb)).reshape(-1),
         gbase=np.zeros(G, dtype=np.int64),
         dims=(na, nb, nc),
     )
 
 
+def _matrix_entries(cells: np.ndarray, nb: int, nc: int):
+    """Flat indices into A, B and C of the entries A[i,k], B[k,j], C[i,j]
+    that meet at the flat matrix cells (i, k, j)."""
+    in_A = cells // nc
+    i = in_A // nb
+    return in_A, cells - i * (nb * nc), i * nc + (cells - in_A * nc)
+
+
 def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
-    M = inst.M
-    a, b, c = _narrowed(M, inst.A.values, inst.B.values, inst.C.values)
+    a, b, c = (np.asarray(v.values, dtype=np.int64) for v in (inst.A, inst.B, inst.C))
     na, nb = len(a), len(b)
     nT = na + nb - 1
     t = np.arange(nT, dtype=np.int64)
     lo = np.maximum(0, t - (nb - 1))
-    hi = np.minimum(na - 1, t)
-    lens = hi - lo + 1
+    lens = np.minimum(na - 1, t) - lo + 1
     gstarts = np.concatenate([[0], np.cumsum(lens)])
-    i_flat = np.arange(gstarts[-1], dtype=np.int64) - np.repeat(gstarts[:-1] - lo, lens)
-    v1 = a[i_flat]
-    v2 = b[np.repeat(t, lens) - i_flat]
-    delta = v1 + v2
-    delta -= np.repeat(c, lens)
-    eqhigh = v1 // M + v2 // M == np.repeat(c // M, lens)
+    off = gstarts[:-1] - lo  # cell i of diagonal t sits at off[t] + i
+    # Past its first cell, diagonal t starts a segment at i where a breaks
+    # between i-1 and i or b between t-i and t-i+1: depth max(da[i], db[t-i+1]).
+    da, db = _break_depth(a), _break_depth(b)
+    a_rows = np.flatnonzero(da[1:]) + 1
+    quiet_rows = np.flatnonzero(da[1:] == 0) + 1
+    b_cols = np.flatnonzero(db[1:])
+    # a breaks at i: the cell i of every diagonal t in [i, i + nb - 2]
+    pos_a = sliding_window_view(off, nb - 1)[a_rows]
+    pos_a += a_rows[:, None]
+    depth_a = np.maximum(da[a_rows][:, None], db[None, 1:])
+    # b breaks between j and j+1: the cell i = t - j of every row i >= 1
+    # where a does not break (the rows where it does are listed above)
+    pos_b = off[quiet_rows[None, :] + b_cols[:, None]]
+    pos_b += quiet_rows[None, :]
+    depth_b = np.repeat(db[b_cols + 1], len(quiet_rows))
+    pos = np.concatenate([gstarts[:-1], pos_a.reshape(-1), pos_b.reshape(-1)])
+    depth = np.concatenate([np.full(nT, DEPTH_ALL, dtype=np.int8), depth_a.reshape(-1), depth_b])
+    del pos_a, pos_b, depth_a, depth_b  # freed before the sort, which holds two copies
+    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
     return FlatLayout(
         kind="conv",
-        v1=v1,
-        v2=v2,
-        delta=delta,
-        eqhigh=eqhigh,
+        x=a,
+        y=b,
+        z=c,
+        M=inst.M,
+        starts=pos[order],
+        depth=depth[order],
         gstarts=gstarts,
         glabel1=t,
         glabel2=lo,
@@ -148,33 +223,39 @@ def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
     )
 
 
-def level_breaks(rows: np.ndarray, level: int) -> np.ndarray:
-    """Per-row start indicator: column 0 plus every change of floor(x / 2^level)."""
-    ind = np.ones(rows.shape, dtype=bool)
-    f = rows >> level
-    np.not_equal(f[..., 1:], f[..., :-1], out=ind[..., 1:])
-    return ind
-
-
-def _boundary_mask(layout: FlatLayout, level: int) -> np.ndarray:
+def _operands_at(layout: FlatLayout, cells: np.ndarray):
+    """The entries x, y, z that meet at the given flat cells."""
     if layout.kind == "matrix":
-        # (i, k, j) starts a segment iff j == 0 or the floor of B row k or of
-        # C row i changes at j: two per-row tables OR-ed by broadcasting.
-        bd = level_breaks(layout.v1, level)[None, :, :] | level_breaks(layout.v2, level)[:, None, :]
-        return bd.reshape(-1)
-    bd = level_breaks(layout.v1, level) | level_breaks(layout.v2, level)
-    bd[layout.gstarts[:-1]] = True
-    return bd
+        in_A, in_B, in_C = _matrix_entries(cells, *layout.dims[1:])
+        return layout.x.reshape(-1)[in_A], layout.y.reshape(-1)[in_B], layout.z.reshape(-1)[in_C]
+    t = _groups_of(layout, cells)
+    i = cells - (layout.gstarts[:-1] - layout.gbase)[t]
+    return layout.x[i], layout.y[t - i], layout.z[t]
 
 
-def _start_deltas(layout: FlatLayout, starts: np.ndarray) -> np.ndarray:
-    """delta at the given cells as int64, ready for a reduction mod any Q."""
-    return layout.delta[starts].astype(np.int64)
+def _start_terms(layout: FlatLayout, cells: np.ndarray):
+    """delta = x + y - z (int64, ready for a reduction mod any Q) and whether
+    the high parts x//M + y//M and z//M differ, at the given flat cells.
+    Gathered GATHER_BLOCK cells at a time, so the temporaries do not grow
+    with the number of cells."""
+    delta = np.empty(cells.size, dtype=np.int64)
+    differ = np.empty(cells.size, dtype=bool)
+    M = layout.M
+    for lo in range(0, cells.size, GATHER_BLOCK):
+        sl = slice(lo, lo + GATHER_BLOCK)
+        x, y, z = _operands_at(layout, cells[sl])
+        delta[sl] = x + y - z
+        differ[sl] = x // M + y // M != z // M
+    return delta, differ
+
+
+def _level_starts(layout: FlatLayout, level: int) -> np.ndarray:
+    return layout.starts[layout.depth > level]
 
 
 def segment_bounds(layout: FlatLayout, level: int):
-    """All level segments as flat (starts, ends), both inclusive-exclusive free."""
-    starts = np.flatnonzero(_boundary_mask(layout, level))
+    """All level segments as flat (starts, ends), both inclusive."""
+    starts = _level_starts(layout, level)
     ends = np.append(starts[1:], layout.size) - 1
     return starts, ends
 
@@ -183,43 +264,30 @@ def active_start_mask(layout: FlatLayout, starts: np.ndarray, level: int, Q: int
     # canonical-residue window test; if Q <= 8*2^l + 1 every residue passes,
     # which is the intended meaning (the window covers the whole ring)
     win = 4 << level
-    r = _start_deltas(layout, starts) % Q
-    return ~layout.eqhigh[starts] & ((r <= win) | (r >= Q - win))
-
-
-def _next_boundary_table(bd: np.ndarray) -> np.ndarray:
-    """nxt[t] = smallest t' > t with bd[t'], or bd.size."""
-    n = bd.size
-    idx = np.where(bd, np.arange(n, dtype=np.int64), n)
-    at_or_after = np.minimum.accumulate(idx[::-1])[::-1]
-    return np.append(at_or_after[1:], n)
+    delta, differ = _start_terms(layout, starts)
+    r = delta % Q
+    return differ & ((r <= win) | (r >= Q - win))
 
 
 def refine_bounds(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, level: int):
     """Children at `level` of the given parent intervals.
 
     Parents must be disjoint and sorted by start (any family produced by
-    segment_bounds or a filtered refinement is). Returns child starts, ends
-    and the parent index of each child, sorted by start.
+    segment_bounds or a filtered refinement is). A parent's children start
+    at its own start and at every level start inside it. Returns child
+    starts, ends and the parent index of each child, sorted by start.
     """
-    nxt = _next_boundary_table(_boundary_mask(layout, level))
-    pieces = [starts]
-    parents = [np.arange(len(starts), dtype=np.int64)]
-    cur = nxt[starts]
-    par = parents[0]
-    while cur.size:
-        keep = cur <= ends[par]
-        cur, par = cur[keep], par[keep]
-        if not cur.size:
-            break
-        pieces.append(cur)
-        parents.append(par)
-        cur = nxt[cur]
-    child_starts = np.concatenate(pieces)
-    child_par = np.concatenate(parents)
-    order = np.argsort(child_starts, kind="stable")
-    child_starts = child_starts[order]
-    child_par = child_par[order]
+    level_starts = _level_starts(layout, level)
+    first = np.searchsorted(level_starts, starts, side="right")
+    inner = np.searchsorted(level_starts, ends, side="right") - first
+    per_parent = inner + 1
+    child_par = np.repeat(np.arange(len(starts), dtype=np.int64), per_parent)
+    # rank of each child within its parent; rank 0 is the parent's own start
+    rank = np.arange(len(child_par), dtype=np.int64)
+    rank -= np.repeat(np.cumsum(per_parent) - per_parent, per_parent)
+    child_starts = np.repeat(starts, per_parent)
+    later = rank > 0
+    child_starts[later] = level_starts[first[child_par[later]] + rank[later] - 1]
     nxt_start = np.append(child_starts[1:], layout.size)
     same_par = np.append(child_par[1:] == child_par[:-1], False)
     child_ends = np.where(same_par, nxt_start - 1, ends[child_par])
@@ -238,29 +306,83 @@ def active_level0_bounds(layout: FlatLayout, lmax: int, Q: int):
     return starts, ends
 
 
-def level_start_deltas(layout: FlatLayout, lmax: int):
-    """Per level 0..lmax: (delta, eqhigh) at every segment start.
+class StartDeltas(NamedTuple):
+    """The segment-start discrepancies of levels 0..lmax, as weighted bins.
 
-    This is the raw material of the modulus search counters; the arrays do
-    not depend on any Q.
+    A bin is one class of level-0 starts with the same delta, the same depth
+    (capped at lmax + 1) and the same high-part test: values[b] is its
+    delta, counts[b] how many starts it holds and differ[b] whether their
+    high parts disagree. Bins are ordered deepest first, so the level-l
+    starts fill exactly the first cut[l] bins. There is one bin per class
+    that occurs, never one per (delta, level) pair.
     """
-    out = []
-    for level in range(lmax + 1):
-        starts = np.flatnonzero(_boundary_mask(layout, level))
-        out.append((_start_deltas(layout, starts), layout.eqhigh[starts]))
-    return out
+
+    values: np.ndarray
+    counts: np.ndarray
+    differ: np.ndarray
+    cut: np.ndarray
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
+    """The per-level start-delta multisets the modulus search counters read.
+
+    One pass over the level-0 starts; the result does not depend on any Q.
+    Besides the layout it holds at most about five int64 per start, when
+    every start has its own delta, and far less when deltas repeat.
+    """
+    starts = layout.starts
+    cap = lmax + 1
+    delta, differ = _start_terms(layout, starts)
+    distinct = np.sort(delta)
+    distinct = distinct[_run_heads(distinct)]
+    nd = len(distinct)
+    # one key per start, (cap - capped depth, delta rank, differ), written
+    # over delta: sorting the keys puts the deepest starts first
+    key = delta
+    for lo in range(0, starts.size, GATHER_BLOCK):
+        sl = slice(lo, lo + GATHER_BLOCK)
+        shallow = cap - np.minimum(layout.depth[sl], cap).astype(np.int64)
+        key[sl] = (shallow * nd + np.searchsorted(distinct, key[sl])) * 2 + differ[sl]
+    del delta, differ
+    key.sort()
+    first = np.flatnonzero(_run_heads(key))
+    bins = key[first]
+    del key
+    counts = np.empty(first.size, dtype=np.int64)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = starts.size - first[-1:]
+    del first
+    differ = (bins & 1).astype(bool)
+    bins >>= 1
+    # bins now hold shallow * nd + rank; level l holds the shallow < cap - l
+    cut = np.searchsorted(bins, (cap - np.arange(cap)) * nd)
+    np.remainder(bins, nd, out=bins)
+    return StartDeltas(values=distinct[bins], counts=counts, differ=differ, cut=cut)
 
 
 def _groups_of(layout: FlatLayout, starts: np.ndarray) -> np.ndarray:
     return np.searchsorted(layout.gstarts, starts, side="right") - 1
 
 
+def _congruent(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int):
+    """The given segments whose start delta is 0 mod Q, with their groups."""
+    cong = _start_terms(layout, starts)[0] % Q == 0
+    s, e = starts[cong], ends[cong]
+    return s, e, _groups_of(layout, s)
+
+
 def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segments into s' per (i, j)."""
     na, _, nc = layout.dims
-    cong = _start_deltas(layout, starts) % Q == 0
-    s, e = starts[cong], ends[cong]
-    g = _groups_of(layout, s)
+    s, e, g = _congruent(layout, starts, ends, Q)
     i = layout.glabel1[g]
     j0 = s - layout.gstarts[g]
     j1 = e - layout.gstarts[g]
@@ -273,9 +395,7 @@ def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q
 def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into r' per (i, k)."""
     na, nb, _ = layout.dims
-    cong = _start_deltas(layout, starts) % Q == 0
-    s, e = starts[cong], ends[cong]
-    g = _groups_of(layout, s)
+    s, e, g = _congruent(layout, starts, ends, Q)
     out = np.zeros((na, nb), dtype=np.int64)
     np.add.at(out, (layout.glabel1[g], layout.glabel2[g]), e - s + 1)
     return out
@@ -284,7 +404,5 @@ def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: 
 def sprime_conv_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into s' per output slot."""
     nT = layout.dims[2]
-    cong = _start_deltas(layout, starts) % Q == 0
-    s, e = starts[cong], ends[cong]
-    g = _groups_of(layout, s)
+    s, e, g = _congruent(layout, starts, ends, Q)
     return np.bincount(layout.glabel1[g], weights=(e - s + 1), minlength=nT).astype(np.int64)

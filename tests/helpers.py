@@ -1,10 +1,17 @@
 """Instance builders shared by the test modules."""
 import numpy as np
 
-from minplus.convolution import _shift_instance_conv
-from minplus.core import ConvVerificationInstance, IntArray, VerificationInstance
-from minplus.product_row import _shift_instance
-from minplus.shifting import residue_class
+from minplus.convolution import _shift_instance_conv, choose_M_conv
+from minplus.core import (
+    ConvVerificationInstance,
+    IntArray,
+    VerificationInstance,
+    as_int_matrix,
+    minplus_convolution_naive,
+    minplus_product_naive,
+)
+from minplus.product_row import _shift_instance, choose_M, normalize_A
+from minplus.shifting import first_live_pair, residue_class
 
 
 def minst(A, B, C, M=100, variant="row"):
@@ -85,3 +92,32 @@ def fused_scan_conv_int64_oracle(a, b, c, M, Q):
     i, j = np.divmod(np.arange(n * n), n)
     hit = _fused_rule_int64(a[i] + M, b[j] + M, c[i + j] + 2 * M, M, Q)
     return np.bincount(i + j, weights=hit, minlength=2 * n - 1) > 0
+
+
+def row_level_instances(payload):
+    """(depth, instance) for every recursion level of a det product-row solve
+    of a generated payload: the first-live-pair instance of the level's first
+    candidate, on which the driver searches its modulus. The halved product
+    below each level comes from the naive oracle."""
+    A, B = as_int_matrix(payload["A"]), as_int_matrix(payload["B"])
+    A, _ = normalize_A(A, payload["entry_bound"])
+    M = choose_M((A.shape[0], A.shape[1], B.shape[1]), payload["entry_bound"])
+    depth = 0
+    while (A >> depth).any() or (B >> depth).any():
+        Ad, Bd = A >> depth, B >> depth
+        base = 2 * minplus_product_naive(Ad >> 1, Bd >> 1)
+        yield depth, _shift_instance(Ad, Bd, base, M, *first_live_pair(Ad, Bd, M))
+        depth += 1
+
+
+def conv_level_instances(payload):
+    """The convolution form of row_level_instances."""
+    a = np.asarray(payload["A"], dtype=np.int64)
+    b = np.asarray(payload["B"], dtype=np.int64)
+    M = choose_M_conv(payload["entry_bound"])
+    depth = 0
+    while (a >> depth).any() or (b >> depth).any():
+        ad, bd = a >> depth, b >> depth
+        base = 2 * minplus_convolution_naive(ad >> 1, bd >> 1).values
+        yield depth, _shift_instance_conv(ad, bd, base, M, *first_live_pair(ad, bd, M))
+        depth += 1

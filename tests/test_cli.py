@@ -9,7 +9,8 @@ import pytest
 from minplus import cli
 from minplus.config import SolverConfig
 from minplus.core import minplus_product_naive, witness_mask_naive
-from minplus.segments import level_start_deltas, levelmax_for, matrix_layout
+from minplus.modulus import _scan_segments_matrix
+from minplus.segments import levelmax_for
 
 GOLDEN = Path(__file__).parent / "golden"
 CFG = SolverConfig()
@@ -137,8 +138,9 @@ def test_stats_reports_bounds_and_xyz():
     assert all(c["ok"] for c in dump["xyz_checks"])
     assert len(dump["level_segments"]) == len(rep["active_counts"])
     inst = cli._instance_from(cli.load_payload(GOLDEN / "verify-row-n3.json"))
-    deltas = level_start_deltas(matrix_layout(inst), levelmax_for(inst.M))
-    assert dump["level_segments"] == [len(deltas[level][0]) for level in range(len(deltas))]
+    assert dump["level_segments"] == [
+        len(_scan_segments_matrix(inst, level)) for level in range(levelmax_for(inst.M) + 1)
+    ]
 
 
 def test_stats_all_zero_instance_has_no_spurious_matches():

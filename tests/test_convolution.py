@@ -4,6 +4,7 @@ from helpers import all_shift_pairs, cinst, promised_conv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus import cli
 from minplus.config import SolverConfig
 from minplus.convolution import (
     _shift_instance_conv,
@@ -13,6 +14,7 @@ from minplus.convolution import (
     solve_verification_conv,
 )
 from minplus.core import (
+    INT64_GUARD,
     MonotoneTag,
     PromiseViolationError,
     minplus_convolution_naive,
@@ -289,6 +291,22 @@ def test_conv_explicit_modulus():
 def test_conv_matches_naive_property(data, n, bound):
     a = np.sort(np.array(data.draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))
     b = np.sort(np.array(data.draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))
+    tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
+    got = minplus_conv_monotone(a, b, tag, SolverConfig(test_mode=True))
+    assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    bound=st.one_of(st.integers(1, 64), st.integers(1, INT64_GUARD // 8 - 1), st.just(INT64_GUARD // 8 - 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_driver_matches_naive_on_every_family(family, n, bound, seed):
+    rng = np.random.default_rng(seed)
+    a = cli._monotone_rows(rng, family, 1, n, bound)[0]
+    b = cli._monotone_rows(rng, family, 1, n, bound)[0]
     tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
     got = minplus_conv_monotone(a, b, tag, SolverConfig(test_mode=True))
     assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)

@@ -1,6 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import cinst, minst, promised_conv, promised_matrix
+from helpers import (
+    cinst,
+    conv_level_instances,
+    minst,
+    promised_conv,
+    promised_matrix,
+    row_level_instances,
+)
+
+from minplus import cli
 
 from minplus.modulus import (
     ModulusReport,
@@ -14,7 +25,14 @@ from minplus.modulus import (
     primes_in_range,
     select_prime,
 )
-from minplus.segments import conv_layout, level_start_deltas, levelmax_for, matrix_layout
+from minplus.product_row import M_MAX
+from minplus.segments import (
+    conv_layout,
+    level_start_deltas,
+    levelmax_for,
+    matrix_layout,
+    segment_bounds,
+)
 
 
 def test_prime_pools():
@@ -71,8 +89,10 @@ def brute_Y(deltas, level, Qp):
 
 
 def level_deltas_of(inst, conv=False):
+    """Per level, the multiset of segment-start deltas expanded to an array."""
     layout = conv_layout(inst) if conv else matrix_layout(inst)
-    return level_start_deltas(layout, levelmax_for(100))
+    d = level_start_deltas(layout, levelmax_for(100))
+    return [np.repeat(d.values[:c], d.counts[:c]) for c in d.cut]
 
 
 def test_ring_Y_matches_enumeration_matrix():
@@ -87,7 +107,7 @@ def test_ring_Y_matches_enumeration_matrix():
             table = compute_Y_all_matrix(inst, Q_prev, pool, lmax)
             for pi, p in enumerate(pool.primes):
                 for level in range(lmax + 1):
-                    want = brute_Y(deltas[level][0], level, Q_prev * p)
+                    want = brute_Y(deltas[level], level, Q_prev * p)
                     assert table.Y[level, pi] == want
 
 
@@ -103,7 +123,7 @@ def test_ring_Y_matches_enumeration_conv():
             table = compute_Y_all_conv(inst, Q_prev, pool, lmax)
             for pi, p in enumerate(pool.primes):
                 for level in range(lmax + 1):
-                    want = brute_Y(deltas[level][0], level, Q_prev * p)
+                    want = brute_Y(deltas[level], level, Q_prev * p)
                     assert table.Y[level, pi] == want
 
 
@@ -178,6 +198,7 @@ def test_report_validates_first_crossing():
             steps=report.steps,
             Q=1331,
             active_counts=report.active_counts,
+            level_segments=report.level_segments,
             audit_bounds=report.audit_bounds,
             audit_ok=True,
             slack=report.slack,
@@ -228,7 +249,7 @@ def test_X_modulus_one_counts_everything_but_exact_hits():
         window = 8 * (1 << level) + 1
         X = count_X_bruteforce(inst, 1, level)
         Z = count_Z_bruteforce(inst, level)
-        n_segs = brute_Y(level_deltas_of(inst)[level][0], level, 1) // window
+        n_segs = brute_Y(level_deltas_of(inst)[level], level, 1) // window
         assert X == n_segs * window - Z
 
 
@@ -255,3 +276,53 @@ def test_report_round_trips_to_dict():
     assert d["Q"] == 121
     assert d["primes"] == [11, 11]
     assert d["audit_ok"] is True
+
+
+@pytest.mark.parametrize("kind, n", [("product-row", 256), ("conv", 4096)])
+def test_search_memory_bounded_by_segment_starts(kind, n):
+    """One search on the top level instance of a det solve allocates at most
+    the operands again and 32 bytes per level-0 segment start: nothing grows
+    with the n^3 (matrix) or n^2 (conv) cells, of which the starts are a few
+    percent."""
+    conv = kind == "conv"
+    levels = conv_level_instances if conv else row_level_instances
+    _, inst = next(levels(cli.generate_instance(kind, n, n, 1, "uniform-monotone")))
+    operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
+    layout = conv_layout(inst) if conv else matrix_layout(inst)
+    starts = len(segment_bounds(layout, 0)[0])
+    cells = layout.size
+    del layout
+    tracemalloc.start()
+    try:
+        find_good_modulus(inst, inst.M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = sum(x.nbytes for x in operands) + 32 * starts
+    assert starts < cells // 10
+    assert peak <= budget, (peak, budget)
+
+
+@pytest.mark.parametrize("kind, n", [("verify-row", 48), ("verify-conv", 512)])
+def test_search_memory_bounded_when_every_start_has_its_own_delta(kind, n):
+    """The worst case for the start-delta bins: M = M_MAX (ten levels),
+    entries up to 10^12 and a break at every column, so every cell starts a
+    segment and nearly every start has a delta of its own. One search then
+    allocates at most the operands, the layout's 9 bytes per start and five
+    int64 per start for the deltas, their keys and the bins."""
+    conv = kind == "verify-conv"
+    inst = cli._instance_from(cli.generate_instance(kind, n, 10**12, 1, "uniform-monotone", M=M_MAX))
+    operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
+    layout = conv_layout(inst) if conv else matrix_layout(inst)
+    starts = len(layout.starts)
+    distinct = len(np.unique(level_start_deltas(layout, levelmax_for(M_MAX)).values))
+    del layout
+    tracemalloc.start()
+    try:
+        find_good_modulus(inst, inst.M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = sum(x.nbytes for x in operands) + (9 + 5 * 8) * starts
+    assert distinct > 0.9 * starts
+    assert peak <= budget, (peak, budget)

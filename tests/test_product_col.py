@@ -483,3 +483,20 @@ def test_drivers_refuse_zero_dimensions(driver, axis, engine, shape_a, shape_b):
         driver(A, B, MonotoneTag(axis=axis, entry_bound=1), SolverConfig(engine=engine))
     with pytest.raises(DimensionMismatchError, match="zero dimension"):
         minplus_product_naive(A, B)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5, 37])
+def test_twopointer_stacked_A_matches_one_call_each(monkeypatch, block):
+    # the column driver passes the candidates' rotated A matrices as one
+    # stack; each layer must equal a call on that A alone
+    rng = np.random.default_rng(100 + (block or 0))
+    if block is not None:
+        monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
+    for shape in [(1, 1, 1), (3, 4, 40), (5, 1, 7), (6, 6, 6)]:
+        inst = planted_col(rng, shape, 30, repeat=3)
+        stack = inst.A - np.arange(3)[:, None, None]
+        got = twopointer_direct(minst(stack, inst.B, inst.C, variant="col"))
+        assert got.shape == stack.shape
+        for A, mask in zip(stack, got):
+            one = minst(A, inst.B, inst.C, variant="col")
+            assert np.array_equal(mask, witness_mask_naive(one, query_axis="ik"))

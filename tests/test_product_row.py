@@ -4,8 +4,10 @@ from helpers import all_shift_pairs, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus import cli
 from minplus.config import SolverConfig
 from minplus.core import (
+    INT64_GUARD,
     MonotoneTag,
     PromiseViolationError,
     VerificationInstance,
@@ -368,6 +370,24 @@ def test_product_matches_naive_property(data, na, nb, nc, bound):
         ),
         axis=1,
     )
+    tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
+    got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
+    assert np.array_equal(got, minplus_product_naive(A, B))
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+@settings(max_examples=12, deadline=None)
+@given(
+    na=st.integers(1, 5),
+    nb=st.integers(1, 5),
+    nc=st.integers(1, 5),
+    bound=st.one_of(st.integers(1, 64), st.integers(1, INT64_GUARD // 8 - 1), st.just(INT64_GUARD // 8 - 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_driver_matches_naive_on_every_family(family, na, nb, nc, bound, seed):
+    rng = np.random.default_rng(seed)
+    A = cli._free_matrix(rng, family, na, nb, bound)
+    B = cli._monotone_rows(rng, family, nb, nc, bound)
     tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
     got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
     assert np.array_equal(got, minplus_product_naive(A, B))

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import cinst, minst, promised_conv, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus import segments
 from minplus.product_row import M_MAX
 from minplus.segments import (
     active_level0_bounds,
@@ -464,15 +467,11 @@ def test_sprime_property(na, nc, data):
     assert np.array_equal(sprime_rows_flat(layout, s0, e0, 143), sprime_oracle(inst, 143))
 
 
-# --- narrow layouts: dtype thresholds and large moduli ------------------------
+# --- large entries and moduli: either side of each integer dtype limit -------
 
 # |A|max + |B|max + |C|max one step either side of the int8, int16 and int32
-# limits, and the dtype the layout must store delta in.
-LAYOUT_TOTALS = [
-    (127, np.int8), (128, np.int16),
-    (32767, np.int16), (32768, np.int32),
-    (2**31 - 1, np.int32), (2**31, np.int64),
-]
+# limits.
+LAYOUT_TOTALS = (127, 128, 32767, 32768, 2**31 - 1, 2**31)
 LAYOUT_MODULI = (101, 143, 40000, 65537, 2**31 - 1)
 
 
@@ -514,25 +513,33 @@ def threshold_conv(rng, n, tops, Q, M):
 
 @st.composite
 def layout_case(draw):
-    total, dtype = draw(st.sampled_from(LAYOUT_TOTALS))
+    total = draw(st.sampled_from(LAYOUT_TOTALS))
     M = draw(st.sampled_from((100, M_MAX))) if total > M_MAX else 100
     Q = draw(st.sampled_from(LAYOUT_MODULI))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
-    return split_total(draw, total), dtype, M, Q, rng, shape
+    return split_total(draw, total), M, Q, rng, shape
 
 
 def start_deltas_oracle(inst, level, conv):
-    """(delta, eqhigh) at every linear-scan segment start, in layout order."""
+    """Multisets of delta over the linear-scan segment starts, and over those
+    whose high parts disagree."""
     if conv:
         a, b, c, M = inst.A.values, inst.B.values, inst.C.values, inst.M
         triples = [(a[i0], b[k - i0], c[k]) for k, i0, _ in seg_oracle_conv(inst, level)]
     else:
         A, B, C, M = inst.A, inst.B, inst.C, inst.M
         triples = [(A[i, k], B[k, j0], C[i, j0]) for i, k, j0, _ in seg_oracle_matrix(inst, level)]
-    deltas = [int(x + y - z) for x, y, z in triples]
-    eqhigh = [bool(x // M + y // M == z // M) for x, y, z in triples]
-    return deltas, eqhigh
+    deltas = Counter(int(x + y - z) for x, y, z in triples)
+    unequal = Counter(int(x + y - z) for x, y, z in triples if x // M + y // M != z // M)
+    return deltas, unequal
+
+
+def multiset(values, counts):
+    out = Counter()
+    for v, c in zip(values.tolist(), counts.tolist()):
+        out[v] += c
+    return out
 
 
 def assert_layout_matches_oracles(inst, layout, Q, conv):
@@ -543,9 +550,10 @@ def assert_layout_matches_oracles(inst, layout, Q, conv):
     for level in range(lmax + 1):
         want = set(seg_oracle(inst, level))
         assert set(label(layout, *segment_bounds(layout, level))) == want
-        deltas, eqhigh = per_level[level]
-        assert deltas.dtype == np.int64
-        assert (deltas.tolist(), eqhigh.tolist()) == start_deltas_oracle(inst, level, conv)
+        c = per_level.cut[level]
+        values, counts, differ = per_level.values[:c], per_level.counts[:c], per_level.differ[:c]
+        got = multiset(values, counts), multiset(values[differ], counts[differ])
+        assert got == start_deltas_oracle(inst, level, conv)
         if level < lmax:
             children = refine_bounds(layout, *segment_bounds(layout, level + 1), level)
             assert set(label(layout, *children[:2])) == want
@@ -563,18 +571,37 @@ def assert_layout_matches_oracles(inst, layout, Q, conv):
 @settings(max_examples=40, deadline=None)
 @given(layout_case())
 def test_matrix_layout_exact_across_dtype_thresholds(case):
-    tops, dtype, M, Q, rng, shape = case
+    tops, M, Q, rng, shape = case
     inst = threshold_matrix(rng, shape, tops, Q, M)
     layout = matrix_layout(inst)
-    assert layout.delta.dtype == np.dtype(dtype)
     assert_layout_matches_oracles(inst, layout, Q, conv=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(layout_case())
 def test_conv_layout_exact_across_dtype_thresholds(case):
-    tops, dtype, M, Q, rng, (n, _, _) = case
+    tops, M, Q, rng, (n, _, _) = case
     inst = threshold_conv(rng, n + 1, tops, Q, M)
     layout = conv_layout(inst)
-    assert layout.delta.dtype == np.dtype(dtype)
     assert_layout_matches_oracles(inst, layout, Q, conv=True)
+
+
+@pytest.mark.parametrize("block", [1, 3, 17])
+def test_start_gathers_unchanged_by_many_blocks(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    insts = [(promised_matrix(rng, 3, 4, 9), False) for _ in range(4)]
+    insts += [(promised_conv(rng, 9), True) for _ in range(4)]
+    lmax = levelmax_for(100)
+
+    def results(inst, conv):
+        layout = conv_layout(inst) if conv else matrix_layout(inst)
+        d = level_start_deltas(layout, lmax)
+        s0, e0 = active_level0_bounds(layout, lmax, 143)
+        aggregate = sprime_conv_flat if conv else sprime_rows_flat
+        return d.values, d.counts, d.differ, d.cut, s0, e0, aggregate(layout, s0, e0, 143)
+
+    whole = [results(inst, conv) for inst, conv in insts]
+    monkeypatch.setattr(segments, "GATHER_BLOCK", block)
+    for (inst, conv), want in zip(insts, whole):
+        for got, ref in zip(results(inst, conv), want):
+            assert np.array_equal(got, ref)
