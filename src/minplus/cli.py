@@ -217,15 +217,18 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
 # run
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        engine=args.engine,
-        M=args.M,
-        R=args.R,
-        slack=args.slack,
-        fast_shared_modulus=args.fast_shared_modulus,
-        oracle_limit=args.oracle_limit,
-        col_engine=args.col_engine,
-    )
+    """The SolverConfig of the parsed flags; a value it refuses is a CliError."""
+    try:
+        return SolverConfig(
+            engine=args.engine,
+            M=args.M,
+            R=args.R,
+            slack=args.slack,
+            oracle_limit=args.oracle_limit,
+            col_engine=args.col_engine,
+        )
+    except ValueError as e:
+        raise CliError("invalid solver option", reason=str(e))
 
 
 def _field(payload: dict, key: str, convert=as_exact_int64):
@@ -310,7 +313,7 @@ def run_instance(payload: dict, config: SolverConfig):
             require_valid_instance(inst)
             Q, rep = _timed(
                 timings, "modulus_search", find_good_modulus,
-                inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method,
+                inst, inst.M, R=config.R, slack=config.slack,
             )
             digests.append({
                 "Q": Q,
@@ -417,9 +420,7 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
     with _diagnosed(kind):
         inst = _instance_from(payload)
         require_valid_instance(inst)
-    Q, rep = find_good_modulus(
-        inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
-    )
+    Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
     dump = {
         "format": FORMAT_VERSION,
         "kind": "stats",
@@ -496,7 +497,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--slack", type=float, default=None)
-    p.add_argument("--fast-shared-modulus", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--oracle-limit", type=int, default=1 << 22)
 
 

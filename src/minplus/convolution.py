@@ -2,13 +2,15 @@
 
 The driver mirrors :mod:`minplus.product_row` on diagonals instead of rows:
 halve entries, recurse, then settle each output slot among the candidates
-``2 * C'[k] + s`` for ``s`` in ``{0, 1, 2}``. Candidate checking shifts
+``2 * C'[k] + s`` for ``s`` in ``{0, 1, 2}``, through the recursion the
+drivers share, :func:`minplus.shifting.settle_by_halving`; ``_conv_level``
+is this module's per-level candidate test. Candidate checking shifts
 residues exactly as in the matrix case and counts congruent index pairs with
 a bivariate polynomial product that is cyclic in the value variable and
 ordinary in the position variable, so the count lands per output slot.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
-search, bivariate counting, diagonal segment aggregation); the fast driver
+search, bivariate counting, diagonal segment aggregation); the det driver
 path uses the fused scan from :mod:`minplus.shifting` instead.  The scan's
 answer does not depend on Q, so the driver's per-level modulus search
 changes no output; it stays only until ROADMAP item 2 drops it from the
@@ -20,12 +22,12 @@ search costs in proportion to those starts, not to the n^2 index pairs.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .config import SolverConfig
 from .core import (
-    INT64_GUARD,
     ConvVerificationInstance,
     DimensionMismatchError,
     IntArray,
@@ -34,17 +36,19 @@ from .core import (
     WitnessMask,
     as_int_array,
     minplus_convolution_naive,
+    require_tag,
     require_valid_instance,
     validate_promises,
 )
-from .modulus import audit_modulus, find_good_modulus
+from .modulus import find_good_modulus
 from .polyring import DEFAULT_PRIME, PrimeField, bivariate_convolve
 from .product_row import M_MAX, M_MIN
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
+    class_pair_sweep,
     congruent_witness_scan_conv,
     first_live_pair,
-    residue_class,
+    settle_by_halving,
     shift_operand,
     shift_output,
 )
@@ -115,49 +119,12 @@ def solve_verification_conv(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(
-            inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
-        )
+        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
     s_counts = compute_s_array(inst, Q)
     layout = conv_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
     s_prime = sprime_conv_flat(layout, starts, ends, Q)
     return s_counts > s_prime
-
-
-def _reference_mask_conv(
-    a: np.ndarray,
-    b: np.ndarray,
-    c_cand: np.ndarray,
-    M: int,
-    config: SolverConfig,
-    q_holder: list,
-) -> WitnessMask:
-    """Literal per-(s, t) sweep over the live shifted instances."""
-    classes_a = np.unique(residue_class(a + M, M)).tolist()
-    classes_b = np.unique(residue_class(b + M, M)).tolist()
-    classes_c = set(np.unique(residue_class(c_cand + 2 * M, M)).tolist())
-    mask = np.zeros(c_cand.shape, dtype=bool)
-    for s in classes_a:
-        for t in classes_b:
-            u = s + t
-            if u % 100 not in classes_c and (u + 1) % 100 not in classes_c:
-                continue
-            inst = _shift_instance_conv(a, b, c_cand, M, s, t)
-            if config.fast_shared_modulus:
-                if q_holder and audit_modulus(inst, q_holder[0], slack=config.slack):
-                    Q = q_holder[0]
-                else:
-                    Q, _ = find_good_modulus(
-                        inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-                    )
-                    q_holder[:] = [Q]
-            else:
-                Q, _ = find_good_modulus(
-                    inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-                )
-            mask |= solve_verification_conv(inst, Q=Q, config=config)
-    return mask
 
 
 def _level_modulus_conv(
@@ -166,38 +133,20 @@ def _level_modulus_conv(
     """The convolution form of product_row._level_modulus; its Q changes no
     output either."""
     inst = _shift_instance_conv(a, b, c_cand, M, *first_live_pair(a, b, M))
-    Q, _ = find_good_modulus(
-        inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-    )
+    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
     return Q
 
 
-def _recurse_conv(a: np.ndarray, b: np.ndarray, M: int, config: SolverConfig) -> np.ndarray:
-    if not a.any() and not b.any():
-        return np.zeros(2 * a.shape[0] - 1, dtype=np.int64)
-    base = 2 * _recurse_conv(a >> 1, b >> 1, M, config)
-    result = np.empty_like(base)
-    pending = np.ones(base.shape, dtype=bool)
-    reference = config.engine == "det-reference"
-    Q = None if reference else _level_modulus_conv(a, b, base, M, config)
-    q_holder: list = []
-    for s in (0, 1, 2):
-        cand = base + s
-        if s == 2 and not config.test_mode:
-            result[pending] = cand[pending]
-            pending[:] = False
-            break
-        if reference:
-            mask = _reference_mask_conv(a, b, cand, M, config, q_holder) & pending
-        else:
-            mask = congruent_witness_scan_conv(a, b, cand, M, Q) & pending
-        result[mask] = cand[mask]
-        pending &= ~mask
-        if not pending.any():
-            break
-    if config.test_mode and pending.any():
-        raise AssertionError("candidate sandwich violated: unresolved slots remain")
-    return result
+def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: SolverConfig):
+    """mask_of(s) for one level of settle_by_halving: the class-pair sweep
+    under det-reference, else the fused scan at the level's modulus."""
+    if config.engine == "det-reference":
+        q_holder: list = []
+        return lambda s: class_pair_sweep(
+            a, b, base + s, M, config, q_holder, _shift_instance_conv, solve_verification_conv
+        )
+    Q = _level_modulus_conv(a, b, base, M, config)
+    return lambda s: congruent_witness_scan_conv(a, b, base + s, M, Q)
 
 
 def minplus_conv_monotone(
@@ -207,12 +156,10 @@ def minplus_conv_monotone(
 
     Both arrays must be non-decreasing with entries in [1, tag.entry_bound].
     Raises PromiseViolationError when either array breaks the promise and
-    ValueError for a tag on the wrong axis.
+    ValueError for a tag on the wrong axis or with an entry bound of
+    INT64_GUARD // 8 or more.
     """
-    if tag.axis != "array-monotone":
-        raise ValueError(f"expected an array-monotone tag, got axis={tag.axis!r}")
-    if tag.entry_bound >= INT64_GUARD // 8:
-        raise ValueError("entry bound too large for exact int64 arithmetic")
+    require_tag(tag, "array-monotone")
     if config is None:
         config = SolverConfig()
     a = as_int_array(A).values
@@ -228,5 +175,6 @@ def minplus_conv_monotone(
     if config.engine == "naive":
         return minplus_convolution_naive(a, b)
     M = config.M if config.M is not None else choose_M_conv(tag.entry_bound)
-    out = _recurse_conv(a, b, M, config)
+    level = partial(_conv_level, M=M, config=config)
+    out = settle_by_halving(a, b, (2 * a.shape[0] - 1,), level, config.test_mode)
     return IntArray(values=out, origin=2)

@@ -34,6 +34,7 @@ __all__ = [
     "validate_instance",
     "require_valid_instance",
     "require_product_shapes",
+    "require_tag",
     "minplus_product_naive",
     "minplus_convolution_naive",
     "witness_mask_naive",
@@ -278,6 +279,16 @@ def require_product_shapes(A: np.ndarray, B: np.ndarray) -> None:
         )
     if 0 in A.shape or 0 in B.shape:
         raise DimensionMismatchError(f"zero dimension in shapes {A.shape} and {B.shape}")
+
+
+def require_tag(tag: MonotoneTag, axis: Axis) -> None:
+    """Raise ValueError unless tag is on axis and its entry bound leaves the
+    drivers' int64 arithmetic exact (below INT64_GUARD // 8)."""
+    if tag.axis != axis:
+        article = "an" if axis[0] in "aeiou" else "a"
+        raise ValueError(f"expected {article} {axis} tag, got axis={tag.axis!r}")
+    if tag.entry_bound >= INT64_GUARD // 8:
+        raise ValueError("entry bound too large for exact int64 arithmetic")
 
 
 def minplus_product_naive(A: IntMatrix, B: IntMatrix) -> IntMatrix:

@@ -19,12 +19,15 @@ evaluates its whole rule on every triple.  ``col_engine`` picks one;
 two-pointer is the default.  The candidates of one recursion level differ
 only in the rotated A, so the driver rotates once per level and the
 two-pointer pass tests the candidates' A matrices as one stack against
-B and C's block starts, built once.
+B and C's block starts, built once.  The recursion over levels is
+:func:`minplus.shifting.settle_by_halving`, shared with the row and
+convolution drivers; ``_col_level`` is this module's per-level test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .core import (
     minplus_product_naive,
     narrow_int_dtype,
     require_product_shapes,
+    require_tag,
     require_valid_instance,
     validate_promises,
 )
@@ -48,7 +52,7 @@ from .modulus import find_good_modulus
 from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
 from .product_row import _shift_instance, choose_M, normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
-from .shifting import congruent_witness_scan, first_live_pair
+from .shifting import congruent_witness_scan, first_live_pair, settle_by_halving
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,7 @@ def solve_verification_col(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(
-            inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
-        )
+        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
     r_counts = compute_r_matrix(inst, Q)
     layout = matrix_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
@@ -190,12 +192,10 @@ def _block_start_hits(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> WitnessMas
     return np.swapaxes(maskT, -1, -2)
 
 
-def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> IntMatrix:
-    if not A.any() and not B.any():
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    base = 2 * _recurse_col(A >> 1, B >> 1, M, config)
-    result = np.empty_like(base)
-    pending = np.ones(base.shape, dtype=bool)
+def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
+    """mask_of(s) for one level of settle_by_halving, on the level's one
+    rotation: two-pointer masks of all tested candidates at once, or the
+    congruence scan at a modulus searched on the rotated level."""
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
     rot = rotate_to_problem2prime(A, B, base, W)
@@ -203,34 +203,10 @@ def _recurse_col(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> In
         shifts = np.arange(3 if config.test_mode else 2)[:, None, None]
         inst = VerificationInstance(A=rot.A - shifts, B=rot.B, C=rot.C, M=M, variant="col")
         del rot  # its A is in the stack; dropping it keeps the level's peak down
-        masks = twopointer_direct(inst)
-    Q = None
-    for s in (0, 1, 2):
-        cand = base + s
-        if s == 2 and not config.test_mode:
-            result[pending] = cand[pending]
-            pending[:] = False
-            break
-        if config.col_engine == "twopointer":
-            mask = masks[s] & pending
-        else:
-            if Q is None:
-                s0, t0 = first_live_pair(rot.A, rot.B, M)
-                Q, _ = find_good_modulus(
-                    _shift_instance(rot.A, rot.B, rot.C, M, s0, t0, variant="col"),
-                    M,
-                    R=config.R,
-                    slack=config.slack,
-                    y_method=config.y_method,
-                )
-            mask = congruent_witness_scan(rot.A - s, rot.B, rot.C, M, Q, query_axis="ik") & pending
-        result[mask] = cand[mask]
-        pending &= ~mask
-        if not pending.any():
-            break
-    if config.test_mode and pending.any():
-        raise AssertionError("candidate sandwich violated: unresolved cells remain")
-    return result
+        return twopointer_direct(inst).__getitem__
+    inst = _shift_instance(rot.A, rot.B, rot.C, M, *first_live_pair(rot.A, rot.B, M), variant="col")
+    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
+    return lambda s: congruent_witness_scan(rot.A - s, rot.B, rot.C, M, Q, query_axis="ik")
 
 
 def minplus_monotone_col(
@@ -242,11 +218,11 @@ def minplus_monotone_col(
     in ``[1, tag.entry_bound]``.  Raises DimensionMismatchError when the
     shapes do not chain or have a zero dimension, PromiseViolationError when
     an entry is not an integer of magnitude below INT64_GUARD or B breaks the
-    promise, and ValueError for a tag on the wrong axis or the det-reference
-    engine, which only the row and convolution drivers have.
+    promise, and ValueError for a tag on the wrong axis or with an entry
+    bound of INT64_GUARD // 8 or more, or for the det-reference engine,
+    which only the row and convolution drivers have.
     """
-    if tag.axis != "column-monotone":
-        raise ValueError(f"expected a column-monotone tag, got axis={tag.axis!r}")
+    require_tag(tag, "column-monotone")
     if config is None:
         config = SolverConfig()
     if config.engine == "det-reference":
@@ -263,5 +239,6 @@ def minplus_monotone_col(
     A_norm = normalize_nonincreasing(A_norm)
     dims = (A.shape[0], A.shape[1], B.shape[1])
     M = config.M if config.M is not None else choose_M(dims, tag.entry_bound)
-    C_norm = _recurse_col(A_norm, B, M, config)
+    level = partial(_col_level, M=M, config=config)
+    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
     return C_norm + deltas[:, None]

@@ -6,7 +6,9 @@ B[k, j]`` exactly, assuming every row of B is non-decreasing with entries in
 product C satisfies ``2 * C' <= C <= 2 * C' + 2`` where ``C'`` is the product
 of the halved matrices, so each cell is settled by checking the candidate
 values ``2 * C' + s`` for ``s`` in ``{0, 1, 2}`` and keeping the smallest
-accepted one.
+accepted one.  That recursion is :func:`minplus.shifting.settle_by_halving`,
+shared with the column and convolution drivers; this module supplies only
+``_row_level``, the per-level candidate test.
 
 Candidate checking is a batch of equality tests after residue shifting: entry
 ``x`` in residue class ``s = (x % M) // (M // 100)`` maps to a shifted value
@@ -22,19 +24,20 @@ segment layout lists the starts without materialising the cells.
 
 Two slower engines back the batched one: ``naive`` is the cubic scan, and
 ``det-reference`` runs the per-shift-pair verification pipeline literally
-(residue shift, modulus search or audit, polynomial counting, segment
-aggregation) so the batched kernel has something independent to agree with.
+(residue shift, modulus audit or search, polynomial counting, segment
+aggregation) through :func:`minplus.shifting.class_pair_sweep`, so the
+batched kernel has something independent to agree with.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .config import SolverConfig
 from .core import (
-    INT64_GUARD,
     IntMatrix,
     MonotoneTag,
     PromiseViolationError,
@@ -43,16 +46,18 @@ from .core import (
     as_int_matrix,
     minplus_product_naive,
     require_product_shapes,
+    require_tag,
     require_valid_instance,
     validate_promises,
 )
-from .modulus import audit_modulus, find_good_modulus
+from .modulus import find_good_modulus
 from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
+    class_pair_sweep,
     congruent_witness_scan,
     first_live_pair,
-    residue_class,
+    settle_by_halving,
     shift_operand,
     shift_output,
 )
@@ -150,55 +155,12 @@ def solve_verification_row(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(
-            inst, inst.M, R=config.R, slack=config.slack, y_method=config.y_method
-        )
+        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
     s_counts = compute_s_matrix(inst, Q)
     layout = matrix_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
     s_prime = sprime_rows_flat(layout, starts, ends, Q)
     return s_counts > s_prime
-
-
-def _reference_mask(
-    A: IntMatrix,
-    B: IntMatrix,
-    C_cand: IntMatrix,
-    M: int,
-    config: SolverConfig,
-    q_holder: list,
-) -> WitnessMask:
-    """Literal per-(s, t) verification sweep; tiny inputs only.
-
-    Shift pairs whose output window misses every residue class present in
-    C_cand cannot hold a witness and are skipped.  In fast mode one modulus is
-    shared across the level's instances, re-audited per instance with a fresh
-    search as the fallback.
-    """
-    classes_A = np.unique(residue_class(A + M, M)).tolist()
-    classes_B = np.unique(residue_class(B + M, M)).tolist()
-    classes_C = set(np.unique(residue_class(C_cand + 2 * M, M)).tolist())
-    mask = np.zeros(C_cand.shape, dtype=bool)
-    for s in classes_A:
-        for t in classes_B:
-            u = s + t
-            if u % 100 not in classes_C and (u + 1) % 100 not in classes_C:
-                continue
-            inst = _shift_instance(A, B, C_cand, M, s, t)
-            if config.fast_shared_modulus:
-                if q_holder and audit_modulus(inst, q_holder[0], slack=config.slack):
-                    Q = q_holder[0]
-                else:
-                    Q, _ = find_good_modulus(
-                        inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-                    )
-                    q_holder[:] = [Q]
-            else:
-                Q, _ = find_good_modulus(
-                    inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-                )
-            mask |= solve_verification_row(inst, Q=Q, config=config)
-    return mask
 
 
 def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config: SolverConfig) -> int:
@@ -209,39 +171,20 @@ def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config
     changes no output; the search stays until ROADMAP item 2 drops it from
     the benchmark's ``Workload.exercises``."""
     inst = _shift_instance(A, B, C_cand, M, *first_live_pair(A, B, M))
-    Q, _ = find_good_modulus(
-        inst, M, R=config.R, slack=config.slack, y_method=config.y_method
-    )
+    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
     return Q
 
 
-def _recurse(A: IntMatrix, B: IntMatrix, M: int, config: SolverConfig) -> IntMatrix:
-    if not A.any() and not B.any():
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    base = 2 * _recurse(A >> 1, B >> 1, M, config)
-    result = np.empty_like(base)
-    pending = np.ones(base.shape, dtype=bool)
-    reference = config.engine == "det-reference"
-    Q = None if reference else _level_modulus(A, B, base, M, config)
-    q_holder: list = []
-    for s in (0, 1, 2):
-        cand = base + s
-        if s == 2 and not config.test_mode:
-            # 0 <= C - 2C' <= 2, so whatever the first two passes left is +2.
-            result[pending] = cand[pending]
-            pending[:] = False
-            break
-        if reference:
-            mask = _reference_mask(A, B, cand, M, config, q_holder) & pending
-        else:
-            mask = congruent_witness_scan(A, B, cand, M, Q, query_axis="ij") & pending
-        result[mask] = cand[mask]
-        pending &= ~mask
-        if not pending.any():
-            break
-    if config.test_mode and pending.any():
-        raise AssertionError("candidate sandwich violated: unresolved cells remain")
-    return result
+def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
+    """mask_of(s) for one level of settle_by_halving: the class-pair sweep
+    under det-reference, else the fused scan at the level's modulus."""
+    if config.engine == "det-reference":
+        q_holder: list = []
+        return lambda s: class_pair_sweep(
+            A, B, base + s, M, config, q_holder, _shift_instance, solve_verification_row
+        )
+    Q = _level_modulus(A, B, base, M, config)
+    return lambda s: congruent_witness_scan(A, B, base + s, M, Q, query_axis="ij")
 
 
 def minplus_monotone_row(
@@ -254,12 +197,10 @@ def minplus_monotone_row(
     magnitude below INT64_GUARD.  Raises DimensionMismatchError when the
     shapes do not chain or have a zero dimension, PromiseViolationError when
     an entry is not such an integer or B breaks the promise, and ValueError
-    for a tag on the wrong axis.
+    for a tag on the wrong axis or with an entry bound of INT64_GUARD // 8 or
+    more.
     """
-    if tag.axis != "row-monotone":
-        raise ValueError(f"expected a row-monotone tag, got axis={tag.axis!r}")
-    if tag.entry_bound >= INT64_GUARD // 8:
-        raise ValueError("entry bound too large for exact int64 arithmetic")
+    require_tag(tag, "row-monotone")
     if config is None:
         config = SolverConfig()
     A = as_int_matrix(A)
@@ -273,5 +214,6 @@ def minplus_monotone_row(
     A_norm, deltas = normalize_A(A, tag.entry_bound)
     dims = (A.shape[0], A.shape[1], B.shape[1])
     M = config.M if config.M is not None else choose_M(dims, tag.entry_bound)
-    C_norm = _recurse(A_norm, B, M, config)
+    level = partial(_row_level, M=M, config=config)
+    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
     return C_norm + deltas[:, None]

@@ -1,4 +1,5 @@
-"""Residue-interval shifting shared by the three verification reductions.
+"""Residue-interval shifting and the halving recursion shared by the three
+verification reductions.
 
 With W = M/100, the residues mod M are split into the hundred intervals
 I_s = [sW, (s+1)W). An operand entry x whose residue falls in I_s is moved
@@ -9,15 +10,28 @@ u = s + t kept as a plain integer (up to 198), not reduced mod 100.
 
 All maps are non-decreasing in x, so monotone rows stay monotone, and all
 result residues are at most 7W = 7M/100, inside the M/10 promise.
+
+settle_by_halving is the recursion the row, column and convolution drivers
+share (Chi, Duan, Xie and Zhang, STOC'22): halve the entries, recurse, then
+settle each output cell among the candidates 2C' + {0, 1, 2}. Each driver
+supplies only how one level tests a candidate. class_pair_sweep is the
+det-reference engine's test: the literal verification pipeline on every live
+(s, t) instance.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import magnitude_sum, narrow_int_dtype
+from .config import SolverConfig
+from .core import WitnessMask, magnitude_sum, narrow_int_dtype
+from .modulus import audit_modulus, find_good_modulus
 
 __all__ = [
+    "settle_by_halving",
+    "class_pair_sweep",
     "residue_class",
     "shift_operand",
     "shift_output",
@@ -30,6 +44,67 @@ __all__ = [
 # Every temporary of the pass holds at most one block (256 KB at int16), so
 # the scans' memory does not grow with the instance.
 SCAN_BLOCK = 1 << 17
+
+
+def settle_by_halving(
+    A: np.ndarray, B: np.ndarray, out_shape: tuple, level_witnesses: Callable, test_mode: bool
+) -> np.ndarray:
+    """The exact product (or convolution) of non-negative A and B by halving.
+
+    The true output C and the output C' of the halved operands satisfy
+    2C' <= C <= 2C' + 2, so each cell is the first candidate 2C' + s,
+    s = 0, 1, 2, that has a witness. level_witnesses(A, B, 2C') does a
+    level's shared set-up and returns mask_of, where mask_of(s) marks the
+    cells with a witness for 2C' + s. Candidates are tested only while
+    cells are pending, and outside test_mode whatever the first two leave
+    is +2 untested; test_mode tests +2 too and raises AssertionError if a
+    cell is still pending.
+    """
+    if not A.any() and not B.any():
+        return np.zeros(out_shape, dtype=np.int64)
+    base = 2 * settle_by_halving(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
+    mask_of = level_witnesses(A, B, base)
+    result = base + 2
+    pending = np.ones(base.shape, dtype=bool)
+    for s in (0, 1, 2) if test_mode else (0, 1):
+        mask = mask_of(s) & pending
+        result[mask] = base[mask] + s
+        pending &= ~mask
+        if not pending.any():
+            return result
+    if test_mode:
+        raise AssertionError("candidate sandwich violated: unresolved cells remain")
+    return result
+
+
+def class_pair_sweep(
+    A: np.ndarray, B: np.ndarray, cand: np.ndarray, M: int, config: SolverConfig,
+    q_holder: list, shift: Callable, solve: Callable,
+) -> WitnessMask:
+    """Witness mask of one candidate by the literal per-(s, t) sweep; tiny
+    inputs only.
+
+    shift(A, B, cand, M, s, t) builds the class-(s, t) instance and
+    solve(inst, Q=Q, config=config) its witness mask. Pairs whose output
+    window misses every residue class present in cand cannot hold a witness
+    and are skipped. The modulus in q_holder is shared across a level's
+    instances: it is re-audited per instance, and a fresh search replaces it
+    when the audit fails.
+    """
+    classes_A = np.unique(residue_class(A + M, M)).tolist()
+    classes_B = np.unique(residue_class(B + M, M)).tolist()
+    classes_C = set(np.unique(residue_class(cand + 2 * M, M)).tolist())
+    mask = np.zeros(cand.shape, dtype=bool)
+    for s in classes_A:
+        for t in classes_B:
+            u = s + t
+            if u % 100 not in classes_C and (u + 1) % 100 not in classes_C:
+                continue
+            inst = shift(A, B, cand, M, s, t)
+            if not (q_holder and audit_modulus(inst, q_holder[0], slack=config.slack)):
+                q_holder[:] = [find_good_modulus(inst, M, R=config.R, slack=config.slack)[0]]
+            mask |= solve(inst, Q=q_holder[0], config=config)
+    return mask
 
 
 def residue_class(values: np.ndarray, M: int) -> np.ndarray:

@@ -252,3 +252,32 @@ def test_non_integral_entry_is_a_diagnostic(tmp_path, capsys):
     assert code == 2
     assert diag["field"] == "A"
     assert "not an integer" in diag["reason"]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_col_entry_bound_beyond_int64_is_a_diagnostic(tmp_path, capsys, command):
+    payload = {**cli.load_payload(GOLDEN / "product-col-n4.json"), "entry_bound": 2**63}
+    path = tmp_path / "col.json"
+    cli.write_payload(path, payload)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert "entry bound too large" in diag["error"]
+
+
+@pytest.mark.parametrize("command,golden", [
+    ("run", "product-row-n4.json"),
+    ("check", "product-row-n4.json"),
+    ("stats", "verify-row-n3.json"),
+])
+def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden):
+    path = tmp_path / golden
+    cli.write_payload(path, cli.load_payload(GOLDEN / golden))
+    argv = [command, str(path), "--M", "150"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert "multiple of 100" in diag["reason"]

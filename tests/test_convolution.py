@@ -217,13 +217,12 @@ def test_conv_matches_naive(engine):
         assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_conv_reference_engine_matches_naive(fast):
+def test_conv_reference_engine_matches_naive():
     # the literal per-pair pipeline is slow; keep the instances tiny
     rng = np.random.default_rng(16)
-    for _ in range(4):
+    for _ in range(8):
         a, b, tag = random_conv_inputs(rng, max_n=7, max_bound=10)
-        cfg = SolverConfig(engine="det-reference", fast_shared_modulus=fast, test_mode=True)
+        cfg = SolverConfig(engine="det-reference", test_mode=True)
         got = minplus_conv_monotone(a, b, tag, cfg)
         assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
 

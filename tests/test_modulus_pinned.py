@@ -39,7 +39,7 @@ def pinned_instances():
 
 def report_of(inst, M):
     cfg = SolverConfig()
-    _, rep = find_good_modulus(inst, M, R=cfg.R, slack=cfg.slack, y_method=cfg.y_method)
+    _, rep = find_good_modulus(inst, M, R=cfg.R, slack=cfg.slack)
     return json.loads(json.dumps(rep.to_dict()))
 
 

@@ -10,6 +10,7 @@ from minplus import cli, shifting
 from minplus.config import SolverConfig
 from minplus.convolution import minplus_conv_monotone
 from minplus.core import (
+    INT64_GUARD,
     DimensionMismatchError,
     MonotoneTag,
     PromiseViolationError,
@@ -352,6 +353,17 @@ def test_col_product_rejects_wrong_tag_axis():
         minplus_monotone_col(
             np.zeros((2, 2)), np.ones((2, 2)), MonotoneTag(axis="row-monotone", entry_bound=1)
         )
+
+
+@pytest.mark.parametrize("bound", [INT64_GUARD // 8, 2**63])
+@pytest.mark.parametrize("driver,axis,A,B", [
+    (minplus_monotone_row, "row-monotone", np.ones((2, 2)), np.ones((2, 2))),
+    (minplus_monotone_col, "column-monotone", np.ones((2, 2)), np.ones((2, 2))),
+    (minplus_conv_monotone, "array-monotone", np.ones(2), np.ones(2)),
+])
+def test_drivers_refuse_entry_bounds_beyond_int64(driver, axis, A, B, bound):
+    with pytest.raises(ValueError, match="entry bound too large"):
+        driver(A, B, MonotoneTag(axis=axis, entry_bound=bound))
 
 
 def test_col_product_rejects_broken_promise():

@@ -308,12 +308,11 @@ def test_product_matches_naive_across_engines():
 
 def test_product_reference_engine_agrees():
     rng = np.random.default_rng(15)
-    for fast in (True, False):
-        for _ in range(6):
-            A, B, tag = random_product_inputs(rng, max_n=5, max_bound=9)
-            cfg = SolverConfig(engine="det-reference", fast_shared_modulus=fast, test_mode=True)
-            got = minplus_monotone_row(A, B, tag, cfg)
-            assert np.array_equal(got, minplus_product_naive(A, B))
+    for _ in range(12):
+        A, B, tag = random_product_inputs(rng, max_n=5, max_bound=9)
+        cfg = SolverConfig(engine="det-reference", test_mode=True)
+        got = minplus_monotone_row(A, B, tag, cfg)
+        assert np.array_equal(got, minplus_product_naive(A, B))
 
 
 def test_product_handles_negative_and_oversized_A():

@@ -1,5 +1,6 @@
 """The fused witness scans against the brute-force mask and the literal
-int64 formulation, across the dtype thresholds, moduli and block sizes."""
+int64 formulation, across the dtype thresholds, moduli and block sizes; and
+the halving recursion the drivers share, on fake per-level witnesses."""
 import numpy as np
 import pytest
 from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst
@@ -14,6 +15,7 @@ from minplus.shifting import (
     _scan_terms,
     congruent_witness_scan,
     congruent_witness_scan_conv,
+    settle_by_halving,
 )
 
 MODULI = (100, 300, 1000, M_MAX)
@@ -158,3 +160,64 @@ def test_scans_unchanged_by_many_blocks(monkeypatch, block):
         assert np.array_equal(want, fused_scan_int64_oracle(A, B, C, 100, 113, ax))
     assert np.array_equal(congruent_witness_scan_conv(a, b, c, 100, 113), whole_conv)
     assert np.array_equal(whole_conv, fused_scan_conv_int64_oracle(a, b, c, 100, 113))
+
+
+# --- settle_by_halving ------------------------------------------------------------
+
+def fake_levels(hit_at):
+    """level_witnesses whose mask_of(s) is hit_at(base) == s; it logs each
+    level's base and the s it was asked for, which is what the benchmark's
+    scan_calls counts."""
+    log = []
+
+    def level_witnesses(A, B, base):
+        asked = []
+        log.append((base.copy(), asked))
+
+        def mask_of(s):
+            asked.append(s)
+            return hit_at(base) == s
+
+        return mask_of
+
+    return level_witnesses, log
+
+
+A3, B3 = np.array([[3, 0]]), np.array([[2], [1]])  # levels at (3, 2), (1, 1), (0, 0)
+
+
+def test_halving_without_witnesses_raises_in_test_mode_and_fills_plus_two_otherwise():
+    never = lambda base: np.full(base.shape, -1)  # noqa: E731
+    with pytest.raises(AssertionError, match="candidate sandwich violated"):
+        settle_by_halving(A3, B3, (1, 1), fake_levels(never)[0], test_mode=True)
+    levels, log = fake_levels(never)
+    got = settle_by_halving(A3, B3, (1, 1), levels, test_mode=False)
+    # deepest level first: base 0 settles at 2, so the top base is 4, settling at 6
+    assert [int(base[0, 0]) for base, _ in log] == [0, 4]
+    assert got.tolist() == [[6]]
+    assert [asked for _, asked in log] == [[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("test_mode", [True, False])
+def test_halving_stops_asking_once_every_cell_settles(test_mode):
+    levels, log = fake_levels(lambda base: np.zeros(base.shape))
+    got = settle_by_halving(A3, B3, (1, 1), levels, test_mode)
+    assert got.tolist() == [[0]]
+    assert [asked for _, asked in log] == [[0], [0]]
+
+
+def test_halving_asks_for_plus_two_only_in_test_mode():
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, 40, (4, 3))
+    B = rng.integers(1, 40, (3, 5))
+    pattern = rng.integers(0, 3, (4, 5))
+    pattern[0, 0] = 2  # some cell is pending after +1 on every level
+    outs = {}
+    for test_mode in (True, False):
+        levels, log = fake_levels(lambda base: pattern)
+        outs[test_mode] = settle_by_halving(A, B, (4, 5), levels, test_mode)
+        want = [0, 1, 2] if test_mode else [0, 1]
+        assert all(asked == want for _, asked in log)
+        base = log[-1][0]
+        assert np.array_equal(outs[test_mode], base + pattern)
+    assert np.array_equal(outs[True], outs[False])
