@@ -1,6 +1,7 @@
 """Runtime knobs for the solvers and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 ENGINES = ("det", "naive", "det-reference")
@@ -19,10 +20,11 @@ class SolverConfig:
     column driver checks its rotated candidates: "twopointer" tests the
     constant-block starts of the rotated rows directly, vectorised in blocks
     of narrow integers and exact on any input; "verification" runs the
-    congruence scan. M and R override the promise modulus and the prime-pool
-    range. slack scales the good-modulus audit. oracle_limit caps the
-    brute-force volume the CLI's check and stats commands accept. test_mode
-    tests every candidate and asserts the sandwich 2C' <= C <= 2C' + 2.
+    equality scan. M and R override the promise modulus and the prime-pool
+    range (at least 4). slack scales the good-modulus audit and must be
+    finite and positive. oracle_limit caps the brute-force volume the CLI's
+    check and stats commands accept. test_mode tests every candidate and
+    asserts the sandwich 2C' <= C <= 2C' + 2.
     """
 
     engine: str = "det"
@@ -40,3 +42,7 @@ class SolverConfig:
             raise ValueError(f"col_engine must be one of {COL_ENGINES}")
         if self.M is not None and (self.M <= 0 or self.M % 100):
             raise ValueError("M override must be a positive multiple of 100")
+        if self.R is not None and self.R < 4:
+            raise ValueError("range parameter R must be at least 4")
+        if self.slack is not None and not (math.isfinite(self.slack) and self.slack > 0):
+            raise ValueError("slack must be finite and positive")

@@ -10,13 +10,12 @@ a bivariate polynomial product that is cyclic in the value variable and
 ordinary in the position variable, so the count lands per output slot.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
-search, bivariate counting, diagonal segment aggregation); the det driver
-path uses the fused scan from :mod:`minplus.shifting` instead.  The scan's
-answer does not depend on Q, so the driver's per-level modulus search
-changes no output; it stays only until ROADMAP item 2 drops it from the
-benchmark's ``Workload.exercises``.  The diagonal layout lists each level
-instance's segment starts straight from the breaks of a and b, so the
-search costs in proportion to those starts, not to the n^2 index pairs.
+search, bivariate counting, diagonal segment aggregation). The det driver
+path instead makes at most two equality scans of all n^2 index pairs per
+level (:func:`minplus.shifting.congruent_witness_scan_conv`), which decide
+the same rule exactly, over about ``log2(bound) + 2`` levels. The driver's
+per-level modulus search computes a Q that nothing reads; it stays only
+because the benchmark's ``Workload.exercises`` requires it (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ def solve_verification_conv(
 def _level_modulus_conv(
     a: np.ndarray, b: np.ndarray, c_cand: np.ndarray, M: int, config: SolverConfig
 ) -> int:
-    """The convolution form of product_row._level_modulus; its Q changes no
-    output either."""
+    """The convolution form of product_row._level_modulus; nothing reads
+    its Q either."""
     inst = _shift_instance_conv(a, b, c_cand, M, *first_live_pair(a, b, M))
     Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
     return Q
@@ -139,14 +138,15 @@ def _level_modulus_conv(
 
 def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: SolverConfig):
     """mask_of(s) for one level of settle_by_halving: the class-pair sweep
-    under det-reference, else the fused scan at the level's modulus."""
+    under det-reference, else the equality scan."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
             a, b, base + s, M, config, q_holder, _shift_instance_conv, solve_verification_conv
         )
-    Q = _level_modulus_conv(a, b, base, M, config)
-    return lambda s: congruent_witness_scan_conv(a, b, base + s, M, Q)
+    # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
+    _level_modulus_conv(a, b, base, M, config)
+    return lambda s: congruent_witness_scan_conv(a, b, base + s)
 
 
 def minplus_conv_monotone(

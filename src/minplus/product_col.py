@@ -9,17 +9,17 @@ C is the same as asking, per cell of ``W - C``, whether some output column of
 factors are row-monotone and the verification theory from the row module
 applies unchanged.
 
-Two engines solve the rotated check: the congruence scan shared with the row
+Two engines solve the rotated check: the equality scan shared with the row
 driver, and a direct two-pointer pass over the constant-block decompositions
-of the rotated rows, which needs no residue promise at all.  The two-pointer
-pass tests every block start of a row against the whole other axis at once,
-in blocks of ``shifting.SCAN_BLOCK`` narrow-integer cells.  It makes at most
+of the rotated rows.  Both are exact on any instance.  The two-pointer pass
+tests every block start of a row against the whole other axis at once, in
+blocks of ``shifting.SCAN_BLOCK`` narrow-integer cells.  It makes at most
 two compares per triple, and fewer the longer the blocks, where the scan
-evaluates its whole rule on every triple.  ``col_engine`` picks one;
-two-pointer is the default.  The candidates of one recursion level differ
-only in the rotated A, so the driver rotates once per level and the
-two-pointer pass tests the candidates' A matrices as one stack against
-B and C's block starts, built once.  The recursion over levels is
+compares every triple.  ``col_engine`` picks one; two-pointer is the
+default.  The candidates of one recursion level differ only in the rotated
+A, so the driver rotates once per level and the two-pointer pass tests the
+candidates' A matrices as one stack against B and C's block starts, built
+once.  The recursion over levels is
 :func:`minplus.shifting.settle_by_halving`, shared with the row and
 convolution drivers; ``_col_level`` is this module's per-level test.
 """
@@ -50,9 +50,9 @@ from .core import (
 )
 from .modulus import find_good_modulus
 from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
-from .product_row import _shift_instance, choose_M, normalize_A
+from .product_row import choose_M, normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
-from .shifting import congruent_witness_scan, first_live_pair, settle_by_halving
+from .shifting import congruent_witness_scan, settle_by_halving
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def _block_start_hits(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> WitnessMas
 def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
     """mask_of(s) for one level of settle_by_halving, on the level's one
     rotation: two-pointer masks of all tested candidates at once, or the
-    congruence scan at a modulus searched on the rotated level."""
+    equality scan over all rotated triples."""
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
     rot = rotate_to_problem2prime(A, B, base, W)
@@ -204,9 +204,7 @@ def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: Solv
         inst = VerificationInstance(A=rot.A - shifts, B=rot.B, C=rot.C, M=M, variant="col")
         del rot  # its A is in the stack; dropping it keeps the level's peak down
         return twopointer_direct(inst).__getitem__
-    inst = _shift_instance(rot.A, rot.B, rot.C, M, *first_live_pair(rot.A, rot.B, M), variant="col")
-    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
-    return lambda s: congruent_witness_scan(rot.A - s, rot.B, rot.C, M, Q, query_axis="ik")
+    return lambda s: congruent_witness_scan(rot.A - s, rot.B, rot.C, query_axis="ik")
 
 
 def minplus_monotone_col(

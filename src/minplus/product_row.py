@@ -10,17 +10,17 @@ accepted one.  That recursion is :func:`minplus.shifting.settle_by_halving`,
 shared with the column and convolution drivers; this module supplies only
 ``_row_level``, the per-level candidate test.
 
-Candidate checking is a batch of equality tests after residue shifting: entry
-``x`` in residue class ``s = (x % M) // (M // 100)`` maps to a shifted value
-whose low part is below ``7 * M / 100``, so for any modulus ``Q > 7 * M / 100``
-a cell is correct iff some k has shifted values congruent mod Q with matching
-high parts.  The fused scan in :mod:`minplus.shifting` decides all class pairs
-at once, and its answer does not depend on Q.  The per-level modulus search
-from :mod:`minplus.modulus` therefore changes no output; it stays on the det
-path only until the benchmark drops it from the row and conv workloads'
-``Workload.exercises`` (ROADMAP item 2).  It costs in proportion to the
-level instance's segment starts, a few percent of its n^3 cells, since the
-segment layout lists the starts without materialising the cells.
+Candidate checking is a batch of equality tests. The paper's rule shifts
+entry ``x`` in residue class ``s = (x % M) // (M // 100)`` to a value whose
+low part is below ``7 * M / 100`` and accepts a cell when some k has shifted
+values congruent mod ``Q > 7 * M / 100`` with matching high parts; those
+conditions bound the defect below ``2 * M / 100``, so they hold exactly when
+``A[i, k] + B[k, j]`` equals the candidate. The det engine therefore makes
+at most two equality scans of all triples per level
+(:func:`minplus.shifting.congruent_witness_scan`), over about
+``log2(bound) + 2`` levels. The per-level modulus search from :mod:`minplus.modulus` computes
+a Q that nothing reads; it stays on the det path only because the
+benchmark's ``Workload.exercises`` requires it (ROADMAP item 1).
 
 Two slower engines back the batched one: ``naive`` is the cubic scan, and
 ``det-reference`` runs the per-shift-pair verification pipeline literally
@@ -165,11 +165,8 @@ def solve_verification_row(
 
 def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config: SolverConfig) -> int:
     """One good modulus per recursion level, searched on the first live
-    class-pair instance of the level's first candidate.
-
-    The fused scan gives the same mask for every Q > 7M/100, so this Q
-    changes no output; the search stays until ROADMAP item 2 drops it from
-    the benchmark's ``Workload.exercises``."""
+    class-pair instance of the level's first candidate. The equality scan
+    does not read it."""
     inst = _shift_instance(A, B, C_cand, M, *first_live_pair(A, B, M))
     Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
     return Q
@@ -177,14 +174,15 @@ def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config
 
 def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
     """mask_of(s) for one level of settle_by_halving: the class-pair sweep
-    under det-reference, else the fused scan at the level's modulus."""
+    under det-reference, else the equality scan."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
             A, B, base + s, M, config, q_holder, _shift_instance, solve_verification_row
         )
-    Q = _level_modulus(A, B, base, M, config)
-    return lambda s: congruent_witness_scan(A, B, base + s, M, Q, query_axis="ij")
+    # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
+    _level_modulus(A, B, base, M, config)
+    return lambda s: congruent_witness_scan(A, B, base + s, query_axis="ij")
 
 
 def minplus_monotone_row(

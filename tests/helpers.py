@@ -66,7 +66,7 @@ def all_shift_pairs(A, B, C, M=100, conv=False):
 
 
 def _fused_rule_int64(Ash, Bsh, Csh, M, Q):
-    """The fused scan's three conditions written out literally in int64, on
+    """The paper's witness rule written out literally in int64, on
     broadcast-compatible pre-shifted entries: class window, congruence mod Q,
     high-part agreement."""
     W = M // 100
@@ -79,14 +79,17 @@ def _fused_rule_int64(Ash, Bsh, Csh, M, Q):
 
 
 def fused_scan_int64_oracle(A, B, C, M, Q, query_axis="ij"):
-    """congruent_witness_scan as one unblocked int64 pass."""
+    """The literal rule over every class pair of one candidate, as one
+    unblocked int64 pass; congruent_witness_scan must agree for any
+    Q > 7M/100."""
     A, B, C = (np.asarray(x, dtype=np.int64) for x in (A, B, C))
     hit = _fused_rule_int64(A[:, :, None] + M, B[None, :, :] + M, C[:, None, :] + 2 * M, M, Q)
     return hit.any(axis=1 if query_axis == "ij" else 2)
 
 
 def fused_scan_conv_int64_oracle(a, b, c, M, Q):
-    """congruent_witness_scan_conv as one unblocked int64 pass over all pairs."""
+    """The literal rule over all (i, k - i) pairs, as one unblocked int64
+    pass; congruent_witness_scan_conv must agree for any Q > 7M/100."""
     a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
     n = len(a)
     i, j = np.divmod(np.arange(n * n), n)

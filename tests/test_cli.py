@@ -267,17 +267,23 @@ def test_col_entry_bound_beyond_int64_is_a_diagnostic(tmp_path, capsys, command)
     assert "entry bound too large" in diag["error"]
 
 
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--M", "150", "multiple of 100"),
+    ("--slack", "-1", "finite and positive"),
+    ("--slack", "0", "finite and positive"),
+    ("--R", "3", "at least 4"),
+])
 @pytest.mark.parametrize("command,golden", [
     ("run", "product-row-n4.json"),
     ("check", "product-row-n4.json"),
     ("stats", "verify-row-n3.json"),
 ])
-def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden):
+def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden, flag, value, reason):
     path = tmp_path / golden
     cli.write_payload(path, cli.load_payload(GOLDEN / golden))
-    argv = [command, str(path), "--M", "150"]
+    argv = [command, str(path), flag, value]
     if command == "run":
         argv += ["--out", str(tmp_path / "o.json")]
     code, diag = _main_diagnostic(capsys, *argv)
     assert code == 2
-    assert "multiple of 100" in diag["reason"]
+    assert reason in diag["reason"]

@@ -1,5 +1,6 @@
 """Every SolverConfig knob is read by the package, and every config flag of
-the CLI sets one; a knob nothing reads, or a flag nothing maps, is dead."""
+the CLI sets one; a knob nothing reads, or a flag nothing maps, is dead.
+Out-of-range knobs are refused when the config is built."""
 import argparse
 import dataclasses
 import re
@@ -27,3 +28,21 @@ def test_every_config_flag_sets_a_field():
     flags = vars(parser.parse_args([]))
     assert set(flags) <= set(FIELDS)
     assert cli._config_from(argparse.Namespace(**flags)) == SolverConfig()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("M", 0),
+    ("R", 3),
+    ("slack", 0.0),
+    ("slack", -1.0),
+    ("slack", float("nan")),
+    ("slack", float("inf")),
+])
+def test_out_of_range_knob_is_refused(field, value):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3), ("M", 100)])
+def test_smallest_valid_knob_is_accepted(field, value):
+    assert getattr(SolverConfig(**{field: value}), field) == value

@@ -182,14 +182,14 @@ def test_promised_triples_split_small_or_large():
         assert ((d <= 3 * M // 10) | (d >= 7 * M // 10)).all()
 
 
-def test_fused_conv_scan_matches_oracle():
+def test_conv_scan_matches_oracle():
     rng = np.random.default_rng(9)
     for _ in range(30):
         n = int(rng.integers(1, 12))
         a = rng.integers(0, 600, n)
         b = rng.integers(0, 600, n)
         c = rng.integers(0, 1200, 2 * n - 1)
-        got = congruent_witness_scan_conv(a, b, c, 100, 173)
+        got = congruent_witness_scan_conv(a, b, c)
         assert np.array_equal(got, witness_mask_naive(cinst(a, b, c), "k"))
 
 

@@ -101,7 +101,7 @@ def test_shift_output_window_and_fallback():
 
 
 def test_shift_highs_match_closed_form():
-    # the fused scan reads the high part of a shifted entry as (x - sW) // M
+    # the literal rule (tests/helpers.py) reads the high part of a shifted entry as (x - sW) // M
     rng = np.random.default_rng(11)
     v = rng.integers(100, 5000, 200)
     for s in (0, 3, 57, 99):
@@ -157,7 +157,7 @@ def test_residue_class_partitions_by_hundredths():
 
 
 def test_witness_scan_matches_oracle_on_arbitrary_inputs():
-    # the fused class-window + congruence + high-part rule needs no promise
+    # the equality scan needs no promise
     rng = np.random.default_rng(21)
     from minplus.shifting import congruent_witness_scan
 
@@ -172,7 +172,7 @@ def test_witness_scan_matches_oracle_on_arbitrary_inputs():
             C = rng.integers(0, 2 * hi, (na, nc))
         inst = VerificationInstance(A=A, B=B, C=C, M=100)
         for ax in ("ij", "ik"):
-            got = congruent_witness_scan(A, B, C, 100, 121, query_axis=ax)
+            got = congruent_witness_scan(A, B, C, query_axis=ax)
             assert np.array_equal(got, witness_mask_naive(inst, query_axis=ax)), (trial, ax)
 
 
@@ -180,7 +180,7 @@ def test_witness_scan_rejects_bad_axis():
     from minplus.shifting import congruent_witness_scan
 
     with pytest.raises(ValueError):
-        congruent_witness_scan(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 100, 121, "kj")
+        congruent_witness_scan(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), "kj")
 
 
 # --- congruence counting --------------------------------------------------------

@@ -1,6 +1,9 @@
-"""The fused witness scans against the brute-force mask and the literal
-int64 formulation, across the dtype thresholds, moduli and block sizes; and
-the halving recursion the drivers share, on fake per-level witnesses."""
+"""The equality witness scans against the brute-force mask and the paper's
+literal three-condition rule in int64, across the dtype thresholds, moduli
+and block sizes, with their memory bounded by blocks; and the halving
+recursion the drivers share, on fake per-level witnesses."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst
@@ -8,21 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus import shifting
-from minplus.core import witness_mask_naive
+from minplus.core import narrow_int_dtype, witness_mask_naive
 from minplus.modulus import default_range_parameter
 from minplus.product_row import M_MAX
 from minplus.shifting import (
-    _scan_terms,
+    _narrow,
     congruent_witness_scan,
     congruent_witness_scan_conv,
     settle_by_halving,
 )
 
 MODULI = (100, 300, 1000, M_MAX)
-# Entry scales (times M/100) whose hundredths-index sums land on both sides
-# of the int16 and int32 thresholds.
+# Entry scales (times M/100) whose sums land on both sides of the int16 and
+# int32 thresholds.
 SCALES = (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 29, 1 << 30, 1 << 31)
-# Moduli that put 2Q on both sides of the int16 and int32 thresholds.
+# Moduli from just above 7M/100 to far above M, for the literal rule.
 BIG_Q = ((1 << 14) - 1, 1 << 14, 40000, 65537, (1 << 30) - 1, 1 << 30)
 
 
@@ -71,7 +74,7 @@ def test_scan_matches_oracles_across_dtype_thresholds(case):
     A, B, C = planted_matrix(rng, shape, hi, M, Q)
     inst = minst(A, B, C, M=M)
     for ax in ("ij", "ik"):
-        got = congruent_witness_scan(A, B, C, M, Q, query_axis=ax)
+        got = congruent_witness_scan(A, B, C, query_axis=ax)
         assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, M, Q, ax))
         assert np.array_equal(got, witness_mask_naive(inst, ax))
 
@@ -81,46 +84,49 @@ def test_scan_matches_oracles_across_dtype_thresholds(case):
 def test_conv_scan_matches_oracles_across_dtype_thresholds(case):
     M, Q, hi, rng, (n, _, _) = case
     a, b, c = planted_conv(rng, n + 1, hi, M, Q)
-    got = congruent_witness_scan_conv(a, b, c, M, Q)
+    got = congruent_witness_scan_conv(a, b, c)
     assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, M, Q))
     assert np.array_equal(got, witness_mask_naive(cinst(a, b, c, M=M), "k"))
 
 
-# Largest hundredths index of A, B, C (M = 100, so the entry itself) and Q,
-# each case one step either side of a threshold, with the dtype it must give.
-THRESHOLD_CASES = [
-    ((10000, 10000, 12767), 101, np.int16),
-    ((10000, 10000, 12768), 101, np.int32),
-    ((100, 100, 100), (1 << 14) - 1, np.int16),
-    ((100, 100, 100), 1 << 14, np.int32),
-    ((1 << 30, 1 << 29, (1 << 29) - 1), 101, np.int32),
-    ((1 << 30, 1 << 29, 1 << 29), 101, np.int64),
-    ((100, 100, 100), (1 << 30) - 1, np.int32),
-    ((100, 100, 100), 1 << 30, np.int64),
-]
+def threshold_cases():
+    """Largest magnitudes (ta, tb, tc) of A, B and C, one step either side of
+    each dtype edge E of max(ta + tb, tc), with the dtype the scans must
+    use: both the sum and C at E, both one above, and each alone above."""
+    cases = []
+    for edge, below, above in ((127, np.int8, np.int16), ((1 << 15) - 1, np.int16, np.int32),
+                               ((1 << 31) - 1, np.int32, np.int64)):
+        ta = (edge + 1) // 2
+        cases += [
+            ((ta, edge - ta, edge), below),
+            ((ta, edge + 1 - ta, edge + 1), above),
+            ((2, 3, edge + 1), above),
+            ((ta, edge + 1 - ta, 5), above),
+        ]
+    return cases
 
 
-@pytest.mark.parametrize("tops, Q, dtype", THRESHOLD_CASES)
-def test_scans_exact_on_both_sides_of_each_threshold(tops, Q, dtype):
+@pytest.mark.parametrize("tops, dtype", threshold_cases())
+def test_scans_exact_on_both_sides_of_each_threshold(tops, dtype):
     ta, tb, tc = tops
-    # maxima exactly ta, tb, tc; witnesses at small sums and at tc - 1, a
-    # near miss at 4
-    A = np.array([[ta, 0], [min(ta, tc - 1), 2]])
-    B = np.array([[tb, 1, tc - 1 - A[1, 0]], [0, 2, 3]])
-    C = np.array([[tc, 2, 4], [2, 2, tc - 1]])
-    a, b = A[:, 0], B[0, ::2]
-    c = np.array([tc, 7, tc - 1])
-    assert _scan_terms(100, Q, A, B, C)[0].dtype == dtype
-    assert _scan_terms(100, Q, a, b, c)[0].dtype == dtype
+    # maxima exactly ta, tb, tc; a witness at the top sum when tc = ta + tb,
+    # witnesses at 2 and 5, a near miss at 4
+    A = np.array([[ta, 0], [0, 2]])
+    B = np.array([[tb, 1, 0], [0, 2, 3]])
+    C = np.array([[tc, 2, 4], [1, 2, 5]])
+    a, b, c = A[:, 0], B[0, :2], np.array([tc, 7, 1])
+    assert _narrow(A, B, C)[0].dtype == dtype
+    assert _narrow(a, b, c)[0].dtype == dtype
     for ax in ("ij", "ik"):
-        got = congruent_witness_scan(A, B, C, 100, Q, query_axis=ax)
-        assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, 100, Q, ax))
+        got = congruent_witness_scan(A, B, C, query_axis=ax)
+        assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, 100, 101, ax))
         assert np.array_equal(got, witness_mask_naive(minst(A, B, C), ax))
-    assert congruent_witness_scan(A, B, C, 100, Q)[1, 2]
-    got = congruent_witness_scan_conv(a, b, c, 100, Q)
-    assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, 100, Q))
+    got = congruent_witness_scan(A, B, C)
+    assert got[0, 0] == (ta + tb == tc) and got[0, 1] and got[1, 2] and not got[0, 2]
+    got = congruent_witness_scan_conv(a, b, c)
+    assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, 100, 101))
     assert np.array_equal(got, witness_mask_naive(cinst(a, b, c), "k"))
-    assert got[2]
+    assert got[0] == (ta + tb == tc) and got[2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,21 +136,25 @@ def test_scans_exact_on_both_sides_of_each_threshold(tops, Q, dtype):
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_scan_mask_does_not_depend_on_Q(M, n, m, seed):
-    """The fused rule is exact for every Q > 7M/100, so the per-level
-    modulus cannot change its answer: one fixture, several Q up to M * R."""
+def test_literal_rule_equals_equality_scan_at_every_Q(M, n, m, seed):
+    """The paper's three-condition rule accepts exactly the equal triples
+    for every Q > 7M/100, so the equality scans decide it without a modulus:
+    one fixture, several Q up to M * R."""
     rng = np.random.default_rng(seed)
     hi = int(rng.integers(1, 4 * M))
     A, B, C = planted_matrix(rng, (n, m, n), hi, M, M + 1)
     a, b, c = planted_conv(rng, n, hi, M, M + 1)
     top = M * default_range_parameter(n)
     Qs = sorted({7 * M // 100 + 1, M, M + 1, int(rng.integers(7 * M // 100 + 1, top + 1)), top})
-    masks = [congruent_witness_scan(A, B, C, M, Q) for Q in Qs]
-    conv_masks = [congruent_witness_scan_conv(a, b, c, M, Q) for Q in Qs]
-    assert all(np.array_equal(x, masks[0]) for x in masks)
-    assert all(np.array_equal(x, conv_masks[0]) for x in conv_masks)
-    assert np.array_equal(masks[0], witness_mask_naive(minst(A, B, C, M=M), "ij"))
-    assert np.array_equal(conv_masks[0], witness_mask_naive(cinst(a, b, c, M=M), "k"))
+    for ax in ("ij", "ik"):
+        want = congruent_witness_scan(A, B, C, query_axis=ax)
+        assert np.array_equal(want, witness_mask_naive(minst(A, B, C, M=M), ax))
+        for Q in Qs:
+            assert np.array_equal(fused_scan_int64_oracle(A, B, C, M, Q, ax), want), Q
+    want = congruent_witness_scan_conv(a, b, c)
+    assert np.array_equal(want, witness_mask_naive(cinst(a, b, c, M=M), "k"))
+    for Q in Qs:
+        assert np.array_equal(fused_scan_conv_int64_oracle(a, b, c, M, Q), want), Q
 
 
 @pytest.mark.parametrize("block", [1, 5, 37, 200])
@@ -152,14 +162,51 @@ def test_scans_unchanged_by_many_blocks(monkeypatch, block):
     rng = np.random.default_rng(block)
     A, B, C = planted_matrix(rng, (9, 7, 11), 600, 100, 113)
     a, b, c = planted_conv(rng, 23, 600, 100, 113)
-    whole = [congruent_witness_scan(A, B, C, 100, 113, ax) for ax in ("ij", "ik")]
-    whole_conv = congruent_witness_scan_conv(a, b, c, 100, 113)
+    whole = [congruent_witness_scan(A, B, C, ax) for ax in ("ij", "ik")]
+    whole_conv = congruent_witness_scan_conv(a, b, c)
     monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
     for ax, want in zip(("ij", "ik"), whole):
-        assert np.array_equal(congruent_witness_scan(A, B, C, 100, 113, ax), want)
+        assert np.array_equal(congruent_witness_scan(A, B, C, ax), want)
         assert np.array_equal(want, fused_scan_int64_oracle(A, B, C, 100, 113, ax))
-    assert np.array_equal(congruent_witness_scan_conv(a, b, c, 100, 113), whole_conv)
+    assert np.array_equal(congruent_witness_scan_conv(a, b, c), whole_conv)
     assert np.array_equal(whole_conv, fused_scan_conv_int64_oracle(a, b, c, 100, 113))
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("query_axis", ["ij", "ik"])
+def test_scan_memory_bounded_by_blocks(query_axis):
+    """One matrix scan at n=256 (n^3 = 16.8M triples) allocates at most the
+    three narrow operand copies, the n x n mask and four SCAN_BLOCK
+    temporaries, so no n^3 temporary is formed."""
+    n = 256
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, 10000, (n, n))
+    B = np.sort(rng.integers(1, 10000, (n, n)), axis=1)
+    C = rng.integers(0, 20000, (n, n))
+    item = narrow_int_dtype(20000).itemsize
+    peak = traced_peak(congruent_witness_scan, A, B, C, query_axis=query_axis)
+    assert peak <= 3 * n * n * item + n * n + 4 * shifting.SCAN_BLOCK * item
+
+
+def test_conv_scan_memory_bounded_by_blocks():
+    """One conv scan at n=4096 (16.8M pairs) allocates at most the narrow
+    copies of a, b and c, the 2n - 1 mask and four SCAN_BLOCK temporaries."""
+    n = 4096
+    rng = np.random.default_rng(0)
+    a = np.sort(rng.integers(1, 10000, n))
+    b = np.sort(rng.integers(1, 10000, n))
+    c = rng.integers(0, 20000, 2 * n - 1)
+    item = narrow_int_dtype(20000).itemsize
+    peak = traced_peak(congruent_witness_scan_conv, a, b, c)
+    assert peak <= 4 * n * item + 2 * n + 4 * shifting.SCAN_BLOCK * item
 
 
 # --- settle_by_halving ------------------------------------------------------------
