@@ -185,25 +185,25 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
         return {**header, "dims": [n], "A": a.tolist(), "B": b.tolist()}
 
     M = 100 if M is None else int(M)
-    if kind == "verify-row":
-        A = _free_matrix(rng, family, n, n, entry_bound)
-        B = _monotone_rows(rng, family, n, n, entry_bound)
-        inst = _shift_instance(A, B, minplus_product_naive(A, B), M, *first_live_pair(A, B, M))
-    elif kind == "verify-col":
-        A = normalize_nonincreasing(_free_matrix(rng, family, n, n, entry_bound))
-        B = _monotone_rows(rng, family, n, n, entry_bound).T
-        C = minplus_product_naive(A, B)
-        W = int(max(A.max(), B.max(), C.max()))
-        rot = rotate_to_problem2prime(A, B, C, W)
-        s, t = first_live_pair(rot.A, rot.B, M)
-        inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t, variant="col")
-    else:
-        a = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-        b = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-        c = minplus_convolution_naive(a, b).values
-        inst = _shift_instance_conv(a, b, c, M, *first_live_pair(a, b, M))
-
-    require_valid_instance(inst)
+    with _diagnosed(kind):
+        if kind == "verify-row":
+            A = _free_matrix(rng, family, n, n, entry_bound)
+            B = _monotone_rows(rng, family, n, n, entry_bound)
+            inst = _shift_instance(A, B, minplus_product_naive(A, B), M, *first_live_pair(A, B, M))
+        elif kind == "verify-col":
+            A = normalize_nonincreasing(_free_matrix(rng, family, n, n, entry_bound))
+            B = _monotone_rows(rng, family, n, n, entry_bound).T
+            C = minplus_product_naive(A, B)
+            W = int(max(A.max(), B.max(), C.max()))
+            rot = rotate_to_problem2prime(A, B, C, W)
+            s, t = first_live_pair(rot.A, rot.B, M)
+            inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t, variant="col")
+        else:
+            a = _monotone_rows(rng, family, 1, n, entry_bound)[0]
+            b = _monotone_rows(rng, family, 1, n, entry_bound)[0]
+            c = minplus_convolution_naive(a, b).values
+            inst = _shift_instance_conv(a, b, c, M, *first_live_pair(a, b, M))
+        require_valid_instance(inst)
     if kind == "verify-conv":
         body = {"A": inst.A.values.tolist(), "B": inst.B.values.tolist(),
                 "C": inst.C.values.tolist(), "dims": [n]}
@@ -252,7 +252,7 @@ def _kind_of(payload: dict) -> str:
 @contextlib.contextmanager
 def _diagnosed(kind: str):
     """Report a refusal from the library (broken promise, shape mismatch,
-    unsupported option) as a CliError."""
+    unsupported option, oracle beyond its limit) as a CliError."""
     try:
         yield
     except ValueError as e:
@@ -420,35 +420,35 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
     with _diagnosed(kind):
         inst = _instance_from(payload)
         require_valid_instance(inst)
-    Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
-    dump = {
-        "format": FORMAT_VERSION,
-        "kind": "stats",
-        "of_kind": kind,
-        "modulus_report": rep.to_dict(),
-        "level_segments": list(rep.level_segments),
-        "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
-    }
-    if test_mode:
-        checks = []
-        verified = True
-        for step in rep.steps:
-            for pi, p in enumerate(step.table.primes):
-                Qp = step.Q_prev * p
-                for level in range(step.table.Y.shape[0]):
-                    X = count_X_bruteforce(inst, Qp, level, limit=config.oracle_limit)
-                    Z = count_Z_bruteforce(inst, level, limit=config.oracle_limit)
-                    Y = int(step.table.Y[level, pi])
-                    ok = X == Y - Z
-                    verified &= ok
-                    checks.append({"Q_prev": step.Q_prev, "p": int(p), "level": level,
-                                   "X": X, "Y": Y, "Z": Z, "ok": ok})
-        dump["xyz_checks"] = checks
-        dump["xyz_verified"] = verified
-        dump["x_at_Q"] = [
-            count_X_bruteforce(inst, Q, level, limit=config.oracle_limit)
-            for level in range(levelmax_for(inst.M) + 1)
-        ]
+        Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        dump = {
+            "format": FORMAT_VERSION,
+            "kind": "stats",
+            "of_kind": kind,
+            "modulus_report": rep.to_dict(),
+            "level_segments": list(rep.level_segments),
+            "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
+        }
+        if test_mode:
+            checks = []
+            verified = True
+            for step in rep.steps:
+                for pi, p in enumerate(step.table.primes):
+                    Qp = step.Q_prev * p
+                    for level in range(step.table.Y.shape[0]):
+                        X = count_X_bruteforce(inst, Qp, level, limit=config.oracle_limit)
+                        Z = count_Z_bruteforce(inst, level, limit=config.oracle_limit)
+                        Y = int(step.table.Y[level, pi])
+                        ok = X == Y - Z
+                        verified &= ok
+                        checks.append({"Q_prev": step.Q_prev, "p": int(p), "level": level,
+                                       "X": X, "Y": Y, "Z": Z, "ok": ok})
+            dump["xyz_checks"] = checks
+            dump["xyz_verified"] = verified
+            dump["x_at_Q"] = [
+                count_X_bruteforce(inst, Q, level, limit=config.oracle_limit)
+                for level in range(levelmax_for(inst.M) + 1)
+            ]
     return dump
 
 

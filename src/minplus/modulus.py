@@ -16,9 +16,9 @@ sum directly from the per-level multisets of start discrepancies
 (segments.level_start_deltas), one W lookup per bin of starts that share a
 delta and a depth, so a prime costs O(bins), not O(starts).
 The ring backend follows the polynomial-matrix formulation (boundary
-indicator matrices, products over F_p[x]/(x^Q' - 1)) and is cross-checked
-against the counting backend in the tests; it is the reference definition
-of compute_Y_all_matrix / compute_Y_all_conv.
+indicator matrices, exact integer products in Z[x]/(x^Q' - 1)) and is
+cross-checked against the counting backend in the tests; it is the
+reference definition of compute_Y_all_matrix / compute_Y_all_conv.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvVerificationInstance
-from .polyring import CyclicPolyMatrix, PrimeField, bivariate_convolve, polymat_mul
+from .polyring import CyclicPolyMatrix, bivariate_convolve, polymat_mul
 from .segments import (
     StartDeltas,
     conv_layout,
@@ -115,26 +115,22 @@ class YTable:
         return self.Y.min(axis=1)
 
 
-def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int,
-                         field_: PrimeField | None = None) -> YTable:
+def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int) -> YTable:
     """Ring-backend Y table: one polynomial transform per candidate Q'."""
     A, B, C = inst.A, inst.B, inst.C
-    fld = field_ or PrimeField()
-    if A.shape[1] >= fld.p:
-        raise ValueError("inner dimension reaches the field characteristic")
     na, nc = C.shape
     cols = []
     for p in pool.primes:
         Qp = Q_prev * p
-        Ap = CyclicPolyMatrix.from_exponents(fld, Qp, A)
-        Bp = CyclicPolyMatrix.from_exponents(fld, Qp, B)
+        Ap = CyclicPolyMatrix.from_exponents(Qp, A)
+        Bp = CyclicPolyMatrix.from_exponents(Qp, B)
         D_all = polymat_mul(Ap, Bp).coeffs
         shift = (np.arange(Qp)[None, :] - C.reshape(-1, 1)) % Qp
         col = []
         for level in range(lmax + 1):
             IB = level_breaks(B, level)
             IC = level_breaks(C, level)
-            B_bdry = CyclicPolyMatrix(Q=Qp, coeffs=Bp.coeffs * IB[:, :, None], field=fld)
+            B_bdry = CyclicPolyMatrix(Q=Qp, coeffs=Bp.coeffs * IB[:, :, None])
             D_bdry = polymat_mul(Ap, B_bdry).coeffs
             U = np.where(IC[:, :, None], D_all, D_bdry).reshape(na * nc, Qp)
             Wt = compute_W(level, Qp)
@@ -144,7 +140,7 @@ def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int,
 
 
 def compute_Y_all_conv(inst: ConvVerificationInstance, Q_prev: int, pool: PrimePool,
-                       lmax: int, field_: PrimeField | None = None) -> YTable:
+                       lmax: int) -> YTable:
     """Ring-backend Y table for diagonals, via bivariate products.
 
     A start of diagonal k at i is where the A block begins at i or the B
@@ -154,9 +150,6 @@ def compute_Y_all_conv(inst: ConvVerificationInstance, Q_prev: int, pool: PrimeP
     assembled by inclusion-exclusion over three products.
     """
     a, b, c = inst.A.values, inst.B.values, inst.C.values
-    fld = field_ or PrimeField()
-    if max(len(a), len(b)) >= fld.p:
-        raise ValueError("array length reaches the field characteristic")
     cols = []
     for p in pool.primes:
         Qp = Q_prev * p
@@ -172,10 +165,10 @@ def compute_Y_all_conv(inst: ConvVerificationInstance, Q_prev: int, pool: PrimeP
             JB = np.ones(len(b), dtype=bool)
             if len(b) > 1:
                 JB[:-1] = fB[1:] != fB[:-1]
-            c1 = bivariate_convolve(fld, PA * IA[:, None], PB, Qp)
-            c2 = bivariate_convolve(fld, PA, PB * JB[:, None], Qp)
-            c3 = bivariate_convolve(fld, PA * IA[:, None], PB * JB[:, None], Qp)
-            counts = (c1 + c2 - c3) % fld.p
+            c1 = bivariate_convolve(PA * IA[:, None], PB, Qp)
+            c2 = bivariate_convolve(PA, PB * JB[:, None], Qp)
+            c3 = bivariate_convolve(PA * IA[:, None], PB * JB[:, None], Qp)
+            counts = c1 + c2 - c3
             Wt = compute_W(level, Qp)
             col.append(int((counts * Wt[shift]).sum()))
         cols.append(col)
@@ -294,8 +287,7 @@ def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
 
 def find_good_modulus(inst, M: int, R: int | None = None,
                       y_method: str = "counting", slack: float | None = None,
-                      test_mode: bool = False,
-                      field_: PrimeField | None = None):
+                      test_mode: bool = False):
     """Grow Q = p_1 * ... * p_T until the first crossing of M.
 
     Returns (Q, ModulusReport). The report keeps the full Y table of every
@@ -327,7 +319,7 @@ def find_good_modulus(inst, M: int, R: int | None = None,
         elif y_method == "ring":
             conv = isinstance(inst, ConvVerificationInstance)
             compute = compute_Y_all_conv if conv else compute_Y_all_matrix
-            table = compute(inst, Q, pool, lmax, field_=field_)
+            table = compute(inst, Q, pool, lmax)
         else:
             raise ValueError(f"unknown y_method {y_method!r}")
         phi = tuple(int(v) for v in (table.Y - table.ystar[:, None]).max(axis=0))

@@ -49,7 +49,7 @@ from .core import (
     validate_promises,
 )
 from .modulus import find_good_modulus
-from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
+from .polyring import CyclicPolyMatrix, polymat_mul
 from .product_row import choose_M, normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
 from .shifting import congruent_witness_scan, settle_by_halving
@@ -93,9 +93,7 @@ def rotate_to_problem2prime(
     return RotatedInstance(A=W - C_cand, B=np.ascontiguousarray(B.T), C=W - A, W=W)
 
 
-def compute_r_matrix(
-    inst: VerificationInstance, Q: int, field_: PrimeField | None = None
-) -> np.ndarray:
+def compute_r_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
     """Count, for each (i, k), the j with A[i,k] + B[k,j] = C[i,j] (mod Q).
 
     Same polynomial trick as the per-cell count in the row module, with the
@@ -103,12 +101,8 @@ def compute_r_matrix(
     collects, per (i, k), one term x^(B[k,j]-C[i,j]) for every j, and the
     congruent j are read off at exponent -A[i,k].
     """
-    if field_ is None:
-        field_ = PrimeField(DEFAULT_PRIME)
-    if inst.C.shape[1] >= field_.p:
-        raise ValueError("inner dimension too large for exact counting")
-    Pc = CyclicPolyMatrix.from_exponents(field_, Q, -inst.C)
-    Pbt = CyclicPolyMatrix.from_exponents(field_, Q, inst.B.T)
+    Pc = CyclicPolyMatrix.from_exponents(Q, -inst.C)
+    Pbt = CyclicPolyMatrix.from_exponents(Q, inst.B.T)
     prod = polymat_mul(Pc, Pbt)
     na, nb = inst.A.shape
     rows = np.arange(na)[:, None]

@@ -51,7 +51,7 @@ from .core import (
     validate_promises,
 )
 from .modulus import find_good_modulus
-from .polyring import DEFAULT_PRIME, CyclicPolyMatrix, PrimeField, polymat_mul
+from .polyring import CyclicPolyMatrix, polymat_mul
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
     class_pair_sweep,
@@ -117,21 +117,14 @@ def _shift_instance(
     )
 
 
-def compute_s_matrix(
-    inst: VerificationInstance, Q: int, field_: PrimeField | None = None
-) -> np.ndarray:
+def compute_s_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
     """Count, for each cell, the k with A[i,k] + B[k,j] = C[i,j] (mod Q).
 
-    Exponent-encoded polynomial matrices over Z_p turn the count into one
-    coefficient of a cyclic-polynomial product; p = 998244353 far exceeds any
-    inner dimension used here, so the counts are exact integers.
+    Exponent-encoded polynomial matrices over the integers turn the count
+    into one coefficient of an exact cyclic-polynomial product.
     """
-    if field_ is None:
-        field_ = PrimeField(DEFAULT_PRIME)
-    if inst.A.shape[1] >= field_.p:
-        raise ValueError("inner dimension too large for exact counting")
-    Pa = CyclicPolyMatrix.from_exponents(field_, Q, inst.A)
-    Pb = CyclicPolyMatrix.from_exponents(field_, Q, inst.B)
+    Pa = CyclicPolyMatrix.from_exponents(Q, inst.A)
+    Pb = CyclicPolyMatrix.from_exponents(Q, inst.B)
     prod = polymat_mul(Pa, Pb)
     na, nc = inst.C.shape
     rows = np.arange(na)[:, None]

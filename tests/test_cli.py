@@ -287,3 +287,25 @@ def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden, 
     code, diag = _main_diagnostic(capsys, *argv)
     assert code == 2
     assert reason in diag["reason"]
+
+
+def test_gen_broken_promise_is_a_diagnostic(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--kind", "verify-row", "--n", "4", "--entry-bound", "8", "--M", "150",
+            "--out", str(out)]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert "multiple of 100" in diag["error"]
+    assert diag["kind"] == "verify-row"
+    assert not out.exists()
+
+
+def test_stats_oracle_beyond_limit_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    cli.write_payload(path, cli.generate_instance("verify-row", 20, 64, seed=1,
+                                                  family="uniform-monotone"))
+    code, diag = _main_diagnostic(capsys, "stats", str(path), "--test-mode",
+                                  "--oracle-limit", "100")
+    assert code == 2
+    assert "too large for brute-force counting" in diag["error"]
+    assert diag["kind"] == "verify-row"

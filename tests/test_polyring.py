@@ -1,31 +1,31 @@
 import numpy as np
 import pytest
-from helpers import promised_conv, promised_matrix
+from helpers import bivariate_direct, cyclic_matmul_direct, promised_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minplus.convolution import compute_s_array
-from minplus.modulus import find_good_modulus
+from minplus import polyring
 from minplus.polyring import (
-    CyclicPoly,
     CyclicPolyMatrix,
-    PrimeField,
     _float_limit,
-    _float_route,
     bivariate_convolve,
-    coefficient,
-    cyclic_convolve,
     next_pow2,
     polymat_mul,
 )
 from minplus.product_col import compute_r_matrix
 from minplus.product_row import compute_s_matrix
 
-FIELD = PrimeField()
+
+def scalar_product(Q, u, v):
+    """Product of two ring elements as 1x1 matrices; returns the coefficients."""
+    one = lambda c: CyclicPolyMatrix(Q=Q, coeffs=np.asarray(c, dtype=np.int64).reshape(1, 1, Q))
+    return polymat_mul(one(u), one(v)).coeffs[0, 0]
 
 
-def poly(Q, coeffs):
-    return CyclicPoly(Q=Q, coeffs=np.asarray(coeffs, dtype=np.int64), field=FIELD)
+def monomial(Q, exp, coeff=1):
+    c = np.zeros(Q, dtype=np.int64)
+    c[exp % Q] = coeff
+    return c
 
 
 def test_next_pow2():
@@ -33,46 +33,39 @@ def test_next_pow2():
 
 
 def test_monomial_product_no_wrap():
-    u = CyclicPoly.monomial(FIELD, 5, 1)
-    v = CyclicPoly.monomial(FIELD, 5, 2)
-    assert cyclic_convolve(u, v) == CyclicPoly.monomial(FIELD, 5, 3)
+    assert np.array_equal(scalar_product(5, monomial(5, 1), monomial(5, 2)), monomial(5, 3))
 
 
 def test_monomial_product_wraps():
-    u = CyclicPoly.monomial(FIELD, 5, 3)
-    v = CyclicPoly.monomial(FIELD, 5, 4)
     # 3 + 4 = 7 = 2 mod 5
-    assert cyclic_convolve(u, v) == CyclicPoly.monomial(FIELD, 5, 2)
+    assert np.array_equal(scalar_product(5, monomial(5, 3), monomial(5, 4)), monomial(5, 2))
 
 
 def test_binomial_square():
-    u = poly(3, [1, 1, 0])
-    assert np.array_equal(cyclic_convolve(u, u).coeffs, [1, 2, 1])
+    assert np.array_equal(scalar_product(3, [1, 1, 0], [1, 1, 0]), [1, 2, 1])
 
 
 def test_order_one_ring():
-    u = poly(1, [6])
-    v = poly(1, [7])
-    assert cyclic_convolve(u, v).coeffs[0] == 42
+    assert scalar_product(1, [6], [7])[0] == 42
 
 
-def test_cyclic_convolve_matches_direct():
+def test_scalar_product_matches_direct():
     rng = np.random.default_rng(5)
     for Q in (2, 3, 7, 12, 31):
-        a = rng.integers(0, FIELD.p, Q)
-        b = rng.integers(0, FIELD.p, Q)
+        a = rng.integers(-(1 << 16), 1 << 16, Q)
+        b = rng.integers(-(1 << 16), 1 << 16, Q)
         direct = np.zeros(Q, dtype=object)
         for i in range(Q):
             for j in range(Q):
                 direct[(i + j) % Q] += int(a[i]) * int(b[j])
-        direct = (direct % FIELD.p).astype(np.int64)
-        got = cyclic_convolve(poly(Q, a), poly(Q, b)).coeffs
-        assert np.array_equal(got, direct)
+        assert scalar_product(Q, a, b).tolist() == direct.tolist()
 
 
 def test_mismatched_orders_rejected():
+    P = CyclicPolyMatrix(Q=3, coeffs=np.ones((1, 1, 3)))
+    R = CyclicPolyMatrix(Q=5, coeffs=np.ones((1, 1, 5)))
     with pytest.raises(ValueError):
-        cyclic_convolve(poly(3, [1, 0, 0]), poly(5, [1, 0, 0, 0, 0]))
+        polymat_mul(P, R)
 
 
 def test_monomial_matrix_product_is_minplus_count():
@@ -81,25 +74,22 @@ def test_monomial_matrix_product_is_minplus_count():
     Q = 7
     A = np.array([[1, 6], [0, 2]])
     B = np.array([[2, 3], [2, 5]])
-    Pm = CyclicPolyMatrix.from_exponents(FIELD, Q, A)
-    Qm = CyclicPolyMatrix.from_exponents(FIELD, Q, B)
-    C = polymat_mul(Pm, Qm)
+    C = polymat_mul(CyclicPolyMatrix.from_exponents(Q, A), CyclicPolyMatrix.from_exponents(Q, B))
     for i in range(2):
         for j in range(2):
             for r in range(Q):
                 expect = sum(1 for k in range(2) if (A[i, k] + B[k, j]) % Q == r)
-                assert coefficient(C, i, j, r) == expect
+                assert C.coeffs[i, j, r] == expect
 
 
 def test_identity_matrix():
     Q = 4
-    one = CyclicPoly.monomial(FIELD, Q, 0).coeffs
     ident = np.zeros((3, 3, Q), dtype=np.int64)
-    for i in range(3):
-        ident[i, i] = one
-    I = CyclicPolyMatrix(Q=Q, coeffs=ident, field=FIELD)
+    ident[np.arange(3), np.arange(3), 0] = 1
+    I = CyclicPolyMatrix(Q=Q, coeffs=ident)
     rng = np.random.default_rng(0)
-    M = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(0, FIELD.p, (3, 3, Q)), field=FIELD)
+    M = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(-(1 << 20), 1 << 20, (3, 3, Q)))
+    assert np.array_equal(cyclic_matmul_direct(ident, M.coeffs), M.coeffs)
     assert np.array_equal(polymat_mul(I, M).coeffs, M.coeffs)
     assert np.array_equal(polymat_mul(M, I).coeffs, M.coeffs)
 
@@ -111,31 +101,10 @@ def test_frequency_matches_schoolbook():
         k = int(rng.integers(1, 7))
         c = int(rng.integers(1, 7))
         Q = int(rng.integers(1, 33))
-        Pm = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(0, FIELD.p, (r, k, Q)), field=FIELD)
-        Qm = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(0, FIELD.p, (k, c, Q)), field=FIELD)
-        want = polymat_mul(Pm, Qm, method="schoolbook")
-        got = polymat_mul(Pm, Qm, method="frequency")
-        assert np.array_equal(got.coeffs, want.coeffs)
-
-
-def test_coefficient_range_check():
-    M = CyclicPolyMatrix.from_exponents(FIELD, 5, np.array([[3]]))
-    assert coefficient(M, 0, 0, 3) == 1
-    with pytest.raises(ValueError):
-        coefficient(M, 0, 0, 5)
-
-
-def _bivariate_direct(P, R, Q, p):
-    ny = P.shape[0] + R.shape[0] - 1
-    out = np.zeros((ny, Q), dtype=object)
-    for y1 in range(P.shape[0]):
-        for x1 in range(P.shape[1]):
-            if P[y1, x1] == 0:
-                continue
-            for y2 in range(R.shape[0]):
-                for x2 in range(R.shape[1]):
-                    out[y1 + y2, (x1 + x2) % Q] += int(P[y1, x1]) * int(R[y2, x2])
-    return (out % p).astype(np.int64)
+        P = rng.integers(-(1 << 12), 1 << 12, (r, k, Q))
+        R = rng.integers(-(1 << 12), 1 << 12, (k, c, Q))
+        got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+        assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))
 
 
 def test_bivariate_example():
@@ -147,7 +116,7 @@ def test_bivariate_example():
     R = np.zeros((2, Q), dtype=np.int64)
     R[0, 4] = 1
     R[1, 0] = 1
-    got = bivariate_convolve(FIELD, P, R, Q)
+    got = bivariate_convolve(P, R, Q)
     want = np.zeros((3, Q), dtype=np.int64)
     want[0, 0] = 1  # x * x^4 = x^5 = 1
     want[1, 1] = 2  # x*y + x^2*x^4*y = 2 x y  (x^6 = x)
@@ -161,27 +130,9 @@ def test_bivariate_matches_double_loop():
         Q = int(rng.integers(1, 20))
         ya = int(rng.integers(1, 9))
         yb = int(rng.integers(1, 9))
-        P = rng.integers(0, FIELD.p, (ya, Q))
-        R = rng.integers(0, FIELD.p, (yb, Q))
-        got = bivariate_convolve(FIELD, P, R, Q)
-        assert np.array_equal(got, _bivariate_direct(P, R, Q, FIELD.p))
-
-
-def test_alternate_prime_field():
-    f = PrimeField(469762049)
-    u = CyclicPoly(Q=4, coeffs=np.array([1, 2, 3, 4]), field=f)
-    v = CyclicPoly(Q=4, coeffs=np.array([4, 3, 2, 1]), field=f)
-    got = cyclic_convolve(u, v).coeffs
-    direct = np.zeros(4, dtype=np.int64)
-    for i in range(4):
-        for j in range(4):
-            direct[(i + j) % 4] += (i + 1) * (4 - j)
-    assert np.array_equal(got, direct % f.p)
-
-
-def test_non_prime_rejected():
-    with pytest.raises(ValueError):
-        PrimeField(100)
+        P = rng.integers(-(1 << 12), 1 << 12, (ya, Q))
+        R = rng.integers(-(1 << 12), 1 << 12, (yb, Q))
+        assert np.array_equal(bivariate_convolve(P, R, Q), bivariate_direct(P, R, Q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,8 +143,8 @@ def test_non_prime_rejected():
 def test_monomials_add_exponents(Q, data):
     a = data.draw(st.integers(min_value=0, max_value=4 * Q))
     b = data.draw(st.integers(min_value=0, max_value=4 * Q))
-    got = cyclic_convolve(CyclicPoly.monomial(FIELD, Q, a), CyclicPoly.monomial(FIELD, Q, b))
-    assert got == CyclicPoly.monomial(FIELD, Q, (a + b) % Q)
+    got = scalar_product(Q, monomial(Q, a), monomial(Q, b))
+    assert np.array_equal(got, monomial(Q, a + b))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,13 +153,13 @@ def test_monomials_add_exponents(Q, data):
     data=st.data(),
 )
 def test_convolution_commutes(Q, data):
-    coeffs = st.lists(st.integers(min_value=0, max_value=10**6), min_size=Q, max_size=Q)
-    u = poly(Q, data.draw(coeffs))
-    v = poly(Q, data.draw(coeffs))
-    assert cyclic_convolve(u, v) == cyclic_convolve(v, u)
+    coeffs = st.lists(st.integers(min_value=0, max_value=10**5), min_size=Q, max_size=Q)
+    u = data.draw(coeffs)
+    v = data.draw(coeffs)
+    assert np.array_equal(scalar_product(Q, u, v), scalar_product(Q, v, u))
 
 
-# --- float route: exact float FFT for small coefficients ------------------------
+# --- the float route: exact for every operand the solvers build ------------------
 
 PRIMES_TO_300 = [q for q in range(2, 301) if all(q % d for d in range(2, int(q**0.5) + 1))]
 RING_ORDERS = st.one_of(st.sampled_from([1, 143] + PRIMES_TO_300), st.integers(1, 300))
@@ -217,7 +168,7 @@ RING_ORDERS = st.one_of(st.sampled_from([1, 143] + PRIMES_TO_300), st.integers(1
 def _small_coeffs(rng, shape, Q, monomial):
     if monomial:
         exps = rng.integers(0, Q, shape[:2])
-        return CyclicPolyMatrix.from_exponents(FIELD, Q, exps).coeffs
+        return CyclicPolyMatrix.from_exponents(Q, exps).coeffs
     return rng.integers(0, 50, shape)
 
 
@@ -234,11 +185,10 @@ def _small_coeffs(rng, shape, Q, monomial):
 def test_float_route_matches_schoolbook(Q, dims, monomial, seed):
     rng = np.random.default_rng(seed)
     r, k, c = dims
-    Pm = CyclicPolyMatrix(Q=Q, coeffs=_small_coeffs(rng, (r, k, Q), Q, monomial), field=FIELD)
-    Qm = CyclicPolyMatrix(Q=Q, coeffs=_small_coeffs(rng, (k, c, Q), Q, monomial), field=FIELD)
-    assert _float_route(Pm.coeffs, Qm.coeffs, k * Q, _float_limit(k, Q))
-    want = polymat_mul(Pm, Qm, method="schoolbook")
-    assert np.array_equal(polymat_mul(Pm, Qm).coeffs, want.coeffs)
+    P = _small_coeffs(rng, (r, k, Q), Q, monomial)
+    R = _small_coeffs(rng, (k, c, Q), Q, monomial)
+    got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+    assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,91 +206,94 @@ def test_float_route_bivariate_matches_double_loop(Q, ya, yb, width, seed):
     qx = max(1, int(width * Q))  # operands may be narrower than Q
     P = rng.integers(0, 50, (ya, qx))
     R = rng.integers(0, 50, (yb, Q))
-    assert _float_route(P, R, max(ya, yb) * Q, _float_limit(1, ya + yb - 1, Q))
-    assert np.array_equal(bivariate_convolve(FIELD, P, R, Q), _bivariate_direct(P, R, Q, FIELD.p))
+    assert np.array_equal(bivariate_convolve(P, R, Q), bivariate_direct(P, R, Q))
 
 
 @pytest.fixture
-def ntt_calls(monkeypatch):
-    """Count PrimeField.ntt calls; the NTT route is the only caller."""
-    calls = []
-    ntt = PrimeField.ntt
+def blocks(monkeypatch):
+    """Record the shape of every rounded block product."""
+    shapes = []
+    rint = polyring._rint_exact
 
-    def counted(self, a, inverse=False):
-        calls.append(a.shape)
-        return ntt(self, a, inverse)
+    def counted(x):
+        shapes.append(x.shape)
+        return rint(x)
 
-    monkeypatch.setattr(PrimeField, "ntt", counted)
-    return calls
+    monkeypatch.setattr(polyring, "_rint_exact", counted)
+    return shapes
 
 
-def test_matrix_route_switches_exactly_at_the_limit(ntt_calls):
+def _at_limit(limit, terms):
+    """(ma, mb), powers of two with terms * ma * mb == limit."""
+    side = 1 << (((limit // terms).bit_length() - 1) // 2)
+    return side, limit // (terms * side)
+
+
+def test_matrix_product_exact_at_the_limit_refused_past_it(blocks):
     # Every coefficient at its maximum makes each product coefficient equal
-    # to terms * max(a) * max(b), the quantity the limit bounds.
+    # to terms * max(a) * max(b), the quantity the limit bounds. One inner
+    # column cannot be split further, so one past the limit is a refusal.
+    Q, inner = 8, 1
+    limit = _float_limit(inner, Q)
+    ma, mb = _at_limit(limit, inner * Q)
+    P = np.full((2, inner, Q), ma)
+    R = np.full((inner, 3, Q), -mb)
+    got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+    assert len(blocks) == 1
+    assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))
+    assert (got.coeffs == -limit).all()
+
+    P[1, 0, 5] += 1
+    with pytest.raises(ValueError, match="too large"):
+        polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+
+
+def test_matrix_product_past_the_limit_splits_the_inner_dimension(blocks):
     Q, inner = 8, 4
     limit = _float_limit(inner, Q)
-    side = 1 << (((limit // (inner * Q)).bit_length() - 1) // 2)
-    ma, mb = side, limit // (inner * Q * side)
-    assert inner * Q * ma * mb == limit and max(ma, mb) < FIELD.p
-    Pm = CyclicPolyMatrix(Q=Q, coeffs=np.full((2, inner, Q), ma), field=FIELD)
-    Qm = CyclicPolyMatrix(Q=Q, coeffs=np.full((inner, 3, Q), mb), field=FIELD)
-    got = polymat_mul(Pm, Qm)
-    assert ntt_calls == []
-    want = polymat_mul(Pm, Qm, method="schoolbook")
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert (got.coeffs == limit % FIELD.p).all()
+    ma, mb = _at_limit(limit, inner * Q)
+    P = np.full((2, inner, Q), ma)
+    R = np.full((inner, 3, Q), mb)
+    got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+    assert len(blocks) == 1
+    assert (got.coeffs == limit).all()
 
-    over = Pm.coeffs.copy()
-    over[1, 2, 5] += 1
-    Pm = CyclicPolyMatrix(Q=Q, coeffs=over, field=FIELD)
-    ntt_calls.clear()
-    got = polymat_mul(Pm, Qm)
-    assert ntt_calls  # one past the limit: the NTT route
-    assert np.array_equal(got.coeffs, polymat_mul(Pm, Qm, method="schoolbook").coeffs)
+    P[1, 2, 5] += 1
+    blocks.clear()
+    got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+    assert len(blocks) > 1  # one past the limit: split, still exact
+    assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))
 
 
-def test_bivariate_route_switches_exactly_at_the_limit(ntt_calls):
+def test_bivariate_exact_at_the_limit_refused_past_it():
     Q, ya, yb = 8, 4, 2
     limit = _float_limit(1, ya + yb - 1, Q)
-    terms = max(ya, yb) * Q
-    side = 1 << (((limit // terms).bit_length() - 1) // 2)
-    mp, mr = side, limit // (terms * side)
-    assert terms * mp * mr == limit and max(mp, mr) < FIELD.p
+    mp, mr = _at_limit(limit, max(ya, yb) * Q)
     P = np.full((ya, Q), mp)
     R = np.full((yb, Q), mr)
-    got = bivariate_convolve(FIELD, P, R, Q)
-    assert ntt_calls == []
-    assert np.array_equal(got, _bivariate_direct(P, R, Q, FIELD.p))
+    assert np.array_equal(bivariate_convolve(P, R, Q), bivariate_direct(P, R, Q))
 
     P[0, 3] += 1
-    got = bivariate_convolve(FIELD, P, R, Q)
-    assert ntt_calls  # one past the limit: the NTT route
-    assert np.array_equal(got, _bivariate_direct(P, R, Q, FIELD.p))
+    with pytest.raises(ValueError, match="too large"):
+        bivariate_convolve(P, R, Q)
 
 
-def test_counting_never_reaches_the_ntt(monkeypatch):
-    # Counting operands are 0/1 monomials; a slide back onto the NTT route
-    # must not pass unnoticed.
-    def refuse(self, a, inverse=False):
-        raise AssertionError("counting reached the NTT")
-
-    monkeypatch.setattr(PrimeField, "ntt", refuse)
+def test_block_split_matches_oracle(monkeypatch, blocks):
+    # A limit of 3Q admits three 0/1 monomial columns per block, so inner
+    # dimension 10 runs as blocks of 3, 3, 3 and 1.
+    monkeypatch.setattr(polyring, "_float_limit", lambda n_sum, *lengths: 3 * lengths[-1])
     rng = np.random.default_rng(31)
     Q = 143
     for variant, count in (("row", compute_s_matrix), ("col", compute_r_matrix)):
-        inst = promised_matrix(rng, 5, 6, 4, variant=variant)
+        inst = promised_matrix(rng, 5, 10, 10, variant=variant)
         A, B, C = inst.A, inst.B, inst.C
         congruent = (A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0
         want = congruent.sum(axis=1) if variant == "row" else congruent.sum(axis=2)
+        blocks.clear()
         assert np.array_equal(count(inst, Q), want)
-    inst = promised_conv(rng, 9)
-    a, b, c = inst.A.values, inst.B.values, inst.C.values
-    want = np.zeros(len(c), dtype=np.int64)
-    for i in range(len(a)):
-        want[i : i + len(b)] += (a[i] + b - c[i : i + len(b)]) % Q == 0
-    assert np.array_equal(compute_s_array(inst, Q), want)
-    for inst in (promised_matrix(rng, 4, 4, 4), promised_conv(rng, 6)):
-        ring = find_good_modulus(inst, 100, R=16, y_method="ring")[1]
-        plain = find_good_modulus(inst, 100, R=16, y_method="counting")[1]
-        assert ring.primes == plain.primes
-        assert [s.table.Y.tolist() for s in ring.steps] == [s.table.Y.tolist() for s in plain.steps]
+        assert len(blocks) == 4
+    P = rng.integers(0, 2, (3, 10, Q))
+    R = np.zeros((10, 2, Q), dtype=np.int64)
+    R[:, :, 0] = 1
+    got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
+    assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))

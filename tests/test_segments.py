@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus import segments
+from minplus.core import magnitude_sum, validate_instance
 from minplus.product_row import M_MAX
 from minplus.segments import (
     active_level0_bounds,
@@ -469,56 +470,80 @@ def test_sprime_property(na, nc, data):
 
 # --- large entries and moduli: either side of each integer dtype limit -------
 
-# |A|max + |B|max + |C|max one step either side of the int8, int16 and int32
-# limits.
-LAYOUT_TOTALS = (127, 128, 32767, 32768, 2**31 - 1, 2**31)
+# |A|max + |B|max + |C|max either side of the int8, int16 and int32 limits, as
+# close as promised entries reach: three residues of at most M/10 sum to a
+# residue of at most 3M/10.
+LAYOUT_EDGES = (127, 32767, 2**31 - 1)
 LAYOUT_MODULI = (101, 143, 40000, 65537, 2**31 - 1)
 
 
-def split_total(draw, total):
-    ta = draw(st.integers(0, total))
-    tb = draw(st.integers(0, total - ta))
-    return ta, tb, total - ta - tb
+def promised_totals(edge, M):
+    """The largest promised total at most edge and the smallest above it."""
+    top = 3 * (M // 10)
+    h, r = divmod(edge, M)
+    below = edge if r <= top else h * M + top
+    h, r = divmod(edge + 1, M)
+    above = edge + 1 if r <= top else (h + 1) * M
+    return below, above
 
 
-def near_congruent(rng, sums, top, Q):
-    """sum - r*Q - s for r in {0, 1, 2} and |s| <= 4, clipped into [0, top]:
-    starts whose delta is congruent to, or in the window of, 0 mod Q."""
+def split_total(draw, total, M):
+    """Three promised maxima (residues at most M/10) that sum to total."""
+    h, r = divmod(total, M)
+    w = M // 10
+    ra = draw(st.integers(max(0, r - 2 * w), min(w, r)))
+    rb = draw(st.integers(max(0, r - ra - w), min(w, r - ra)))
+    ha = draw(st.integers(0, h))
+    hb = draw(st.integers(0, h - ha))
+    return ha * M + ra, hb * M + rb, (h - ha - hb) * M + r - ra - rb
+
+
+def promised(v, M):
+    """The largest value at most v whose residue mod M is at most M/10."""
+    return v - np.maximum(0, v % M - M // 10)
+
+
+def near_congruent(rng, sums, top, Q, M):
+    """sum - r*Q - s for r in {0, 1, 2} and |s| <= 4, clipped into [0, top]
+    and cut down to a promised value: starts whose delta is congruent to, or
+    in the window of, 0 mod Q, up to the cut."""
     shifted = sums - Q * rng.integers(0, 3, sums.shape) - rng.integers(-4, 5, sums.shape)
-    return np.clip(shifted, 0, top)
+    return promised(np.clip(shifted, 0, top), M)
 
 
 def threshold_matrix(rng, shape, tops, Q, M):
     (na, nb, nc), (ta, tb, tc) = shape, tops
-    A = rng.integers(0, ta + 1, (na, nb))
-    B = np.sort(rng.integers(0, tb + 1, (nb, nc)), axis=1)
+    A = promised(rng.integers(0, ta + 1, (na, nb)), M)
+    B = np.sort(promised(rng.integers(0, tb + 1, (nb, nc)), M), axis=1)
     A[0, 0], B[:, -1] = ta, tb
     k = rng.integers(0, nb, (na, nc))
-    C = near_congruent(rng, A[np.arange(na)[:, None], k] + B[k, np.arange(nc)[None, :]], tc, Q)
-    C[0, 0] = tc
+    C = near_congruent(rng, A[np.arange(na)[:, None], k] + B[k, np.arange(nc)[None, :]], tc, Q, M)
+    C = np.sort(C, axis=1)
+    C[0, -1] = tc
     return minst(A, B, C, M=M)
 
 
 def threshold_conv(rng, n, tops, Q, M):
     ta, tb, tc = tops
-    a = np.sort(rng.integers(0, ta + 1, n))
-    b = np.sort(rng.integers(0, tb + 1, n))
+    a = np.sort(promised(rng.integers(0, ta + 1, n), M))
+    b = np.sort(promised(rng.integers(0, tb + 1, n), M))
     a[-1], b[-1] = ta, tb
     t = np.arange(2 * n - 1)
     i = np.clip(t - rng.integers(0, n, 2 * n - 1), np.maximum(0, t - (n - 1)), np.minimum(n - 1, t))
-    c = near_congruent(rng, a[i] + b[t - i], tc, Q)
+    c = near_congruent(rng, a[i] + b[t - i], tc, Q, M)
     c[0] = tc
     return cinst(a, b, c, M=M)
 
 
 @st.composite
 def layout_case(draw):
-    total = draw(st.sampled_from(LAYOUT_TOTALS))
-    M = draw(st.sampled_from((100, M_MAX))) if total > M_MAX else 100
+    edge = draw(st.sampled_from(LAYOUT_EDGES))
+    M = draw(st.sampled_from((100, M_MAX))) if edge > M_MAX else 100
+    total = draw(st.sampled_from(promised_totals(edge, M)))
     Q = draw(st.sampled_from(LAYOUT_MODULI))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
-    return split_total(draw, total), M, Q, rng, shape
+    return split_total(draw, total, M), M, Q, rng, shape
 
 
 def start_deltas_oracle(inst, level, conv):
@@ -573,6 +598,7 @@ def assert_layout_matches_oracles(inst, layout, Q, conv):
 def test_matrix_layout_exact_across_dtype_thresholds(case):
     tops, M, Q, rng, shape = case
     inst = threshold_matrix(rng, shape, tops, Q, M)
+    assert validate_instance(inst).ok and sum(tops) == magnitude_sum(inst.A, inst.B, inst.C)
     layout = matrix_layout(inst)
     assert_layout_matches_oracles(inst, layout, Q, conv=False)
 
@@ -582,6 +608,8 @@ def test_matrix_layout_exact_across_dtype_thresholds(case):
 def test_conv_layout_exact_across_dtype_thresholds(case):
     tops, M, Q, rng, (n, _, _) = case
     inst = threshold_conv(rng, n + 1, tops, Q, M)
+    assert validate_instance(inst).ok
+    assert sum(tops) == magnitude_sum(inst.A.values, inst.B.values, inst.C.values)
     layout = conv_layout(inst)
     assert_layout_matches_oracles(inst, layout, Q, conv=True)
 
