@@ -40,7 +40,7 @@ from .core import (
     validate_promises,
 )
 from .modulus import find_good_modulus
-from .polyring import bivariate_convolve
+from .polyring import count_congruent_conv
 from .product_row import M_MAX, M_MIN
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
@@ -84,18 +84,14 @@ def _shift_instance_conv(
 def compute_s_array(inst: ConvVerificationInstance, Q: int) -> np.ndarray:
     """Count, per output slot k, the pairs i + j = k with A_i + B_j = C_k (mod Q).
 
-    P_A = sum_i x^(A_i mod Q) y^i and likewise P_B; the product is cyclic in
-    x and ordinary in y, so the y^k stripe of P_A * P_B indexes output slots
-    and the x^(C_k mod Q) coefficient is the congruent-pair count.
+    P_A = sum_i x^A_i y^i and likewise P_B; the product is cyclic in x and
+    ordinary in y, so the y^k stripe of P_A * P_B indexes output slots and
+    its x^C_k coefficient is the congruent-pair count.
+    ``polyring.count_congruent_conv`` reads that one coefficient per slot
+    from the gathered spectra, with no coefficient array and no transform
+    along x.
     """
-    a, b, c = inst.A.values, inst.B.values, inst.C.values
-    n = a.shape[0]
-    Pa = np.zeros((n, Q), dtype=np.int64)
-    Pa[np.arange(n), a % Q] = 1
-    Pb = np.zeros((n, Q), dtype=np.int64)
-    Pb[np.arange(n), b % Q] = 1
-    prod = bivariate_convolve(Pa, Pb, Q)
-    return prod[np.arange(2 * n - 1), c % Q]
+    return count_congruent_conv(inst.A.values, inst.B.values, inst.C.values, Q)
 
 
 def solve_verification_conv(

@@ -49,7 +49,7 @@ from .core import (
     validate_promises,
 )
 from .modulus import find_good_modulus
-from .polyring import CyclicPolyMatrix, polymat_mul
+from .polyring import count_congruent
 from .product_row import choose_M, normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
 from .shifting import congruent_witness_scan, settle_by_halving
@@ -96,18 +96,12 @@ def rotate_to_problem2prime(
 def compute_r_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
     """Count, for each (i, k), the j with A[i,k] + B[k,j] = C[i,j] (mod Q).
 
-    Same polynomial trick as the per-cell count in the row module, with the
-    roles rotated: the product of x^(-C) (na x nc) and x^(B^T) (nc x nb)
-    collects, per (i, k), one term x^(B[k,j]-C[i,j]) for every j, and the
-    congruent j are read off at exponent -A[i,k].
+    The per-cell count of the row module with the roles rotated: the
+    product of x^(-C) (na x nc) and x^(B^T) (nc x nb) collects, per (i, k),
+    one term x^(B[k,j]-C[i,j]) for every j, and ``polyring.count_congruent``
+    reads the congruent j off at exponent -A[i,k].
     """
-    Pc = CyclicPolyMatrix.from_exponents(Q, -inst.C)
-    Pbt = CyclicPolyMatrix.from_exponents(Q, inst.B.T)
-    prod = polymat_mul(Pc, Pbt)
-    na, nb = inst.A.shape
-    rows = np.arange(na)[:, None]
-    cols = np.arange(nb)[None, :]
-    return prod.coeffs[rows, cols, (-inst.A) % Q]
+    return count_congruent(-inst.C, inst.B.T, -inst.A, Q)
 
 
 def solve_verification_col(

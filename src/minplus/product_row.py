@@ -51,7 +51,7 @@ from .core import (
     validate_promises,
 )
 from .modulus import find_good_modulus
-from .polyring import CyclicPolyMatrix, polymat_mul
+from .polyring import count_congruent
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
     class_pair_sweep,
@@ -120,16 +120,12 @@ def _shift_instance(
 def compute_s_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
     """Count, for each cell, the k with A[i,k] + B[k,j] = C[i,j] (mod Q).
 
-    Exponent-encoded polynomial matrices over the integers turn the count
-    into one coefficient of an exact cyclic-polynomial product.
+    The count is the coefficient at x^C[i,j] of the product of the monomial
+    matrices x^A and x^B over Z[x]/(x^Q - 1); ``polyring.count_congruent``
+    reads that one coefficient per cell from the gathered spectra, with no
+    coefficient array and no transform along x.
     """
-    Pa = CyclicPolyMatrix.from_exponents(Q, inst.A)
-    Pb = CyclicPolyMatrix.from_exponents(Q, inst.B)
-    prod = polymat_mul(Pa, Pb)
-    na, nc = inst.C.shape
-    rows = np.arange(na)[:, None]
-    cols = np.arange(nc)[None, :]
-    return prod.coeffs[rows, cols, inst.C % Q]
+    return count_congruent(inst.A, inst.B, inst.C, Q)
 
 
 def solve_verification_row(

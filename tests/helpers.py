@@ -1,4 +1,6 @@
-"""Instance builders shared by the test modules."""
+"""Instance builders and oracles shared by the test modules."""
+import tracemalloc
+
 import numpy as np
 
 from minplus.convolution import _shift_instance_conv, choose_M_conv
@@ -152,3 +154,33 @@ def bivariate_direct(P, R, Q):
     for y1, x1 in zip(*np.nonzero(P)):
         out[y1 : y1 + R.shape[0]] += P[y1, x1] * np.roll(Rq, x1, axis=1)
     return out
+
+
+def congruence_count_direct(A, B, C, Q):
+    """#{k : A[i,k] + B[k,j] = C[i,j] (mod Q)} per cell by testing every
+    triple in Python integers, the oracle for polyring.count_congruent."""
+    A, B, C = (np.asarray(x, dtype=object) for x in (A, B, C))
+    out = np.zeros(C.shape, dtype=np.int64)
+    for i, j in np.ndindex(*C.shape):
+        out[i, j] = sum((A[i, k] + B[k, j] - C[i, j]) % Q == 0 for k in range(A.shape[1]))
+    return out
+
+
+def congruence_count_conv_direct(a, b, c, Q):
+    """#{(i, j) : i + j = k, a_i + b_j = c_k (mod Q)} per slot by testing every
+    pair in Python integers, the oracle for polyring.count_congruent_conv."""
+    out = np.zeros(len(c), dtype=np.int64)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += (int(x) + int(y) - int(c[i + j])) % Q == 0
+    return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc sees allocated during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

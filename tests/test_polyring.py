@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
-from helpers import bivariate_direct, cyclic_matmul_direct, promised_matrix
+from helpers import (
+    bivariate_direct,
+    congruence_count_conv_direct,
+    congruence_count_direct,
+    cyclic_matmul_direct,
+    promised_conv,
+    promised_matrix,
+    traced_peak,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minplus import polyring
+from minplus.convolution import compute_s_array
+from minplus.core import PromiseViolationError
 from minplus.polyring import (
     CyclicPolyMatrix,
+    _conv_count_limit,
     _float_limit,
+    _matrix_count_limit,
     bivariate_convolve,
+    count_congruent,
+    count_congruent_conv,
     next_pow2,
     polymat_mul,
 )
@@ -280,7 +294,10 @@ def test_bivariate_exact_at_the_limit_refused_past_it():
 
 def test_block_split_matches_oracle(monkeypatch, blocks):
     # A limit of 3Q admits three 0/1 monomial columns per block, so inner
-    # dimension 10 runs as blocks of 3, 3, 3 and 1.
+    # dimension 10 runs as blocks of 3, 3, 3 and 1. The counting solvers read
+    # their counts from gathered spectra and never reach polymat_mul, so they
+    # are checked against the direct congruence count, and the split runs on
+    # polymat_mul with their monomial operands.
     monkeypatch.setattr(polyring, "_float_limit", lambda n_sum, *lengths: 3 * lengths[-1])
     rng = np.random.default_rng(31)
     Q = 143
@@ -291,9 +308,196 @@ def test_block_split_matches_oracle(monkeypatch, blocks):
         want = congruent.sum(axis=1) if variant == "row" else congruent.sum(axis=2)
         blocks.clear()
         assert np.array_equal(count(inst, Q), want)
+        assert len(blocks) == 1  # one exact read, no block products
+
+        left, right, at = (A, B, C) if variant == "row" else (-C, B.T, -A)
+        P = CyclicPolyMatrix.from_exponents(Q, left).coeffs
+        R = CyclicPolyMatrix.from_exponents(Q, right).coeffs
+        blocks.clear()
+        got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R)).coeffs
         assert len(blocks) == 4
+        assert np.array_equal(got, cyclic_matmul_direct(P, R))
+        rows, cols = np.indices(at.shape)
+        assert np.array_equal(got[rows, cols, at % Q], want)
     P = rng.integers(0, 2, (3, 10, Q))
     R = np.zeros((10, 2, Q), dtype=np.int64)
     R[:, :, 0] = 1
     got = polymat_mul(CyclicPolyMatrix(Q=Q, coeffs=P), CyclicPolyMatrix(Q=Q, coeffs=R))
     assert np.array_equal(got.coeffs, cyclic_matmul_direct(P, R))
+
+
+def test_ring_operands_refuse_non_integral_coefficients():
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        CyclicPolyMatrix(Q=2, coeffs=np.array([[[0.5, 1.7]]]))
+    assert CyclicPolyMatrix(Q=2, coeffs=np.array([[[2.0, 1.0]]])).coeffs.tolist() == [[[2, 1]]]
+
+
+def test_bivariate_refuses_non_integral_coefficients():
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        bivariate_convolve([[0.5, 1.0]], [[1, 0]], 2)
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        bivariate_convolve([[1, 0]], [[np.nan, 1.0]], 2)
+    assert bivariate_convolve([[2.0, 1.0]], [[1, 0]], 2).tolist() == [[2, 1]]
+
+
+# --- congruence counts read from gathered monomial spectra -----------------------
+
+# Q = 1, Q = 2, an even composite (its Nyquist frequency has weight 1), an odd
+# prime and a product of two pool primes.
+COUNT_ORDERS = (1, 2, 12, 13, 143)
+# Exponents of either sign, far beyond Q.
+BIG = 1 << 60
+
+
+@pytest.mark.parametrize("Q", COUNT_ORDERS)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 5, 2), (1, 7, 4), (4, 1, 6), (2, 0, 3)])
+def test_count_congruent_matches_direct(Q, dims):
+    r, k, c = dims
+    rng = np.random.default_rng(Q * 100 + r * 10 + k)
+    A = rng.integers(-BIG, BIG, (r, k))
+    B = rng.integers(-3 * Q, 3 * Q, (k, c))
+    C = rng.integers(-BIG, BIG, (r, c))
+    # plant congruences so that counts above 1 occur
+    C[:, 0] = A[:, 0] + B[0, 0] + Q * 5 if k else C[:, 0]
+    assert np.array_equal(count_congruent(A, B, C, Q), congruence_count_direct(A, B, C, Q))
+    assert np.array_equal(count_congruent(B.T, A.T, C.T, Q), congruence_count_direct(A, B, C, Q).T)
+
+
+@pytest.mark.parametrize("Q", COUNT_ORDERS)
+@pytest.mark.parametrize("lengths", [(1, 1), (1, 6), (7, 3), (5, 5), (2, 9)])
+def test_count_congruent_conv_matches_direct(Q, lengths):
+    na, nb = lengths
+    rng = np.random.default_rng(Q * 100 + na * 10 + nb)
+    a = rng.integers(-BIG, BIG, na)
+    b = rng.integers(-3 * Q, 3 * Q, nb)
+    c = rng.integers(-BIG, BIG, na + nb - 1)
+    c[: min(na, nb)] = a[: min(na, nb)] + b[0] - Q  # plant congruences
+    assert np.array_equal(count_congruent_conv(a, b, c, Q), congruence_count_conv_direct(a, b, c, Q))
+    assert np.array_equal(count_congruent_conv(b, a, c, Q), congruence_count_conv_direct(b, a, c, Q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    Q=RING_ORDERS,
+    dims=st.tuples(st.integers(1, 6), st.integers(0, 8), st.integers(1, 6)),
+    lengths=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(Q=1, dims=(2, 3, 2), lengths=(1, 5), seed=0)
+@example(Q=286, dims=(6, 8, 6), lengths=(12, 3), seed=1)
+def test_counts_match_direct_at_any_order(Q, dims, lengths, seed):
+    rng = np.random.default_rng(seed)
+    r, k, c = dims
+    # exponents from a few residues, so that many cells count several witnesses
+    pick = lambda shape: rng.integers(0, 4, shape) * rng.integers(1, Q + 1) + rng.integers(-2, 3, shape)
+    A, B, C = pick((r, k)), pick((k, c)), pick((r, c))
+    assert np.array_equal(count_congruent(A, B, C, Q), congruence_count_direct(A, B, C, Q))
+    na, nb = lengths
+    a, b, cc = pick(na), pick(nb), pick(na + nb - 1)
+    assert np.array_equal(count_congruent_conv(a, b, cc, Q), congruence_count_conv_direct(a, b, cc, Q))
+
+
+def test_matrix_count_exact_at_the_limit_refused_past_it(monkeypatch, blocks):
+    # Every cell counts every k, the largest count the limit bounds.
+    monkeypatch.setattr(polyring, "_matrix_count_limit", lambda inner, Q: 4)
+    Q = 12
+    for inner in (4, 5):
+        A = np.full((2, inner), 7)
+        B = np.full((inner, 3), -3)
+        C = np.full((2, 3), 4 + Q)
+        if inner == 4:
+            assert (count_congruent(A, B, C, Q) == 4).all()
+            assert len(blocks) == 1
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                count_congruent(A, B, C, Q)
+
+
+def test_conv_count_exact_at_the_limit_refused_past_it(monkeypatch):
+    seen = []
+
+    def limit(length, Q):
+        seen.append(length)
+        return 6
+
+    monkeypatch.setattr(polyring, "_conv_count_limit", limit)
+    Q = 13
+    for na, nb in ((6, 2), (2, 6), (7, 2), (2, 7)):
+        a, b, c = np.full(na, 5), np.full(nb, 9), np.full(na + nb - 1, 1)
+        if max(na, nb) == 6:
+            assert np.array_equal(count_congruent_conv(a, b, c, Q), congruence_count_conv_direct(a, b, c, Q))
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                count_congruent_conv(a, b, c, Q)
+    assert seen == [8, 8, 8, 8]  # the FFT length the bound is taken at
+
+
+def test_count_limits_bind_only_beyond_memory():
+    # 2^20 inner terms over 2^19 + 1 frequencies would need 2^40 complex
+    # spectrum values per operand row; both limits still admit them.
+    assert _matrix_count_limit(1 << 20, 1 << 20) >= 1 << 20
+    assert _conv_count_limit(1 << 22, 1 << 20) >= 1 << 21
+
+
+def test_counts_refuse_bad_operands():
+    with pytest.raises(ValueError, match="matrix product"):
+        count_congruent(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), 5)
+    with pytest.raises(ValueError, match="matrix product"):
+        count_congruent(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros((2, 3)), 5)
+    with pytest.raises(ValueError, match="convolution"):
+        count_congruent_conv(np.zeros(3), np.zeros(2), np.zeros(3), 5)
+    with pytest.raises(ValueError, match="convolution"):
+        count_congruent_conv(np.zeros(0), np.zeros(2), np.zeros(1), 5)
+    with pytest.raises(ValueError, match="ring order"):
+        count_congruent(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0)
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        count_congruent(np.full((1, 1), 0.5), np.zeros((1, 1)), np.zeros((1, 1)), 5)
+    with pytest.raises(PromiseViolationError, match="not an integer"):
+        count_congruent_conv(np.zeros(2), np.zeros(2), np.full(3, 1.5), 5)
+
+
+def test_counting_solvers_build_no_ring_product(monkeypatch):
+    """compute_s_matrix, compute_r_matrix and compute_s_array gather their
+    spectra: no ring product and no real transform along x runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counting route ran a ring product or a transform along x")
+
+    for name in ("polymat_mul", "bivariate_convolve"):
+        monkeypatch.setattr(polyring, name, forbidden)
+    for name in ("rfft", "irfft", "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    rng = np.random.default_rng(4)
+    Q = 143
+    for variant, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
+        inst = promised_matrix(rng, 6, 9, 7, variant=variant)
+        A, B, C = inst.A, inst.B, inst.C
+        want = ((A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0).sum(axis=axis)
+        assert np.array_equal(count(inst, Q), want)
+    inst = promised_conv(rng, 11)
+    a, b, c = inst.A.values, inst.B.values, inst.C.values
+    assert np.array_equal(compute_s_array(inst, Q), congruence_count_conv_direct(a, b, c, Q))
+
+
+def test_matrix_count_memory_bounded_by_spectra():
+    """compute_s_matrix at n=64 holds at most the two operand spectra and
+    their product, F n^2 complex values each (F = Q//2 + 1), besides the
+    residue table (at most F Q values) and the n x n index arrays: no
+    n x n x Q coefficient array is formed."""
+    n, Q = 64, 143
+    inst = promised_matrix(np.random.default_rng(2), n, n, n, hi=50)
+    F = Q // 2 + 1
+    peak = traced_peak(compute_s_matrix, inst, Q)
+    assert peak <= 3 * F * n * n * 16 + F * Q * 16 + 8 * n * n * 8
+
+
+def test_conv_count_memory_bounded_by_spectra():
+    """compute_s_array at n=1024 holds at most two spectra of F x L complex
+    values (L = next_pow2(2n - 1), the FFT length along the positions), an
+    operand spectrum of F x n and the residue table: under 3 F L complex
+    values."""
+    n, Q = 1024, 143
+    inst = promised_conv(np.random.default_rng(2), n, hi=50)
+    F, L = Q // 2 + 1, next_pow2(2 * n - 1)
+    peak = traced_peak(compute_s_array, inst, Q)
+    assert peak <= 3 * F * L * 16

@@ -2,11 +2,9 @@
 literal three-condition rule in int64, across the dtype thresholds, moduli
 and block sizes, with their memory bounded by blocks; and the halving
 recursion the drivers share, on fake per-level witnesses."""
-import tracemalloc
-
 import numpy as np
 import pytest
-from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst
+from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,15 +168,6 @@ def test_scans_unchanged_by_many_blocks(monkeypatch, block):
         assert np.array_equal(want, fused_scan_int64_oracle(A, B, C, 100, 113, ax))
     assert np.array_equal(congruent_witness_scan_conv(a, b, c), whole_conv)
     assert np.array_equal(whole_conv, fused_scan_conv_int64_oracle(a, b, c, 100, 113))
-
-
-def traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("query_axis", ["ij", "ik"])
