@@ -11,14 +11,11 @@ quantity the argument actually controls is X_l = Y_l - Z_l where Z_l counts
 the starts with delta inside the window exactly; Z_l does not depend on Q,
 so minimising Y minimises X. The search stops at the first Q >= M.
 
-Two interchangeable Y backends exist. The counting backend evaluates the
-sum directly from the per-level multisets of start discrepancies
-(segments.level_start_deltas), one W lookup per bin of starts that share a
-delta and a depth, so a prime costs O(bins), not O(starts).
-The ring backend follows the polynomial-matrix formulation (boundary
-indicator matrices, exact integer products in Z[x]/(x^Q' - 1)) and is
-cross-checked against the counting backend in the tests; it is the
-reference definition of compute_Y_all_matrix / compute_Y_all_conv.
+Y is evaluated directly from the per-level multisets of start
+discrepancies (segments.level_start_deltas), one W lookup per bin of starts
+that share a delta and a depth, so a prime costs O(bins), not O(starts).
+The enumerations count_X_bruteforce and count_Z_bruteforce are its
+independent references, through the identity X = Y - Z.
 """
 from __future__ import annotations
 
@@ -29,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvVerificationInstance
-from .polyring import CyclicPolyMatrix, bivariate_convolve, polymat_mul
 from .segments import (
     StartDeltas,
     conv_layout,
-    level_breaks,
     level_start_deltas,
     levelmax_for,
     matrix_layout,
@@ -46,8 +41,6 @@ __all__ = [
     "ModulusReport",
     "primes_in_range",
     "compute_W",
-    "compute_Y_all_matrix",
-    "compute_Y_all_conv",
     "select_prime",
     "find_good_modulus",
     "count_X_bruteforce",
@@ -115,66 +108,6 @@ class YTable:
         return self.Y.min(axis=1)
 
 
-def compute_Y_all_matrix(inst, Q_prev: int, pool: PrimePool, lmax: int) -> YTable:
-    """Ring-backend Y table: one polynomial transform per candidate Q'."""
-    A, B, C = inst.A, inst.B, inst.C
-    na, nc = C.shape
-    cols = []
-    for p in pool.primes:
-        Qp = Q_prev * p
-        Ap = CyclicPolyMatrix.from_exponents(Qp, A)
-        Bp = CyclicPolyMatrix.from_exponents(Qp, B)
-        D_all = polymat_mul(Ap, Bp).coeffs
-        shift = (np.arange(Qp)[None, :] - C.reshape(-1, 1)) % Qp
-        col = []
-        for level in range(lmax + 1):
-            IB = level_breaks(B, level)
-            IC = level_breaks(C, level)
-            B_bdry = CyclicPolyMatrix(Q=Qp, coeffs=Bp.coeffs * IB[:, :, None])
-            D_bdry = polymat_mul(Ap, B_bdry).coeffs
-            U = np.where(IC[:, :, None], D_all, D_bdry).reshape(na * nc, Qp)
-            Wt = compute_W(level, Qp)
-            col.append(int((U * Wt[shift]).sum()))
-        cols.append(col)
-    return YTable(primes=pool.primes, Y=np.array(cols, dtype=np.int64).T)
-
-
-def compute_Y_all_conv(inst: ConvVerificationInstance, Q_prev: int, pool: PrimePool,
-                       lmax: int) -> YTable:
-    """Ring-backend Y table for diagonals, via bivariate products.
-
-    A start of diagonal k at i is where the A block begins at i or the B
-    block seen along the diagonal begins, i.e. k-i is the last index of a
-    B block. Position 0 of A and position n-1 of B are forced so the
-    diagonal endpoints count as starts. The OR of the two indicators is
-    assembled by inclusion-exclusion over three products.
-    """
-    a, b, c = inst.A.values, inst.B.values, inst.C.values
-    cols = []
-    for p in pool.primes:
-        Qp = Q_prev * p
-        PA = np.zeros((len(a), Qp), dtype=np.int64)
-        PA[np.arange(len(a)), a % Qp] = 1
-        PB = np.zeros((len(b), Qp), dtype=np.int64)
-        PB[np.arange(len(b)), b % Qp] = 1
-        shift = (np.arange(Qp)[None, :] - c.reshape(-1, 1)) % Qp
-        col = []
-        for level in range(lmax + 1):
-            IA = level_breaks(a, level)
-            fB = b >> level
-            JB = np.ones(len(b), dtype=bool)
-            if len(b) > 1:
-                JB[:-1] = fB[1:] != fB[:-1]
-            c1 = bivariate_convolve(PA * IA[:, None], PB, Qp)
-            c2 = bivariate_convolve(PA, PB * JB[:, None], Qp)
-            c3 = bivariate_convolve(PA * IA[:, None], PB * JB[:, None], Qp)
-            counts = c1 + c2 - c3
-            Wt = compute_W(level, Qp)
-            col.append(int((counts * Wt[shift]).sum()))
-        cols.append(col)
-    return YTable(primes=pool.primes, Y=np.array(cols, dtype=np.int64).T)
-
-
 def select_prime(table: YTable, pool: PrimePool) -> int:
     """Argmin of Phi(p) = max_l (Y_l(p) - Y*_l); ties go to the smallest prime."""
     if table.primes != pool.primes:
@@ -213,7 +146,6 @@ class ModulusReport:
     audit_bounds: tuple
     audit_ok: bool
     slack: float
-    y_method: str
 
     def __post_init__(self):
         q = 1
@@ -241,7 +173,6 @@ class ModulusReport:
             "audit_bounds": list(self.audit_bounds),
             "audit_ok": self.audit_ok,
             "slack": self.slack,
-            "y_method": self.y_method,
         }
 
 
@@ -285,8 +216,7 @@ def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
     return counts, slack * groups * U / Q
 
 
-def find_good_modulus(inst, M: int, R: int | None = None,
-                      y_method: str = "counting", slack: float | None = None,
+def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = None,
                       test_mode: bool = False):
     """Grow Q = p_1 * ... * p_T until the first crossing of M.
 
@@ -314,14 +244,7 @@ def find_good_modulus(inst, M: int, R: int | None = None,
     Q = 1
     primes, q_values, steps = [], [], []
     while Q < M:
-        if y_method == "counting":
-            table = _counting_columns(deltas, Q, pool)
-        elif y_method == "ring":
-            conv = isinstance(inst, ConvVerificationInstance)
-            compute = compute_Y_all_conv if conv else compute_Y_all_matrix
-            table = compute(inst, Q, pool, lmax)
-        else:
-            raise ValueError(f"unknown y_method {y_method!r}")
+        table = _counting_columns(deltas, Q, pool)
         phi = tuple(int(v) for v in (table.Y - table.ystar[:, None]).max(axis=0))
         p = select_prime(table, pool)
         steps.append(SearchStep(Q_prev=Q, table=table, phi=phi, chosen=p))
@@ -354,7 +277,6 @@ def find_good_modulus(inst, M: int, R: int | None = None,
         audit_bounds=audit_bounds,
         audit_ok=audit_ok,
         slack=slack,
-        y_method=y_method,
     )
     return Q, report
 

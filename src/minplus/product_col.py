@@ -99,7 +99,8 @@ def compute_r_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
     The per-cell count of the row module with the roles rotated: the
     product of x^(-C) (na x nc) and x^(B^T) (nc x nb) collects, per (i, k),
     one term x^(B[k,j]-C[i,j]) for every j, and ``polyring.count_congruent``
-    reads the congruent j off at exponent -A[i,k].
+    counts the congruent j at exponent -A[i,k] directly, one compare of
+    narrow residues per triple.
     """
     return count_congruent(-inst.C, inst.B.T, -inst.A, Q)
 

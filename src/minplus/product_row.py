@@ -122,8 +122,7 @@ def compute_s_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
 
     The count is the coefficient at x^C[i,j] of the product of the monomial
     matrices x^A and x^B over Z[x]/(x^Q - 1); ``polyring.count_congruent``
-    reads that one coefficient per cell from the gathered spectra, with no
-    coefficient array and no transform along x.
+    takes it directly, one compare of narrow residues per triple.
     """
     return count_congruent(inst.A, inst.B, inst.C, Q)
 

@@ -128,34 +128,6 @@ def conv_level_instances(payload):
         depth += 1
 
 
-def cyclic_matmul_direct(P, R):
-    """Schoolbook product of polynomial matrices in Z[x]/(x^Q - 1), the
-    oracle for polyring.polymat_mul. P and R are (rows, inner, Q) and
-    (inner, cols, Q) integer coefficient arrays; every term
-    P[i, k, x1] * R[k, j, x2] lands at exponent (x1 + x2) mod Q. The loop
-    runs over x1 with an exact int64 sum over k and x2; no transform."""
-    P, R = np.asarray(P, dtype=np.int64), np.asarray(R, dtype=np.int64)
-    Q = P.shape[2]
-    out = np.zeros((P.shape[0], R.shape[1], Q), dtype=np.int64)
-    for x1 in range(Q):
-        if P[:, :, x1].any():
-            out += np.roll(np.einsum("ik,kjx->ijx", P[:, :, x1], R), x1, axis=2)
-    return out
-
-
-def bivariate_direct(P, R, Q):
-    """Double-loop product cyclic in x (order Q) and ordinary in y, the
-    oracle for polyring.bivariate_convolve; P[y, x] is the coefficient of
-    x^x y^y, with x < Q."""
-    P, R = np.asarray(P, dtype=np.int64), np.asarray(R, dtype=np.int64)
-    Rq = np.zeros((R.shape[0], Q), dtype=np.int64)
-    Rq[:, : R.shape[1]] = R
-    out = np.zeros((P.shape[0] + R.shape[0] - 1, Q), dtype=np.int64)
-    for y1, x1 in zip(*np.nonzero(P)):
-        out[y1 : y1 + R.shape[0]] += P[y1, x1] * np.roll(Rq, x1, axis=1)
-    return out
-
-
 def congruence_count_direct(A, B, C, Q):
     """#{k : A[i,k] + B[k,j] = C[i,j] (mod Q)} per cell by testing every
     triple in Python integers, the oracle for polyring.count_congruent."""

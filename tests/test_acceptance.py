@@ -7,7 +7,13 @@ import math
 import time
 
 import numpy as np
-from helpers import bivariate_direct, cinst, cyclic_matmul_direct, promised_conv, promised_matrix
+from helpers import (
+    cinst,
+    congruence_count_conv_direct,
+    congruence_count_direct,
+    promised_conv,
+    promised_matrix,
+)
 
 from minplus import cli
 from minplus.config import SolverConfig
@@ -25,7 +31,7 @@ from minplus.core import (
     witness_mask_naive,
 )
 from minplus.modulus import count_X_bruteforce, count_Z_bruteforce, find_good_modulus
-from minplus.polyring import CyclicPolyMatrix, bivariate_convolve, polymat_mul
+from minplus.polyring import count_congruent, count_congruent_conv
 from minplus.product_col import (
     minplus_monotone_col,
     normalize_nonincreasing,
@@ -252,23 +258,16 @@ def test_criterion_07_segment_hierarchy():
 def test_criterion_08_polyring_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(108)
-    for case in range(200):
+    for _ in range(200):
         r, k, c = (int(v) for v in rng.integers(1, 7, 3))
         Q = int(rng.integers(1, 33))
-        if case % 2:
-            Pa = CyclicPolyMatrix.from_exponents(Q, rng.integers(0, Q, (r, k)))
-            Pb = CyclicPolyMatrix.from_exponents(Q, rng.integers(0, Q, (k, c)))
-        else:
-            Pa = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(0, 50, (r, k, Q)))
-            Pb = CyclicPolyMatrix(Q=Q, coeffs=rng.integers(0, 50, (k, c, Q)))
-        got = polymat_mul(Pa, Pb)
-        assert np.array_equal(got.coeffs, cyclic_matmul_direct(Pa.coeffs, Pb.coeffs))
+        A, B, C = (rng.integers(-4 * Q, 4 * Q, shape) for shape in ((r, k), (k, c), (r, c)))
+        assert np.array_equal(count_congruent(A, B, C, Q), congruence_count_direct(A, B, C, Q))
     for _ in range(200):
-        ny1, ny2 = (int(v) for v in rng.integers(1, 7, 2))
+        na, nb = (int(v) for v in rng.integers(1, 7, 2))
         Q = int(rng.integers(1, 33))
-        P = rng.integers(0, 50, (ny1, Q))
-        R = rng.integers(0, 50, (ny2, Q))
-        assert np.array_equal(bivariate_convolve(P, R, Q), bivariate_direct(P, R, Q))
+        a, b, c = (rng.integers(-4 * Q, 4 * Q, n) for n in (na, nb, na + nb - 1))
+        assert np.array_equal(count_congruent_conv(a, b, c, Q), congruence_count_conv_direct(a, b, c, Q))
     elapsed = time.perf_counter() - t0
     print(f"criterion 08 polyring correctness: PASS (200 + 200 cases, {elapsed:.1f}s)")
 

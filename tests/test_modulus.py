@@ -12,13 +12,13 @@ from helpers import (
 )
 
 from minplus import cli
+from minplus.core import ConvVerificationInstance
 
 from minplus.modulus import (
     ModulusReport,
     YTable,
+    _counting_columns,
     compute_W,
-    compute_Y_all_conv,
-    compute_Y_all_matrix,
     count_X_bruteforce,
     count_Z_bruteforce,
     find_good_modulus,
@@ -68,9 +68,16 @@ def test_compute_W_at_most_two_when_period_exceeds_halfwidth():
         assert W.sum() == 8 * (1 << level) + 1
 
 
+def counting_Y(inst, Q_prev, pool, lmax):
+    """The search's Y table for one step, from the instance's start deltas."""
+    conv = isinstance(inst, ConvVerificationInstance)
+    layout = conv_layout(inst) if conv else matrix_layout(inst)
+    return _counting_columns(level_start_deltas(layout, lmax), Q_prev, pool)
+
+
 def test_Y_all_zero_matrix():
     inst = minst(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 2)))
-    table = compute_Y_all_matrix(inst, 1, primes_in_range(16), levelmax_for(100))
+    table = counting_Y(inst, 1, primes_in_range(16), levelmax_for(100))
     # one segment per (i,k); W(0) at levels 0..3 is 1,1,3,5 for both primes
     want = np.array([[6, 6], [6, 6], [18, 18], [30, 30]])
     assert np.array_equal(table.Y, want)
@@ -78,7 +85,7 @@ def test_Y_all_zero_matrix():
 
 def test_Y_single_cell():
     inst = minst([[1]], [[2]], [[3]])
-    table = compute_Y_all_matrix(inst, 1, primes_in_range(8), 0)
+    table = counting_Y(inst, 1, primes_in_range(8), 0)
     # delta = 0, window [-4, 4], only s=0 divisible by 5 or 7
     assert table.Y[0].tolist() == [1, 1]
 
@@ -95,7 +102,7 @@ def level_deltas_of(inst, conv=False):
     return [np.repeat(d.values[:c], d.counts[:c]) for c in d.cut]
 
 
-def test_ring_Y_matches_enumeration_matrix():
+def test_Y_matches_enumeration_matrix():
     rng = np.random.default_rng(1)
     pool = primes_in_range(16)
     lmax = levelmax_for(100)
@@ -104,14 +111,14 @@ def test_ring_Y_matches_enumeration_matrix():
         inst = promised_matrix(rng, na, nb, nc)
         deltas = level_deltas_of(inst)
         for Q_prev in (1, 11):
-            table = compute_Y_all_matrix(inst, Q_prev, pool, lmax)
+            table = counting_Y(inst, Q_prev, pool, lmax)
             for pi, p in enumerate(pool.primes):
                 for level in range(lmax + 1):
                     want = brute_Y(deltas[level], level, Q_prev * p)
                     assert table.Y[level, pi] == want
 
 
-def test_ring_Y_matches_enumeration_conv():
+def test_Y_matches_enumeration_conv():
     rng = np.random.default_rng(2)
     pool = primes_in_range(16)
     lmax = levelmax_for(100)
@@ -120,7 +127,7 @@ def test_ring_Y_matches_enumeration_conv():
         inst = promised_conv(rng, n)
         deltas = level_deltas_of(inst, conv=True)
         for Q_prev in (1, 13):
-            table = compute_Y_all_conv(inst, Q_prev, pool, lmax)
+            table = counting_Y(inst, Q_prev, pool, lmax)
             for pi, p in enumerate(pool.primes):
                 for level in range(lmax + 1):
                     want = brute_Y(deltas[level], level, Q_prev * p)
@@ -131,7 +138,7 @@ def test_Y_conv_constant_arrays():
     # C equals the exact min-plus convolution, so every start has delta 0
     n = 4
     inst = cinst([5] * n, [5] * n, [10] * (2 * n - 1))
-    table = compute_Y_all_conv(inst, 1, primes_in_range(16), 0)
+    table = counting_Y(inst, 1, primes_in_range(16), 0)
     assert table.Y[0].tolist() == [2 * n - 1, 2 * n - 1]
 
 
@@ -156,11 +163,10 @@ def test_select_prime_two_levels():
 
 def test_find_good_modulus_all_zero():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    for method in ("counting", "ring"):
-        Q, report = find_good_modulus(inst, 100, R=16, y_method=method, test_mode=True)
-        assert Q == 121
-        assert report.primes == (11, 11)
-        assert report.q_values == (11, 121)
+    Q, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+    assert Q == 121
+    assert report.primes == (11, 11)
+    assert report.q_values == (11, 121)
 
 
 def test_find_good_modulus_small_pool():
@@ -202,7 +208,6 @@ def test_report_validates_first_crossing():
             audit_bounds=report.audit_bounds,
             audit_ok=True,
             slack=report.slack,
-            y_method="counting",
         )
 
 
