@@ -5,6 +5,13 @@ newline) so outputs diff cleanly and rerunning any command on the same input
 reproduces the same bytes. All generator randomness flows from one 64-bit
 seed through numpy's counter-based Philox generator.
 
+run, check and bench dispatch every kind through SOLVERS. A product or conv
+file runs its driver. A verify file is searched for its modulus Q once, by
+find_good_modulus, whose report digest goes into the run report; then its
+solve_verification_* solver runs with that Q. A run report's timings hold
+only the phases that were measured: solve, and modulus_search for verify
+files.
+
 Exit codes: 0 success / check passed, 1 check or stats found a mismatch,
 2 structured diagnostic (bad file, broken promise, refused oracle size).
 """
@@ -25,12 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import COL_ENGINES, ENGINES, SolverConfig
-from .convolution import (
-    _shift_instance_conv,
-    compute_s_array,
-    minplus_conv_monotone,
-    solve_verification_conv,
-)
+from .convolution import _shift_instance_conv, minplus_conv_monotone, solve_verification_conv
 from .core import (
     ConvVerificationInstance,
     IntArray,
@@ -44,26 +46,29 @@ from .core import (
 )
 from .modulus import count_X_bruteforce, count_Z_bruteforce, find_good_modulus
 from .product_col import (
-    compute_r_matrix,
     minplus_monotone_col,
     normalize_nonincreasing,
     rotate_to_problem2prime,
     solve_verification_col,
 )
-from .product_row import _shift_instance, compute_s_matrix, minplus_monotone_row, solve_verification_row
-from .segments import (
-    active_level0_bounds,
-    conv_layout,
-    levelmax_for,
-    matrix_layout,
-    rprime_ik_flat,
-    sprime_conv_flat,
-    sprime_rows_flat,
-)
+from .product_row import _shift_instance, minplus_monotone_row, solve_verification_row
+from .segments import levelmax_for
 from .shifting import first_live_pair
 
 FORMAT_VERSION = 1
-KINDS = ("product-row", "product-col", "conv", "verify-row", "verify-col", "verify-conv")
+# kind -> (solving function, axis, oracle). A product or conv driver solves
+# (A, B) under a MonotoneTag on its axis; a verify solver solves the
+# instance, and its axis indexes the witness mask. Each oracle takes the same
+# operands and looks its naive function up when called, not at import.
+SOLVERS = {
+    "product-row": (minplus_monotone_row, "row-monotone", lambda A, B: minplus_product_naive(A, B)),
+    "product-col": (minplus_monotone_col, "column-monotone", lambda A, B: minplus_product_naive(A, B)),
+    "conv": (minplus_conv_monotone, "array-monotone", lambda a, b: minplus_convolution_naive(a, b)),
+    "verify-row": (solve_verification_row, "ij", lambda inst: witness_mask_naive(inst, "ij")),
+    "verify-col": (solve_verification_col, "ik", lambda inst: witness_mask_naive(inst, "ik")),
+    "verify-conv": (solve_verification_conv, "k", lambda inst: witness_mask_naive(inst, "k")),
+}
+KINDS = tuple(SOLVERS)
 FAMILIES = ("uniform-monotone", "bounded-difference", "staircase", "adversarial-ties")
 
 
@@ -113,55 +118,41 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _staircase_rows(rng, rows: int, cols: int, bound: int) -> np.ndarray:
-    plateau = max(1, math.ceil(cols / bound))
-    starts = rng.integers(1, bound + 1, (rows, 1))
-    steps = np.arange(cols) // plateau
-    return np.minimum(starts + steps[None, :], bound)
-
-
-def _monotone_rows(rng, family: str, rows: int, cols: int, bound: int) -> np.ndarray:
-    """Rows non-decreasing, entries in [1, bound]."""
+def _family_rows(rng, family: str, rows: int, cols: int, bound: int, monotone: bool) -> np.ndarray:
+    """rows x cols entries in [1, bound] with the family's value texture;
+    every row non-decreasing when monotone."""
     if family == "uniform-monotone":
-        return np.sort(rng.integers(1, bound + 1, (rows, cols)), axis=1)
-    if family == "bounded-difference":
+        X = rng.integers(1, bound + 1, (rows, cols))
+    elif family == "bounded-difference":
         start = rng.integers(1, bound + 1, (rows, 1))
-        inc = rng.integers(0, 2, (rows, cols - 1)) if cols > 1 else np.zeros((rows, 0), dtype=np.int64)
-        walk = np.concatenate([start, inc], axis=1).cumsum(axis=1)
-        return np.minimum(walk, bound)
-    if family == "staircase":
-        return _staircase_rows(rng, rows, cols, bound)
-    if family == "adversarial-ties":
-        palette = np.unique(np.array([1, max(1, bound // 2), bound]))
-        return np.sort(rng.choice(palette, (rows, cols)), axis=1)
-    raise CliError(f"unknown family {family!r}", families=list(FAMILIES))
-
-
-def _free_matrix(rng, family: str, rows: int, cols: int, bound: int) -> np.ndarray:
-    """Unrestricted operand with the family's value texture."""
-    if family == "uniform-monotone":
-        return rng.integers(1, bound + 1, (rows, cols))
-    if family == "bounded-difference":
-        start = rng.integers(1, bound + 1, (rows, 1))
-        inc = rng.integers(-1, 2, (rows, cols - 1)) if cols > 1 else np.zeros((rows, 0), dtype=np.int64)
-        walk = np.concatenate([start, inc], axis=1).cumsum(axis=1)
-        return np.clip(walk, 1, bound)
-    if family == "staircase":
-        return _staircase_rows(rng, rows, cols, bound)
-    if family == "adversarial-ties":
-        palette = np.unique(np.array([1, max(1, bound // 2), bound]))
-        return rng.choice(palette, (rows, cols))
-    raise CliError(f"unknown family {family!r}", families=list(FAMILIES))
+        low = 0 if monotone else -1
+        inc = rng.integers(low, 2, (rows, cols - 1)) if cols > 1 else np.zeros((rows, 0), dtype=np.int64)
+        return np.clip(np.concatenate([start, inc], axis=1).cumsum(axis=1), 1, bound)
+    elif family == "staircase":
+        plateau = max(1, math.ceil(cols / bound))
+        starts = rng.integers(1, bound + 1, (rows, 1))
+        return np.minimum(starts + (np.arange(cols) // plateau)[None, :], bound)
+    elif family == "adversarial-ties":
+        X = rng.choice(np.unique(np.array([1, max(1, bound // 2), bound])), (rows, cols))
+    else:
+        raise CliError(f"unknown family {family!r}", families=list(FAMILIES))
+    return np.sort(X, axis=1) if monotone else X
 
 
 def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: str,
                       M: int | None = None) -> dict:
+    """An instance file of the kind. A verify-* file lifts the product or
+    convolution of the same operands by the shift modulus M (default 100)."""
     if kind not in KINDS:
         raise CliError(f"unknown kind {kind!r}", kinds=list(KINDS))
     if family not in FAMILIES:
         raise CliError(f"unknown family {family!r}", families=list(FAMILIES))
     if n < 1 or entry_bound < 1:
         raise CliError("n and entry bound must be at least 1", n=n, entry_bound=entry_bound)
+    verify = kind.startswith("verify")
+    M = 100 if M is None else int(M)
+    if verify and (M < 100 or M % 100):
+        raise CliError("invalid instance: M not a positive multiple of 100", kind=kind, coord=None)
     rng = _rng_for(seed)
     header = {
         "format": FORMAT_VERSION,
@@ -170,39 +161,29 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
         "seed": int(seed),
         "entry_bound": int(entry_bound),
     }
+    if kind.endswith("conv"):
+        A = _family_rows(rng, family, 1, n, entry_bound, monotone=True)[0]
+        B = _family_rows(rng, family, 1, n, entry_bound, monotone=True)[0]
+    else:
+        A = _family_rows(rng, family, n, n, entry_bound, monotone=False)
+        B = _family_rows(rng, family, n, n, entry_bound, monotone=True)
+        if kind.endswith("col"):
+            B = B.T
+    if not verify:
+        return {**header, "dims": [n] if kind == "conv" else [n, n, n], "A": A.tolist(), "B": B.tolist()}
 
-    if kind == "product-row":
-        A = _free_matrix(rng, family, n, n, entry_bound)
-        B = _monotone_rows(rng, family, n, n, entry_bound)
-        return {**header, "dims": [n, n, n], "A": A.tolist(), "B": B.tolist()}
-    if kind == "product-col":
-        A = _free_matrix(rng, family, n, n, entry_bound)
-        B = _monotone_rows(rng, family, n, n, entry_bound).T
-        return {**header, "dims": [n, n, n], "A": A.tolist(), "B": B.tolist()}
-    if kind == "conv":
-        a = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-        b = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-        return {**header, "dims": [n], "A": a.tolist(), "B": b.tolist()}
-
-    M = 100 if M is None else int(M)
     with _diagnosed(kind):
         if kind == "verify-row":
-            A = _free_matrix(rng, family, n, n, entry_bound)
-            B = _monotone_rows(rng, family, n, n, entry_bound)
             inst = _shift_instance(A, B, minplus_product_naive(A, B), M, *first_live_pair(A, B, M))
         elif kind == "verify-col":
-            A = normalize_nonincreasing(_free_matrix(rng, family, n, n, entry_bound))
-            B = _monotone_rows(rng, family, n, n, entry_bound).T
+            A = normalize_nonincreasing(A)
             C = minplus_product_naive(A, B)
-            W = int(max(A.max(), B.max(), C.max()))
-            rot = rotate_to_problem2prime(A, B, C, W)
+            rot = rotate_to_problem2prime(A, B, C, int(max(A.max(), B.max(), C.max())))
             s, t = first_live_pair(rot.A, rot.B, M)
             inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t, variant="col")
         else:
-            a = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-            b = _monotone_rows(rng, family, 1, n, entry_bound)[0]
-            c = minplus_convolution_naive(a, b).values
-            inst = _shift_instance_conv(a, b, c, M, *first_live_pair(a, b, M))
+            c = minplus_convolution_naive(A, B).values
+            inst = _shift_instance_conv(A, B, c, M, *first_live_pair(A, B, M))
         require_valid_instance(inst)
     if kind == "verify-conv":
         body = {"A": inst.A.values.tolist(), "B": inst.B.values.tolist(),
@@ -260,17 +241,6 @@ def _diagnosed(kind: str):
         raise CliError(str(e), kind=kind, coord=list(coord) if coord else None)
 
 
-def _driver_inputs(payload: dict, kind: str):
-    """(driver, A, B, tag) for a product-row, product-col or conv file."""
-    driver, axis = {
-        "product-row": (minplus_monotone_row, "row-monotone"),
-        "product-col": (minplus_monotone_col, "column-monotone"),
-        "conv": (minplus_conv_monotone, "array-monotone"),
-    }[kind]
-    tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", int))
-    return driver, _field(payload, "A"), _field(payload, "B"), tag
-
-
 def _instance_from(payload: dict):
     kind = payload["kind"]
     A, B, C = (_field(payload, key) for key in ("A", "B", "C"))
@@ -283,11 +253,32 @@ def _instance_from(payload: dict):
     return VerificationInstance(A=A, B=B, C=C, M=M, variant=variant)
 
 
-def _timed(timings: dict, phase: str, fn, *args, **kwargs):
+def _solve(payload: dict, kind: str, config: SolverConfig):
+    """(result, operands, timings, modulus digests) of one instance file.
+
+    A product or conv file runs its driver on (A, B) under a tag on the
+    driver's axis. A verify file is searched for Q once, and its solver runs
+    with that Q. The operands are what the kind's oracle takes.
+    """
+    solver, axis, _ = SOLVERS[kind]
+    timings, digests = {}, []
+    if kind.startswith("verify"):
+        inst = _instance_from(payload)
+        require_valid_instance(inst)
+        t0 = time.perf_counter()
+        Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        timings["modulus_search"] = time.perf_counter() - t0
+        digests.append({"Q": Q, "sha256": checksum_of(canonical_bytes(rep.to_dict()))})
+        operands = (inst,)
+        args, kwargs = operands, {"Q": Q, "config": config}
+    else:
+        tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", int))
+        operands = (_field(payload, "A"), _field(payload, "B"))
+        args, kwargs = (*operands, tag, config), {}
     t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    timings[phase] += time.perf_counter() - t0
-    return out
+    result = solver(*args, **kwargs)
+    timings["solve"] = time.perf_counter() - t0
+    return result, operands, timings, digests
 
 
 def run_instance(payload: dict, config: SolverConfig):
@@ -297,53 +288,20 @@ def run_instance(payload: dict, config: SolverConfig):
     stable across reruns while the timing fields are free to vary.
     """
     kind = _kind_of(payload)
-    timings = {"reductions": 0.0, "modulus_search": 0.0, "counting": 0.0, "segments": 0.0}
-    digests = []
-
     with _diagnosed(kind):
-        if kind in ("product-row", "product-col", "conv"):
-            driver, A, B, tag = _driver_inputs(payload, kind)
-            out = _timed(timings, "reductions", driver, A, B, tag, config)
-            if kind == "conv":
-                body = {"C": out.values.tolist(), "origin": out.origin}
-            else:
-                body = {"C": out.tolist()}
-        else:
-            inst = _instance_from(payload)
-            require_valid_instance(inst)
-            Q, rep = _timed(
-                timings, "modulus_search", find_good_modulus,
-                inst, inst.M, R=config.R, slack=config.slack,
-            )
-            digests.append({
-                "Q": Q,
-                "sha256": checksum_of(canonical_bytes(rep.to_dict())),
-            })
-            if kind == "verify-conv":
-                s = _timed(timings, "counting", compute_s_array, inst, Q)
-                layout = conv_layout(inst)
-                starts, ends = _timed(
-                    timings, "segments", active_level0_bounds, layout, levelmax_for(inst.M), Q
-                )
-                s_prime = _timed(timings, "segments", sprime_conv_flat, layout, starts, ends, Q)
-            else:
-                counter = compute_s_matrix if kind == "verify-row" else compute_r_matrix
-                s = _timed(timings, "counting", counter, inst, Q)
-                layout = matrix_layout(inst)
-                starts, ends = _timed(
-                    timings, "segments", active_level0_bounds, layout, levelmax_for(inst.M), Q
-                )
-                aggregate = sprime_rows_flat if kind == "verify-row" else rprime_ik_flat
-                s_prime = _timed(timings, "segments", aggregate, layout, starts, ends, Q)
-            mask = s > s_prime
-            body = {"mask": mask.astype(int).tolist()}
-
+        result, _, timings, digests = _solve(payload, kind, config)
+    if kind.startswith("verify"):
+        body = {"mask": result.astype(int).tolist()}
+    elif kind == "conv":
+        body = {"C": result.values.tolist(), "origin": result.origin}
+    else:
+        body = {"C": result.tolist()}
     output = {"format": FORMAT_VERSION, "kind": "output", "of_kind": kind, **body}
     report = {
         "format": FORMAT_VERSION,
         "kind": "report",
         "of_kind": kind,
-        "engine": config.engine if kind.startswith("product") or kind == "conv" else "verification",
+        "engine": "verification" if kind.startswith("verify") else config.engine,
         "checksum": checksum_of(canonical_bytes(output)),
         "modulus_digests": digests,
         "timings": {k: round(v, 6) for k, v in timings.items()},
@@ -387,23 +345,12 @@ def check_instance(payload: dict, config: SolverConfig):
             "instance too large for the oracle; raise --oracle-limit to force",
             cells=cells, oracle_limit=config.oracle_limit,
         )
+    _, _, oracle = SOLVERS[kind]
     with _diagnosed(kind):
-        if kind in ("product-row", "product-col", "conv"):
-            driver, A, B, tag = _driver_inputs(payload, kind)
-            got = driver(A, B, tag, config)
-            if kind == "conv":
-                got, want = got.values, minplus_convolution_naive(A, B).values
-            else:
-                want = minplus_product_naive(A, B)
-        else:
-            inst = _instance_from(payload)
-            solver, axis = {
-                "verify-row": (solve_verification_row, "ij"),
-                "verify-col": (solve_verification_col, "ik"),
-                "verify-conv": (solve_verification_conv, "k"),
-            }[kind]
-            got = solver(inst, config=config)
-            want = witness_mask_naive(inst, axis)
+        got, operands, _, _ = _solve(payload, kind, config)
+        want = oracle(*operands)
+    if kind == "conv":
+        got, want = got.values, want.values
     if np.array_equal(got, want):
         return True, None
     bad = np.argwhere(np.asarray(got) != np.asarray(want))[0]

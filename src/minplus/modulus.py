@@ -232,9 +232,6 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
     if R is None:
         R = default_range_parameter(n_scale)
     pool = primes_in_range(R)
-    while len(pool.primes) < 2:
-        R += 1
-        pool = primes_in_range(R)
     if slack is None:
         slack = default_slack(n_scale)
 

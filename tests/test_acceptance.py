@@ -119,8 +119,8 @@ def test_criterion_03_convolution_oracle():
 
 
 def _lifted_matrix_instance(rng, n, bound, family, variant):
-    A = np.asarray(cli._free_matrix(rng, family, n, n, bound), dtype=np.int64)
-    B = np.asarray(cli._monotone_rows(rng, family, n, n, bound), dtype=np.int64)
+    A = np.asarray(cli._family_rows(rng, family, n, n, bound, monotone=False), dtype=np.int64)
+    B = np.asarray(cli._family_rows(rng, family, n, n, bound, monotone=True), dtype=np.int64)
     if variant == "col":
         A = normalize_nonincreasing(A)
         B = np.ascontiguousarray(B.T)
@@ -144,8 +144,8 @@ def test_criterion_04_verification_solvers_in_isolation():
         family = FAMILIES[idx % 4]
         which = ("row", "col", "conv")[idx % 3]
         if which == "conv":
-            a = cli._monotone_rows(rng, family, 1, n, bound)[0]
-            b = cli._monotone_rows(rng, family, 1, n, bound)[0]
+            a = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
+            b = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
             c = minplus_convolution_naive(a, b).values
             inst = _shift_instance_conv(a, b, c, 100, *first_live_pair(a, b, 100))
             got = solve_verification_conv(inst)

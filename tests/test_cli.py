@@ -1,15 +1,16 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minplus import cli
+from minplus import cli, convolution, product_col, product_row
 from minplus.config import SolverConfig
 from minplus.core import minplus_product_naive, witness_mask_naive
-from minplus.modulus import _scan_segments_matrix
+from minplus.modulus import _scan_segments_matrix, find_good_modulus
 from minplus.segments import levelmax_for
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +96,56 @@ def test_run_verify_mask_matches_oracle(name, axis):
     assert np.array_equal(np.array(output["mask"], dtype=bool), want)
     assert len(report["modulus_digests"]) == 1
     assert report["checksum"].startswith("sha256:")
+
+
+# Output checksum and modulus digests of each golden file's run report.
+GOLDEN_REPORTS = {
+    "conv-n4.json": ("sha256:3a7f365b5b461756abfdc2cf88c5e89a8292a9e2dbae08ccce7ce7243019460d", []),
+    "product-col-n4.json": ("sha256:c27dac20daa816e32d71aec0923222f606b9f0b7b740c917060e8d2ea7745af6", []),
+    "product-row-n4.json": ("sha256:b034b58c4c0f720cca8a37c6260bb0c8b2aa18e79de2adfa478705ad1ea66584", []),
+    "verify-col-n3.json": ("sha256:0f768bcb5fdc1d53d4c022ffb217b37d542fbd4251391b7e7a953964a7e58ed1", [{
+        "Q": 143, "sha256": "sha256:fd595fe55498f7f52e684c7c7391166945f4bcf60d2ef57d2060261cf3131e7e"}]),
+    "verify-conv-n4.json": ("sha256:2bc1bf7f2fac22d6456f7bb8c29a669406670c04de4c23e0fa2eebf3aeb61f2a", [{
+        "Q": 143, "sha256": "sha256:6fb8d2fe10109bf0009ef00ece464185e9dd9bf2904209ca3701202d8a77ad7e"}]),
+    "verify-row-n3.json": ("sha256:b34b7dd9f48855ce4b11afd050cff3308cd0ac05cccdaa89e5c9a8e17c914ca9", [{
+        "Q": 143, "sha256": "sha256:02052f9c54a4d1c8df1bcea140586f305fb306d1fbf61dcd24eda0be64b82d56"}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_run_reports_are_pinned(name):
+    _, report = cli.run_instance(cli.load_payload(GOLDEN / name), CFG)
+    assert (report["checksum"], report["modulus_digests"]) == GOLDEN_REPORTS[name]
+    measured = {"modulus_search", "solve"} if name.startswith("verify") else {"solve"}
+    assert set(report["timings"]) == measured
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("name", ["verify-row-n3.json", "verify-col-n3.json", "verify-conv-n4.json"])
+def test_verify_file_searches_once_and_runs_its_solver(monkeypatch, command, name):
+    payload = cli.load_payload(GOLDEN / name)
+    kind = payload["kind"]
+    solver, axis, oracle = cli.SOLVERS[kind]
+    searched, solved = [], []
+
+    def search(*args, **kwargs):
+        Q, rep = find_good_modulus(*args, **kwargs)
+        searched.append(Q)
+        return Q, rep
+
+    def solve(inst, Q=None, config=None):
+        solved.append(Q)
+        return solver(inst, Q=Q, config=config)
+
+    for module in (cli, product_row, product_col, convolution):
+        monkeypatch.setattr(module, "find_good_modulus", search)
+    monkeypatch.setitem(cli.SOLVERS, kind, (solve, axis, oracle))
+    if command == "run":
+        cli.run_instance(payload, CFG)
+    else:
+        assert cli.check_instance(payload, CFG) == (True, None)
+    assert len(searched) == 1
+    assert solved == searched
 
 
 def test_run_reports_promise_violation():
@@ -289,14 +340,17 @@ def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden, 
     assert reason in diag["reason"]
 
 
-def test_gen_broken_promise_is_a_diagnostic(tmp_path, capsys):
+@pytest.mark.parametrize("M", [0, 50, 150, -100])
+@pytest.mark.parametrize("kind", ["verify-row", "verify-col", "verify-conv"])
+def test_gen_broken_promise_is_a_diagnostic(tmp_path, capsys, kind, M):
     out = tmp_path / "x.json"
-    argv = ["gen", "--kind", "verify-row", "--n", "4", "--entry-bound", "8", "--M", "150",
-            "--out", str(out)]
-    code, diag = _main_diagnostic(capsys, *argv)
+    argv = ["gen", "--kind", kind, "--n", "3", "--entry-bound", "5", f"--M={M}", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, diag = _main_diagnostic(capsys, *argv)
     assert code == 2
-    assert "multiple of 100" in diag["error"]
-    assert diag["kind"] == "verify-row"
+    assert diag == {"error": "invalid instance: M not a positive multiple of 100",
+                    "kind": kind, "coord": None}
     assert not out.exists()
 
 

@@ -304,8 +304,8 @@ def test_conv_matches_naive_property(data, n, bound):
 )
 def test_conv_driver_matches_naive_on_every_family(family, n, bound, seed):
     rng = np.random.default_rng(seed)
-    a = cli._monotone_rows(rng, family, 1, n, bound)[0]
-    b = cli._monotone_rows(rng, family, 1, n, bound)[0]
+    a = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
+    b = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
     tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
     got = minplus_conv_monotone(a, b, tag, SolverConfig(test_mode=True))
     assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)

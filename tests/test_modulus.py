@@ -46,6 +46,13 @@ def test_prime_pool_rejects_tiny_range():
         primes_in_range(3)
 
 
+def test_every_range_has_two_primes():
+    """find_good_modulus takes the pool of R as it is, so every R from the
+    floor of 4 to 3000 must hold at least two primes in [ceil(R/2), R];
+    for R >= 11 this is Ramanujan's R_2 = 11."""
+    assert min(len(primes_in_range(R).primes) for R in range(4, 3001)) >= 2
+
+
 def test_compute_W_window_11():
     W = compute_W(1, 11)
     assert W[0] == 1

@@ -417,8 +417,8 @@ def test_col_driver_matches_naive_on_every_family(family):
     rng = np.random.default_rng(len(family))
     for na, nb, nc in [(1, 1, 1), (1, 6, 1), (5, 1, 7), (4, 9, 1), (7, 3, 12), (16, 16, 16)]:
         for bound in (1, 3, 40):
-            A = cli._free_matrix(rng, family, na, nb, bound)
-            B = cli._monotone_rows(rng, family, nc, nb, bound).T
+            A = cli._family_rows(rng, family, na, nb, bound, monotone=False)
+            B = cli._family_rows(rng, family, nc, nb, bound, monotone=True).T
             tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
             got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
             assert np.array_equal(got, minplus_product_naive(A, B)), (na, nb, nc, bound)

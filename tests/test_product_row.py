@@ -385,8 +385,8 @@ def test_product_matches_naive_property(data, na, nb, nc, bound):
 )
 def test_row_driver_matches_naive_on_every_family(family, na, nb, nc, bound, seed):
     rng = np.random.default_rng(seed)
-    A = cli._free_matrix(rng, family, na, nb, bound)
-    B = cli._monotone_rows(rng, family, nb, nc, bound)
+    A = cli._family_rows(rng, family, na, nb, bound, monotone=False)
+    B = cli._family_rows(rng, family, nb, nc, bound, monotone=True)
     tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
     got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
     assert np.array_equal(got, minplus_product_naive(A, B))
