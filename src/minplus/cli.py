@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import COL_ENGINES, ENGINES, SolverConfig
+from .config import ENGINES, SolverConfig
 from .convolution import _shift_instance_conv, minplus_conv_monotone, solve_verification_conv
 from .core import (
     ConvVerificationInstance,
@@ -142,7 +142,8 @@ def _family_rows(rng, family: str, rows: int, cols: int, bound: int, monotone: b
 def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: str,
                       M: int | None = None) -> dict:
     """An instance file of the kind. A verify-* file lifts the product or
-    convolution of the same operands by the shift modulus M (default 100)."""
+    convolution of the same operands by the shift modulus M (default 100);
+    the other kinds have no M and refuse one."""
     if kind not in KINDS:
         raise CliError(f"unknown kind {kind!r}", kinds=list(KINDS))
     if family not in FAMILIES:
@@ -150,6 +151,8 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
     if n < 1 or entry_bound < 1:
         raise CliError("n and entry bound must be at least 1", n=n, entry_bound=entry_bound)
     verify = kind.startswith("verify")
+    if not verify and M is not None:
+        raise CliError(f"M applies only to the verify kinds, not {kind}", kind=kind, M=M)
     M = 100 if M is None else int(M)
     if verify and (M < 100 or M % 100):
         raise CliError("invalid instance: M not a positive multiple of 100", kind=kind, coord=None)
@@ -180,7 +183,7 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
             C = minplus_product_naive(A, B)
             rot = rotate_to_problem2prime(A, B, C, int(max(A.max(), B.max(), C.max())))
             s, t = first_live_pair(rot.A, rot.B, M)
-            inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t, variant="col")
+            inst = _shift_instance(rot.A, rot.B, rot.C, M, s, t)
         else:
             c = minplus_convolution_naive(A, B).values
             inst = _shift_instance_conv(A, B, c, M, *first_live_pair(A, B, M))
@@ -206,7 +209,6 @@ def _config_from(args) -> SolverConfig:
             R=args.R,
             slack=args.slack,
             oracle_limit=args.oracle_limit,
-            col_engine=args.col_engine,
         )
     except ValueError as e:
         raise CliError("invalid solver option", reason=str(e))
@@ -249,8 +251,7 @@ def _instance_from(payload: dict):
         return ConvVerificationInstance(
             A=IntArray(values=A), B=IntArray(values=B), C=IntArray(values=C, origin=2), M=M
         )
-    variant = "col" if kind == "verify-col" else "row"
-    return VerificationInstance(A=A, B=B, C=C, M=M, variant=variant)
+    return VerificationInstance(A=A, B=B, C=C, M=M)
 
 
 def _solve(payload: dict, kind: str, config: SolverConfig):
@@ -440,7 +441,6 @@ def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--engine", choices=ENGINES, default="det")
-    p.add_argument("--col-engine", choices=COL_ENGINES, default="twopointer")
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--slack", type=float, default=None)

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 ENGINES = ("det", "naive", "det-reference")
-COL_ENGINES = ("twopointer", "verification")
 
 
 @dataclass(frozen=True)
@@ -16,15 +15,14 @@ class SolverConfig:
     deterministic kernel, "naive" the brute-force product, "det-reference"
     the literal one-instance-at-a-time verification loop (small inputs only;
     row and convolution drivers), which shares one audited modulus across
-    the (s, t) instances of a recursion level. col_engine selects how the
-    column driver checks its rotated candidates: "twopointer" tests the
-    constant-block starts of the rotated rows directly, vectorised in blocks
-    of narrow integers and exact on any input; "verification" runs the
-    equality scan. M and R override the promise modulus and the prime-pool
-    range (at least 4). slack scales the good-modulus audit and must be
-    finite and positive. oracle_limit caps the brute-force volume the CLI's
-    check and stats commands accept. test_mode tests every candidate and
-    asserts the sandwich 2C' <= C <= 2C' + 2.
+    the (s, t) instances of a recursion level. M and R override the promise
+    modulus and the prime-pool range (at least 4). slack scales the
+    good-modulus audit and must be finite and positive. M, R and slack reach
+    only the row and convolution drivers and the verify solvers; the column
+    driver searches no modulus. oracle_limit caps the brute-force volume the
+    CLI's check and stats commands accept. test_mode tests every candidate
+    and asserts the sandwich 2C' <= C <= 2C' + 2; the column driver also
+    asserts that each two-pointer mask equals the equality scan's.
     """
 
     engine: str = "det"
@@ -33,13 +31,10 @@ class SolverConfig:
     slack: float | None = None
     oracle_limit: int = 1 << 22
     test_mode: bool = False
-    col_engine: str = "twopointer"
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if self.col_engine not in COL_ENGINES:
-            raise ValueError(f"col_engine must be one of {COL_ENGINES}")
         if self.M is not None and (self.M <= 0 or self.M % 100):
             raise ValueError("M override must be a positive multiple of 100")
         if self.R is not None and self.R < 4:

@@ -50,7 +50,7 @@ Axis = Literal["row-monotone", "column-monotone", "array-monotone"]
 # cols and entries are exactly ndarray.shape and ndarray itself.
 IntMatrix = np.ndarray
 
-# Boolean ndarray, 2-D for the product variants, 1-D for convolution.
+# Boolean ndarray, 2-D for the products, 1-D for convolution.
 WitnessMask = np.ndarray
 
 
@@ -97,19 +97,19 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class VerificationInstance:
-    """(A, B, C, M) with the small-residue promise, matrix variants.
+    """(A, B, C, M) with the small-residue promise, matrix shapes.
 
-    variant "row" answers per output cell (i, j) whether some inner k has
-    A[i,k] + B[k,j] == C[i,j]; variant "col" holds the already rotated data
-    (same layout and promises) and answers per (i, k) whether some column j
-    works. In both variants B and C are row-monotone.
+    B and C are row-monotone. The solver called decides the question:
+    solve_verification_row answers per output cell (i, j) whether some inner
+    k has A[i,k] + B[k,j] == C[i,j]; solve_verification_col, given the
+    already rotated data (same layout and promises), answers per (i, k)
+    whether some column j works.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     M: int
-    variant: str = "row"
 
 
 @dataclass(frozen=True, eq=False)

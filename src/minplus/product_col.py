@@ -9,24 +9,24 @@ C is the same as asking, per cell of ``W - C``, whether some output column of
 factors are row-monotone and the verification theory from the row module
 applies unchanged.
 
-Two engines solve the rotated check: the equality scan shared with the row
-driver, and a direct two-pointer pass over the constant-block decompositions
-of the rotated rows.  Both are exact on any instance.  The two-pointer pass
-tests every block start of a row against the whole other axis at once, in
-blocks of ``shifting.SCAN_BLOCK`` narrow-integer cells.  It makes at most
-two compares per triple, and fewer the longer the blocks, where the scan
-compares every triple.  ``col_engine`` picks one; two-pointer is the
-default.  The candidates of one recursion level differ only in the rotated
-A, so the driver rotates once per level and the two-pointer pass tests the
-candidates' A matrices as one stack against B and C's block starts, built
-once.  The recursion over levels is
+The rotated check is a direct two-pointer pass over the constant-block
+decompositions of the rotated rows, exact on any instance.  It tests every
+block start of a row against the whole other axis at once, in blocks of
+``shifting.SCAN_BLOCK`` narrow-integer cells, so it makes at most two
+compares per triple, and fewer the longer the blocks, where the equality
+scan of the row driver compares every triple.  The candidates of one
+recursion level differ only in the rotated A, so the driver rotates once per
+level and tests the candidates' A matrices as one stack against B and C's
+block starts, built once.  Under ``test_mode`` each mask is also checked
+against the equality scan on the same rotated triple.  No modulus is
+searched or chosen: neither check reads one.  The recursion over levels is
 :func:`minplus.shifting.settle_by_halving`, shared with the row and
 convolution drivers; ``_col_level`` is this module's per-level test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -50,14 +50,14 @@ from .core import (
 )
 from .modulus import find_good_modulus
 from .polyring import count_congruent
-from .product_row import choose_M, normalize_A
+from .product_row import normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
 from .shifting import congruent_witness_scan, settle_by_halving
 
 
 @dataclass(frozen=True)
 class RotatedInstance:
-    """The complement-rotated triple: (W-C, B^T, W-A) with the witness kept.
+    """The complement-rotated triple (W-C, B^T, W-A) of a product candidate.
 
     ``A`` is na x nc, ``B`` is nc x nb, ``C`` is na x nb; the question is per
     cell (i, j) of ``A`` whether some column k satisfies
@@ -68,7 +68,6 @@ class RotatedInstance:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    W: int
 
 
 def normalize_nonincreasing(A: IntMatrix) -> IntMatrix:
@@ -90,7 +89,7 @@ def rotate_to_problem2prime(
     top = max(int(A.max()), int(B.max()), int(C_cand.max()))
     if W < top:
         raise ValueError(f"complement bound {W} below the maximum entry {top}")
-    return RotatedInstance(A=W - C_cand, B=np.ascontiguousarray(B.T), C=W - A, W=W)
+    return RotatedInstance(A=W - C_cand, B=np.ascontiguousarray(B.T), C=W - A)
 
 
 def compute_r_matrix(inst: VerificationInstance, Q: int) -> np.ndarray:
@@ -128,7 +127,7 @@ def solve_verification_col(
     return r_counts > r_prime
 
 
-def twopointer_direct(inst: VerificationInstance) -> WitnessMask:
+def twopointer_direct(inst: VerificationInstance | RotatedInstance) -> WitnessMask:
     """Per-(i, k) witness mask by testing constant-block representatives.
 
     For the row pair (B[k,:], C[i,:]) every interval of their common
@@ -149,7 +148,7 @@ def twopointer_direct(inst: VerificationInstance) -> WitnessMask:
     return _block_start_hits(A, B, C) | np.swapaxes(swapped, -1, -2)
 
 
-def _narrow_operands(inst: VerificationInstance) -> list:
+def _narrow_operands(inst: VerificationInstance | RotatedInstance) -> list:
     """A, B, C in the narrowest signed dtype that holds every value the
     two-pointer passes form: the entries of A and their negations, and every
     difference of an entry of C and one of B."""
@@ -181,19 +180,26 @@ def _block_start_hits(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> WitnessMas
     return np.swapaxes(maskT, -1, -2)
 
 
-def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
+def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
     """mask_of(s) for one level of settle_by_halving, on the level's one
-    rotation: two-pointer masks of all tested candidates at once, or the
-    equality scan over all rotated triples."""
+    rotation: two-pointer masks of all tested candidates at once.  Under
+    test_mode each mask asked for is checked against the equality scan."""
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
     rot = rotate_to_problem2prime(A, B, base, W)
-    if config.col_engine == "twopointer":
-        shifts = np.arange(3 if config.test_mode else 2)[:, None, None]
-        inst = VerificationInstance(A=rot.A - shifts, B=rot.B, C=rot.C, M=M, variant="col")
-        del rot  # its A is in the stack; dropping it keeps the level's peak down
-        return twopointer_direct(inst).__getitem__
-    return lambda s: congruent_witness_scan(rot.A - s, rot.B, rot.C, query_axis="ik")
+    stack = replace(rot, A=rot.A - np.arange(3 if test_mode else 2)[:, None, None])
+    del rot  # its A is in the stack; dropping it keeps the level's peak down
+    masks = twopointer_direct(stack)
+    if not test_mode:
+        return masks.__getitem__
+
+    def checked(s: int) -> WitnessMask:
+        scan = congruent_witness_scan(stack.A[s], stack.B, stack.C, query_axis="ik")
+        if not np.array_equal(masks[s], scan):
+            raise AssertionError(f"two-pointer pass and equality scan disagree at +{s}")
+        return masks[s]
+
+    return checked
 
 
 def minplus_monotone_col(
@@ -224,8 +230,6 @@ def minplus_monotone_col(
         return minplus_product_naive(A, B)
     A_norm, deltas = normalize_A(A, tag.entry_bound)
     A_norm = normalize_nonincreasing(A_norm)
-    dims = (A.shape[0], A.shape[1], B.shape[1])
-    M = config.M if config.M is not None else choose_M(dims, tag.entry_bound)
-    level = partial(_col_level, M=M, config=config)
+    level = partial(_col_level, test_mode=config.test_mode)
     C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
     return C_norm + deltas[:, None]

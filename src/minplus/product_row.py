@@ -104,7 +104,7 @@ def choose_M(dims: tuple[int, int, int], entry_bound: int) -> int:
 
 
 def _shift_instance(
-    A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, s: int, t: int, variant: str = "row"
+    A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, s: int, t: int
 ) -> VerificationInstance:
     """The class-(s, t) instance of one candidate; operands are pre-shifted
     by M and the output by 2M here, so callers pass raw non-negative data."""
@@ -113,7 +113,6 @@ def _shift_instance(
         B=shift_operand(B + M, t, M),
         C=shift_output(C_cand + 2 * M, s + t, M),
         M=M,
-        variant=variant,
     )
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "levelmax_for",
     "matrix_layout",
     "conv_layout",
-    "level_breaks",
     "segment_bounds",
     "active_start_mask",
     "refine_bounds",
@@ -119,11 +118,6 @@ def _break_depth(rows: np.ndarray) -> np.ndarray:
     bits = np.searchsorted(_POWERS_OF_TWO, v, side="right")
     depth[..., 1:][brk] = np.where(v < 0, DEPTH_ALL, bits)
     return depth
-
-
-def level_breaks(rows: np.ndarray, level: int) -> np.ndarray:
-    """Per-row start indicator: column 0 plus every change of floor(x / 2^level)."""
-    return _break_depth(rows) > level
 
 
 def matrix_layout(inst: VerificationInstance) -> FlatLayout:

@@ -16,13 +16,12 @@ from minplus.product_row import _shift_instance, choose_M, normalize_A
 from minplus.shifting import first_live_pair, residue_class
 
 
-def minst(A, B, C, M=100, variant="row"):
+def minst(A, B, C, M=100):
     return VerificationInstance(
         A=np.asarray(A, dtype=np.int64),
         B=np.asarray(B, dtype=np.int64),
         C=np.asarray(C, dtype=np.int64),
         M=M,
-        variant=variant,
     )
 
 
@@ -35,7 +34,7 @@ def cinst(a, b, c, M=100):
     )
 
 
-def promised_matrix(rng, na, nb, nc, M=100, hi=5, variant="row"):
+def promised_matrix(rng, na, nb, nc, M=100, hi=5):
     """Residues at most M/10, B and C rows non-decreasing."""
 
     def res(shape):
@@ -44,7 +43,7 @@ def promised_matrix(rng, na, nb, nc, M=100, hi=5, variant="row"):
     A = M * rng.integers(0, hi, (na, nb), dtype=np.int64) + res((na, nb))
     B = np.sort(M * rng.integers(0, hi, (nb, nc), dtype=np.int64) + res((nb, nc)), axis=1)
     C = np.sort(M * rng.integers(0, hi, (na, nc), dtype=np.int64) + res((na, nc)), axis=1)
-    return VerificationInstance(A=A, B=B, C=C, M=M, variant=variant)
+    return VerificationInstance(A=A, B=B, C=C, M=M)
 
 
 def promised_conv(rng, n, M=100, hi=5):

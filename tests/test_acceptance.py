@@ -92,12 +92,12 @@ def test_criterion_02_col_product_oracle():
         A, B = _payload_arrays("product-col", n, bound, seed=idx, family=family)
         tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
         want = minplus_product_naive(A, B)
-        for engine in ("verification", "twopointer"):
-            got = minplus_monotone_col(A, B, tag, SolverConfig(col_engine=engine))
-            assert np.array_equal(got, want), f"instance {idx} engine={engine}"
+        # test_mode also checks each two-pointer mask against the equality scan
+        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+        assert np.array_equal(got, want), f"instance {idx}"
         count += 1
     elapsed = time.perf_counter() - t0
-    print(f"criterion 02 col product oracle: PASS ({count} instances x 2 engines, {elapsed:.1f}s)")
+    print(f"criterion 02 col product oracle: PASS ({count} instances, {elapsed:.1f}s)")
 
 
 def test_criterion_03_convolution_oracle():
@@ -118,10 +118,10 @@ def test_criterion_03_convolution_oracle():
     print(f"criterion 03 convolution oracle: PASS ({count} instances, {elapsed:.1f}s)")
 
 
-def _lifted_matrix_instance(rng, n, bound, family, variant):
+def _lifted_matrix_instance(rng, n, bound, family, which):
     A = np.asarray(cli._family_rows(rng, family, n, n, bound, monotone=False), dtype=np.int64)
     B = np.asarray(cli._family_rows(rng, family, n, n, bound, monotone=True), dtype=np.int64)
-    if variant == "col":
+    if which == "col":
         A = normalize_nonincreasing(A)
         B = np.ascontiguousarray(B.T)
         C = minplus_product_naive(A, B)
@@ -131,7 +131,7 @@ def _lifted_matrix_instance(rng, n, bound, family, variant):
     else:
         C = minplus_product_naive(A, B)
     M = 100
-    return _shift_instance(A, B, C, M, *first_live_pair(A, B, M), variant=variant)
+    return _shift_instance(A, B, C, M, *first_live_pair(A, B, M))
 
 
 def test_criterion_04_verification_solvers_in_isolation():

@@ -354,6 +354,17 @@ def test_gen_broken_promise_is_a_diagnostic(tmp_path, capsys, kind, M):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("M", [0, 100, 150])
+@pytest.mark.parametrize("kind", ["product-row", "product-col", "conv"])
+def test_gen_M_on_a_kind_without_one_is_a_diagnostic(tmp_path, capsys, kind, M):
+    out = tmp_path / "y.json"
+    argv = ["gen", "--kind", kind, "--n", "3", "--entry-bound", "5", f"--M={M}", "--out", str(out)]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag == {"error": f"M applies only to the verify kinds, not {kind}", "kind": kind, "M": M}
+    assert not out.exists()
+
+
 def test_stats_oracle_beyond_limit_is_a_diagnostic(tmp_path, capsys):
     path = tmp_path / "v.json"
     cli.write_payload(path, cli.generate_instance("verify-row", 20, 64, seed=1,

@@ -1,18 +1,19 @@
-"""Every function and class of polyring and modulus serves the package: another
-src/minplus module uses it, directly or through the module's own code that
-such a use reaches, or it is named as an oracle (``*_bruteforce``) or is
+"""Every function and class of every src/minplus module serves the package:
+another src/minplus module uses it, directly or through the module's own code
+that such a use reaches, or it is named as an oracle (``*_bruteforce``) or is
 reached from one. Code kept only as a cross-check cannot then sit in src/
-under an ordinary name."""
+under an ordinary name. Every name a module exports in ``__all__`` is bound
+at its top level."""
 import ast
 import functools
 from pathlib import Path
 
 import pytest
 
-from minplus import modulus, polyring
+import minplus
 
-MODULES = (polyring, modulus)
-PACKAGE = Path(polyring.__file__).resolve().parent
+PACKAGE = Path(minplus.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def mentioned(tree: ast.AST) -> set:
@@ -28,22 +29,50 @@ def mentioned(tree: ast.AST) -> set:
     return out
 
 
-def definitions(module) -> dict:
-    tree = ast.parse(Path(module.__file__).read_text())
+@functools.cache
+def body(path: Path) -> list:
+    return ast.parse(path.read_text()).body
+
+
+def definitions(path: Path) -> dict:
     kinds = (ast.FunctionDef, ast.ClassDef)
-    return {node.name: node for node in tree.body if isinstance(node, kinds)}
+    return {node.name: node for node in body(path) if isinstance(node, kinds)}
+
+
+def bindings(path: Path) -> set:
+    """Every name the module binds at its top level: functions, classes,
+    constants and aliases, and the names it imports (the package's
+    ``__init__`` exports what it imports)."""
+    out = set(definitions(path))
+    for node in body(path):
+        if isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {alias.asname or alias.name for alias in node.names}
+    return out
+
+
+def exports(path: Path) -> list | None:
+    """The names listed in the module's ``__all__``, or None without one."""
+    for node in body(path):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
 
 
 @functools.cache
-def served(module) -> set:
+def served(path: Path) -> set:
     """The module's definitions reached from a use in another module of the
     package or from an oracle."""
-    path = Path(module.__file__).resolve()
     used = set()
-    for other in PACKAGE.glob("*.py"):
-        if other.resolve() != path:
+    for other in MODULES:
+        if other != path:
             used |= mentioned(ast.parse(other.read_text()))
-    defs = definitions(module)
+    defs = definitions(path)
     todo = [name for name in defs if name in used or name.endswith("_bruteforce")]
     seen = set(todo)
     while todo:
@@ -53,14 +82,15 @@ def served(module) -> set:
     return seen
 
 
-CASES = [(m, name) for m in MODULES for name in definitions(m)]
+CASES = [(path, name) for path in MODULES for name in definitions(path)]
+EXPORTING = [path for path in MODULES if exports(path) is not None]
 
 
-@pytest.mark.parametrize("module, name", CASES, ids=[f"{m.__name__}.{n}" for m, n in CASES])
-def test_every_definition_serves_the_package(module, name):
-    assert name in served(module), f"{module.__name__}.{name} is used by nothing in src/minplus"
+@pytest.mark.parametrize("path, name", CASES, ids=[f"minplus.{p.stem}.{n}" for p, n in CASES])
+def test_every_definition_serves_the_package(path, name):
+    assert name in served(path), f"{path.stem}.{name} is used by nothing in src/minplus"
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[m.__name__ for m in MODULES])
-def test_every_export_is_defined(module):
-    assert set(module.__all__) <= definitions(module).keys()
+@pytest.mark.parametrize("path", EXPORTING, ids=[f"minplus.{p.stem}" for p in EXPORTING])
+def test_every_export_is_defined(path):
+    assert set(exports(path)) - bindings(path) == set()

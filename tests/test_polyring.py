@@ -116,14 +116,14 @@ def test_block_split_matches_oracle(monkeypatch):
     # block boundaries fall inside the rows of the output.
     rng = np.random.default_rng(31)
     Q = 13  # small, so that counts above 1 occur
-    for variant, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
-        inst = promised_matrix(rng, 10, 4, 3, variant=variant)
+    for kind, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
+        inst = promised_matrix(rng, 10, 4, 3)
         A, B, C = inst.A, inst.B, inst.C
         want = ((A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0).sum(axis=axis)
         assert want.max() > 1
         for block in (1, 5, 37):
             monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
-            assert np.array_equal(count(inst, Q), want), (variant, block)
+            assert np.array_equal(count(inst, Q), want), (kind, block)
 
 
 def test_conv_count_exact_at_the_limit_refused_past_it(monkeypatch):
@@ -179,8 +179,8 @@ def test_counting_solvers_build_no_ring_product(monkeypatch):
         monkeypatch.setattr(np.fft, name, forbidden)
     rng = np.random.default_rng(4)
     Q = 143
-    for variant, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
-        inst = promised_matrix(rng, 6, 9, 7, variant=variant)
+    for _, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
+        inst = promised_matrix(rng, 6, 9, 7)
         A, B, C = inst.A, inst.B, inst.C
         want = ((A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0).sum(axis=axis)
         assert np.array_equal(count(inst, Q), want)

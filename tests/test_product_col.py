@@ -6,7 +6,7 @@ from helpers import all_shift_pairs, minst, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus import cli, shifting
+from minplus import cli, product_col, shifting
 from minplus.config import SolverConfig
 from minplus.convolution import minplus_conv_monotone
 from minplus.core import (
@@ -89,7 +89,7 @@ def test_rotation_witnesses_match_original():
         rot = rotate_to_problem2prime(A, B, C, W)
         orig = witness_mask_naive(VerificationInstance(A=A, B=B, C=C, M=100), query_axis="ij")
         rotated = witness_mask_naive(
-            VerificationInstance(A=rot.A, B=rot.B, C=rot.C, M=100, variant="col"),
+            VerificationInstance(A=rot.A, B=rot.B, C=rot.C, M=100),
             query_axis="ik",
         )
         assert np.array_equal(rotated, orig)
@@ -106,7 +106,7 @@ def test_r_matrix_equals_direct_count():
         A = rng.integers(0, 500, (na, nb))
         B = rng.integers(0, 500, (nb, nc))
         C = rng.integers(0, 1000, (na, nc))
-        inst = VerificationInstance(A=A, B=B, C=C, M=100, variant="col")
+        inst = VerificationInstance(A=A, B=B, C=C, M=100)
         want = ((A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0).sum(axis=2)
         assert np.array_equal(compute_r_matrix(inst, Q), want)
 
@@ -115,7 +115,7 @@ def test_col_solver_matches_witness_oracle():
     rng = np.random.default_rng(5)
     for _ in range(25):
         na, nb, nc = (int(v) for v in rng.integers(1, 11, 3))
-        inst = promised_matrix(rng, na, nb, nc, variant="col")
+        inst = promised_matrix(rng, na, nb, nc)
         got = solve_verification_col(inst)
         assert np.array_equal(got, witness_mask_naive(inst, query_axis="ik"))
 
@@ -123,7 +123,6 @@ def test_col_solver_matches_witness_oracle():
 def test_col_solver_single_witness_yes():
     inst = VerificationInstance(
         A=np.array([[100]]), B=np.array([[200, 300]]), C=np.array([[300, 400]]), M=100,
-        variant="col",
     )
     assert solve_verification_col(inst).all()
 
@@ -131,7 +130,6 @@ def test_col_solver_single_witness_yes():
 def test_col_solver_no_congruent_column():
     inst = VerificationInstance(
         A=np.array([[100]]), B=np.array([[200, 300]]), C=np.array([[301, 401]]), M=100,
-        variant="col",
     )
     assert not solve_verification_col(inst).any()
 
@@ -142,7 +140,7 @@ def test_r_dominates_r_prime_cellwise():
     from minplus.segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
 
     for _ in range(10):
-        inst = promised_matrix(rng, 4, 5, 4, variant="col")
+        inst = promised_matrix(rng, 4, 5, 4)
         Q, _ = find_good_modulus(inst, inst.M)
         r = compute_r_matrix(inst, Q)
         layout = matrix_layout(inst)
@@ -167,7 +165,7 @@ def test_col_solver_equals_union_of_shift_pair_masks():
     for s, t, shifted in all_shift_pairs(rot.A, rot.B, rot.C):
         if s not in live_a or t not in live_b:
             continue
-        inst = VerificationInstance(A=shifted.A, B=shifted.B, C=shifted.C, M=100, variant="col")
+        inst = VerificationInstance(A=shifted.A, B=shifted.B, C=shifted.C, M=100)
         got |= solve_verification_col(inst)
     assert np.array_equal(got, want)
 
@@ -178,7 +176,6 @@ def test_col_solver_equals_union_of_shift_pair_masks():
 def test_twopointer_finds_block_representative():
     inst = VerificationInstance(
         A=np.array([[0]]), B=np.array([[1, 1, 2]]), C=np.array([[1, 3, 2]]), M=100,
-        variant="col",
     )
     assert twopointer_direct(inst).all()
 
@@ -186,7 +183,6 @@ def test_twopointer_finds_block_representative():
 def test_twopointer_constant_rows_no_match():
     inst = VerificationInstance(
         A=np.array([[5]]), B=np.array([[1, 1, 1]]), C=np.array([[2, 2, 2]]), M=100,
-        variant="col",
     )
     assert not twopointer_direct(inst).any()
 
@@ -198,14 +194,14 @@ def test_twopointer_matches_oracle_on_arbitrary_instances():
         A = rng.integers(0, 60, (na, nb))
         B = rng.integers(0, 60, (nb, nc))
         C = rng.integers(0, 120, (na, nc))
-        inst = VerificationInstance(A=A, B=B, C=C, M=100, variant="col")
+        inst = VerificationInstance(A=A, B=B, C=C, M=100)
         assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
 
 
 def test_twopointer_agrees_with_verification_solver():
     rng = np.random.default_rng(9)
     for _ in range(15):
-        inst = promised_matrix(rng, 5, 4, 6, variant="col")
+        inst = promised_matrix(rng, 5, 4, 6)
         assert np.array_equal(twopointer_direct(inst), solve_verification_col(inst))
 
 
@@ -236,7 +232,7 @@ def planted_col(rng, shape, hi, repeat=1):
     C = np.where(rng.random(sums.shape) < 0.5, sums, rng.integers(-2 * hi, 2 * hi + 1, sums.shape))
     if rng.random() < 0.5:
         C = np.sort(C, axis=1)
-    return minst(A, B, C, variant="col")
+    return minst(A, B, C)
 
 
 # Entry scales on both sides of the int8, int16 and int32 switches.
@@ -279,7 +275,7 @@ def test_twopointer_exact_on_both_sides_of_each_threshold(tops, dtype, sign):
     A = sign * np.array([[ta, 0], [0, 1]])
     B = sign * np.array([[-tb, 0, 1], [0, 1, 0]])
     C = sign * np.array([[tc, 1, 1], [0, 1, 1]])
-    inst = minst(A, B, C, variant="col")
+    inst = minst(A, B, C)
     assert all(x.dtype == dtype for x in _narrow_operands(inst))
     got = twopointer_direct(inst)
     assert np.array_equal(got, witness_mask_naive(inst, query_axis="ik"))
@@ -302,7 +298,7 @@ def test_twopointer_unchanged_by_many_blocks(monkeypatch, block):
     rng = np.random.default_rng(block)
     insts = [planted_col(rng, (3, 4, 40), 30, repeat=2) for _ in range(6)]
     insts.append(minst(rng.integers(0, 9, (3, 4)), np.sort(rng.integers(0, 9, (4, 40)), axis=1),
-                       np.sort(rng.integers(0, 18, (3, 40)), axis=1), variant="col"))
+                       np.sort(rng.integers(0, 18, (3, 40)), axis=1)))
     whole = [twopointer_direct(inst) for inst in insts]
     monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
     for inst, want in zip(insts, whole):
@@ -319,7 +315,7 @@ def test_twopointer_memory_bounded_by_blocks():
     A = rng.integers(0, 20000, (n, n))
     B = np.sort(rng.integers(0, 20000, (n, n)), axis=1)
     C = np.sort(rng.integers(0, 40000, (n, n)), axis=1)
-    inst = minst(A, B, C, variant="col")
+    inst = minst(A, B, C)
     tracemalloc.start()
     try:
         twopointer_direct(inst)
@@ -375,13 +371,60 @@ def test_col_product_rejects_broken_promise():
     assert exc.value.coord == (1, 0)
 
 
-@pytest.mark.parametrize("engine", ["twopointer", "verification"])
-def test_col_product_matches_naive(engine):
+def test_col_product_matches_naive():
     rng = np.random.default_rng(12)
     for _ in range(25):
         A, B, tag = random_col_inputs(rng)
-        cfg = SolverConfig(col_engine=engine, test_mode=True)
-        got = minplus_monotone_col(A, B, tag, cfg)
+        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+        assert np.array_equal(got, minplus_product_naive(A, B))
+
+
+def test_test_mode_catches_a_wrong_twopointer_mask(monkeypatch):
+    # flip the first cell of the +0 mask; test_mode compares each mask with
+    # the equality scan, and +0 is tested on every level
+    real = product_col.twopointer_direct
+
+    def flipped(inst):
+        masks = real(inst)
+        masks[(0,) * masks.ndim] ^= True
+        return masks
+
+    monkeypatch.setattr(product_col, "twopointer_direct", flipped)
+    A = np.array([[3, 1, 4], [0, 2, 5]])
+    B = np.array([[1, 2], [3, 3], [4, 6]])
+    tag = MonotoneTag(axis="column-monotone", entry_bound=6)
+    with pytest.raises(AssertionError, match="disagree"):
+        minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+
+
+def test_scan_runs_once_per_tested_candidate_only_under_test_mode(monkeypatch):
+    calls = {"scan": 0, "tested": 0}
+    real_scan, real_level = product_col.congruent_witness_scan, product_col._col_level
+
+    def scan(*args, **kwargs):
+        calls["scan"] += 1
+        return real_scan(*args, **kwargs)
+
+    def level(*args, **kwargs):
+        mask_of = real_level(*args, **kwargs)
+
+        def counted(s):
+            calls["tested"] += 1
+            return mask_of(s)
+
+        return counted
+
+    monkeypatch.setattr(product_col, "congruent_witness_scan", scan)
+    monkeypatch.setattr(product_col, "_col_level", level)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        A, B, tag = random_col_inputs(rng)
+        calls.update(scan=0, tested=0)
+        minplus_monotone_col(A, B, tag)
+        assert calls["scan"] == 0 and calls["tested"] > 0
+        calls.update(scan=0, tested=0)
+        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+        assert calls["scan"] == calls["tested"] > 0
         assert np.array_equal(got, minplus_product_naive(A, B))
 
 
@@ -507,8 +550,8 @@ def test_twopointer_stacked_A_matches_one_call_each(monkeypatch, block):
     for shape in [(1, 1, 1), (3, 4, 40), (5, 1, 7), (6, 6, 6)]:
         inst = planted_col(rng, shape, 30, repeat=3)
         stack = inst.A - np.arange(3)[:, None, None]
-        got = twopointer_direct(minst(stack, inst.B, inst.C, variant="col"))
+        got = twopointer_direct(minst(stack, inst.B, inst.C))
         assert got.shape == stack.shape
         for A, mask in zip(stack, got):
-            one = minst(A, inst.B, inst.C, variant="col")
+            one = minst(A, inst.B, inst.C)
             assert np.array_equal(mask, witness_mask_naive(one, query_axis="ik"))
