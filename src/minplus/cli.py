@@ -205,7 +205,6 @@ def _config_from(args) -> SolverConfig:
     try:
         return SolverConfig(
             engine=args.engine,
-            M=args.M,
             R=args.R,
             slack=args.slack,
             oracle_limit=args.oracle_limit,
@@ -441,7 +440,6 @@ def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--engine", choices=ENGINES, default="det")
-    p.add_argument("--M", type=int, default=None)
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--slack", type=float, default=None)
     p.add_argument("--oracle-limit", type=int, default=1 << 22)

@@ -15,18 +15,18 @@ class SolverConfig:
     deterministic kernel, "naive" the brute-force product, "det-reference"
     the literal one-instance-at-a-time verification loop (small inputs only;
     row and convolution drivers), which shares one audited modulus across
-    the (s, t) instances of a recursion level. M and R override the promise
-    modulus and the prime-pool range (at least 4). slack scales the
-    good-modulus audit and must be finite and positive. M, R and slack reach
-    only the row and convolution drivers and the verify solvers; the column
-    driver searches no modulus. oracle_limit caps the brute-force volume the
-    CLI's check and stats commands accept. test_mode tests every candidate
-    and asserts the sandwich 2C' <= C <= 2C' + 2; the column driver also
-    asserts that each two-pointer mask equals the equality scan's.
+    the (s, t) instances of a recursion level. R overrides the prime-pool
+    range (at least 4). slack scales the good-modulus audit and must be
+    finite and positive. The drivers shift by the fixed modulus
+    shifting.SHIFT_M and the verify solvers by the instance's own M; the
+    column driver searches no modulus and refuses R or slack set away from
+    their defaults. oracle_limit caps the brute-force volume the CLI's check
+    and stats commands accept. test_mode tests every candidate and asserts
+    the sandwich 2C' <= C <= 2C' + 2; the column driver also asserts that
+    each two-pointer mask equals the equality scan's.
     """
 
     engine: str = "det"
-    M: int | None = None
     R: int | None = None
     slack: float | None = None
     oracle_limit: int = 1 << 22
@@ -35,8 +35,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
-        if self.M is not None and (self.M <= 0 or self.M % 100):
-            raise ValueError("M override must be a positive multiple of 100")
         if self.R is not None and self.R < 4:
             raise ValueError("range parameter R must be at least 4")
         if self.slack is not None and not (math.isfinite(self.slack) and self.slack > 0):

@@ -5,9 +5,10 @@ halve entries, recurse, then settle each output slot among the candidates
 ``2 * C'[k] + s`` for ``s`` in ``{0, 1, 2}``, through the recursion the
 drivers share, :func:`minplus.shifting.settle_by_halving`; ``_conv_level``
 is this module's per-level candidate test. Candidate checking shifts
-residues exactly as in the matrix case and counts congruent index pairs with
-a bivariate polynomial product that is cyclic in the value variable and
-ordinary in the position variable, so the count lands per output slot.
+residues exactly as in the matrix case, by the fixed
+``M = shifting.SHIFT_M``, and counts congruent index pairs with a bivariate
+polynomial product that is cyclic in the value variable and ordinary in the
+position variable, so the count lands per output slot.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
 search, bivariate counting, diagonal segment aggregation). The det driver
@@ -20,7 +21,6 @@ because the benchmark's ``Workload.exercises`` requires it (ROADMAP item 1).
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -41,9 +41,9 @@ from .core import (
 )
 from .modulus import find_good_modulus
 from .polyring import count_congruent_conv
-from .product_row import M_MAX, M_MIN
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
+    SHIFT_M,
     class_pair_sweep,
     congruent_witness_scan_conv,
     first_live_pair,
@@ -53,21 +53,10 @@ from .shifting import (
 )
 
 __all__ = [
-    "choose_M_conv",
     "compute_s_array",
     "solve_verification_conv",
     "minplus_conv_monotone",
 ]
-
-
-def choose_M_conv(entry_bound: int) -> int:
-    """Shift modulus for convolution: the multiple of 100 nearest sqrt(bound).
-
-    Balances the O(Mn) verification volume against the O(n^2 / M) counting
-    volume when entries go up to entry_bound; clamped to [M_MIN, M_MAX].
-    """
-    M = int(round(math.sqrt(max(entry_bound, 1)) / 100.0)) * 100
-    return min(max(M, M_MIN), M_MAX)
 
 
 def _shift_instance_conv(
@@ -164,7 +153,6 @@ def minplus_conv_monotone(
             )
     if config.engine == "naive":
         return minplus_convolution_naive(a, b)
-    M = config.M if config.M is not None else choose_M_conv(tag.entry_bound)
-    level = partial(_conv_level, M=M, config=config)
+    level = partial(_conv_level, M=SHIFT_M, config=config)
     out = settle_by_halving(a, b, (2 * a.shape[0] - 1,), level, config.test_mode)
     return IntArray(values=out, origin=2)

@@ -212,14 +212,19 @@ def minplus_monotone_col(
     shapes do not chain or have a zero dimension, PromiseViolationError when
     an entry is not an integer of magnitude below INT64_GUARD or B breaks the
     promise, and ValueError for a tag on the wrong axis or with an entry
-    bound of INT64_GUARD // 8 or more, or for the det-reference engine,
-    which only the row and convolution drivers have.
+    bound of INT64_GUARD // 8 or more, for the det-reference engine, which
+    only the row and convolution drivers have, and for R or slack set away
+    from SolverConfig()'s, which nothing here reads.
     """
     require_tag(tag, "column-monotone")
     if config is None:
         config = SolverConfig()
     if config.engine == "det-reference":
         raise ValueError("engine 'det-reference' is not available for the column driver")
+    default = SolverConfig()
+    moved = [k for k in ("R", "slack") if getattr(config, k) != getattr(default, k)]
+    if moved:
+        raise ValueError(f"the column driver searches no modulus; it refuses {', '.join(moved)}")
     A = as_int_matrix(A)
     B = as_int_matrix(B)
     require_product_shapes(A, B)

@@ -15,12 +15,13 @@ entry ``x`` in residue class ``s = (x % M) // (M // 100)`` to a value whose
 low part is below ``7 * M / 100`` and accepts a cell when some k has shifted
 values congruent mod ``Q > 7 * M / 100`` with matching high parts; those
 conditions bound the defect below ``2 * M / 100``, so they hold exactly when
-``A[i, k] + B[k, j]`` equals the candidate. The det engine therefore makes
-at most two equality scans of all triples per level
+``A[i, k] + B[k, j]`` equals the candidate. The det engine therefore makes at most two equality scans of all triples per level
 (:func:`minplus.shifting.congruent_witness_scan`), over about
-``log2(bound) + 2`` levels. The per-level modulus search from :mod:`minplus.modulus` computes
-a Q that nothing reads; it stays on the det path only because the
-benchmark's ``Workload.exercises`` requires it (ROADMAP item 1).
+``log2(bound) + 2`` levels. The per-level modulus search from
+:mod:`minplus.modulus` computes a Q that nothing reads; it stays on the det
+path only because the benchmark's ``Workload.exercises`` requires it
+(ROADMAP item 1). The driver shifts by the fixed ``M = shifting.SHIFT_M``
+(100); no output depends on it.
 
 Two slower engines back the batched one: ``naive`` is the cubic scan, and
 ``det-reference`` runs the per-shift-pair verification pipeline literally
@@ -31,7 +32,6 @@ batched kernel has something independent to agree with.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -54,6 +54,7 @@ from .modulus import find_good_modulus
 from .polyring import count_congruent
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
+    SHIFT_M,
     class_pair_sweep,
     congruent_witness_scan,
     first_live_pair,
@@ -61,12 +62,6 @@ from .shifting import (
     shift_operand,
     shift_output,
 )
-
-
-# The matrix-product exponent choose_M balances against, and its clamp on M.
-MATMUL_EXPONENT = 3.0
-M_MIN = 100
-M_MAX = 10000
 
 
 def normalize_A(A: IntMatrix, bound: int) -> tuple[IntMatrix, np.ndarray]:
@@ -82,25 +77,6 @@ def normalize_A(A: IntMatrix, bound: int) -> tuple[IntMatrix, np.ndarray]:
     A_norm = A - deltas[:, None]
     A_norm = np.where(A_norm > 2 * bound, 2 * bound + 1, A_norm)
     return A_norm, deltas
-
-
-def choose_M(dims: tuple[int, int, int], entry_bound: int) -> int:
-    """Pick the shift modulus M balancing verification work against counting work.
-
-    Dimensions are measured as powers of ``n = max(dims)`` and the returned M
-    is ``n ** d`` rounded to a multiple of 100, where d balances the cubic
-    matmul exponent against the instance shape.  ``n ** d`` works out to
-    ``sqrt(entry_bound / nc)``, so M stays at the floor of 100 unless the
-    entry bound exceeds about 22500 times the output width.
-    """
-    n = max(max(dims), 2)
-    logn = math.log(n)
-    ea, eb, ec = (math.log(max(d, 1)) / logn for d in dims)
-    mu = math.log(max(entry_bound, 1)) / logn
-    omega_rect = MATMUL_EXPONENT * (ea + eb + ec) / 3.0
-    d = (ea + eb + mu - omega_rect) / 2.0
-    M = int(round(n**d / 100.0)) * 100
-    return min(max(M, M_MIN), M_MAX)
 
 
 def _shift_instance(
@@ -197,8 +173,6 @@ def minplus_monotone_row(
     if config.engine == "naive":
         return minplus_product_naive(A, B)
     A_norm, deltas = normalize_A(A, tag.entry_bound)
-    dims = (A.shape[0], A.shape[1], B.shape[1])
-    M = config.M if config.M is not None else choose_M(dims, tag.entry_bound)
-    level = partial(_row_level, M=M, config=config)
+    level = partial(_row_level, M=SHIFT_M, config=config)
     C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
     return C_norm + deltas[:, None]

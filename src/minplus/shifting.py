@@ -45,6 +45,12 @@ __all__ = [
     "congruent_witness_scan_conv",
 ]
 
+# The shift modulus M of the row and convolution drivers: the smallest the
+# hundred residue intervals allow. No output depends on it; a larger M only
+# measured slower, in det-reference and in the verification pipeline
+# (BENCH_pipeline_vs_scan.json).
+SHIFT_M = 100
+
 # Triples (matrix scan) or pairs (conv scan) per block of the equality scans.
 # Every temporary of a scan holds at most one block (256 KB at int16), so
 # the scans' memory beyond their narrow operand copies does not grow with

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 
-from minplus.convolution import _shift_instance_conv, choose_M_conv
+from minplus.convolution import _shift_instance_conv
 from minplus.core import (
     ConvVerificationInstance,
     IntArray,
@@ -12,8 +12,8 @@ from minplus.core import (
     minplus_convolution_naive,
     minplus_product_naive,
 )
-from minplus.product_row import _shift_instance, choose_M, normalize_A
-from minplus.shifting import first_live_pair, residue_class
+from minplus.product_row import _shift_instance, normalize_A
+from minplus.shifting import SHIFT_M, first_live_pair, residue_class
 
 
 def minst(A, B, C, M=100):
@@ -105,12 +105,11 @@ def row_level_instances(payload):
     below each level comes from the naive oracle."""
     A, B = as_int_matrix(payload["A"]), as_int_matrix(payload["B"])
     A, _ = normalize_A(A, payload["entry_bound"])
-    M = choose_M((A.shape[0], A.shape[1], B.shape[1]), payload["entry_bound"])
     depth = 0
     while (A >> depth).any() or (B >> depth).any():
         Ad, Bd = A >> depth, B >> depth
         base = 2 * minplus_product_naive(Ad >> 1, Bd >> 1)
-        yield depth, _shift_instance(Ad, Bd, base, M, *first_live_pair(Ad, Bd, M))
+        yield depth, _shift_instance(Ad, Bd, base, SHIFT_M, *first_live_pair(Ad, Bd, SHIFT_M))
         depth += 1
 
 
@@ -118,12 +117,11 @@ def conv_level_instances(payload):
     """The convolution form of row_level_instances."""
     a = np.asarray(payload["A"], dtype=np.int64)
     b = np.asarray(payload["B"], dtype=np.int64)
-    M = choose_M_conv(payload["entry_bound"])
     depth = 0
     while (a >> depth).any() or (b >> depth).any():
         ad, bd = a >> depth, b >> depth
         base = 2 * minplus_convolution_naive(ad >> 1, bd >> 1).values
-        yield depth, _shift_instance_conv(ad, bd, base, M, *first_live_pair(ad, bd, M))
+        yield depth, _shift_instance_conv(ad, bd, base, SHIFT_M, *first_live_pair(ad, bd, SHIFT_M))
         depth += 1
 
 

@@ -279,6 +279,19 @@ def test_col_reference_engine_is_a_diagnostic(tmp_path, capsys, command):
     assert "det-reference" in diag["error"]
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_col_modulus_options_are_a_diagnostic(tmp_path, capsys, command):
+    path = tmp_path / "col.json"
+    cli.write_payload(path, cli.load_payload(GOLDEN / "product-col-n4.json"))
+    argv = [command, str(path), "--R", "50", "--slack", "3"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag["error"] == "the column driver searches no modulus; it refuses R, slack"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_check_sizes_the_oracle_from_the_arrays(tmp_path, capsys):
     payload = cli.generate_instance("product-row", 40, 9, seed=3, family="uniform-monotone")
     path = tmp_path / "p.json"
@@ -319,7 +332,6 @@ def test_col_entry_bound_beyond_int64_is_a_diagnostic(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("flag,value,reason", [
-    ("--M", "150", "multiple of 100"),
     ("--slack", "-1", "finite and positive"),
     ("--slack", "0", "finite and positive"),
     ("--R", "3", "at least 4"),

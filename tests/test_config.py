@@ -31,7 +31,6 @@ def test_every_config_flag_sets_a_field():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("M", 0),
     ("R", 3),
     ("slack", 0.0),
     ("slack", -1.0),
@@ -43,6 +42,6 @@ def test_out_of_range_knob_is_refused(field, value):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3), ("M", 100)])
+@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3)])
 def test_smallest_valid_knob_is_accepted(field, value):
     assert getattr(SolverConfig(**{field: value}), field) == value

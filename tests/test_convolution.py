@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from helpers import all_shift_pairs, cinst, promised_conv
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from minplus import cli
 from minplus.config import SolverConfig
 from minplus.convolution import (
+    _conv_level,
     _shift_instance_conv,
-    choose_M_conv,
     compute_s_array,
     minplus_conv_monotone,
     solve_verification_conv,
@@ -21,7 +23,7 @@ from minplus.core import (
     validate_instance,
     witness_mask_naive,
 )
-from minplus.shifting import congruent_witness_scan_conv, residue_class
+from minplus.shifting import congruent_witness_scan_conv, residue_class, settle_by_halving
 
 TAG = MonotoneTag(axis="array-monotone", entry_bound=50)
 
@@ -32,14 +34,6 @@ def random_conv_inputs(rng, max_n=20, max_bound=50):
     a = np.sort(rng.integers(1, bound + 1, n))
     b = np.sort(rng.integers(1, bound + 1, n))
     return a, b, MonotoneTag(axis="array-monotone", entry_bound=bound)
-
-
-def test_choose_M_conv_tracks_sqrt_bound():
-    assert choose_M_conv(4) == 100
-    assert choose_M_conv(10**6) == 1000
-    assert choose_M_conv(250000) == 500
-    # sqrt(1e9) ~ 31623 rounds past the cap
-    assert choose_M_conv(10**9) == 10000
 
 
 def test_shift_entry_157_class_57():
@@ -274,11 +268,22 @@ def test_conv_deterministic_reruns():
     assert first.tobytes() == second.tobytes()
 
 
-def test_conv_explicit_modulus():
-    rng = np.random.default_rng(14)
-    a, b, tag = random_conv_inputs(rng)
-    got = minplus_conv_monotone(a, b, tag, SolverConfig(M=300, test_mode=True))
-    assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
+@pytest.mark.parametrize("engine,max_n", [("det", 20), ("det-reference", 7)])
+@pytest.mark.parametrize("M", [100, 300, 1000])
+@pytest.mark.parametrize("bound", [9, 30000])
+def test_conv_does_not_depend_on_M(engine, max_n, M, bound):
+    """The driver's recursion with the shift modulus M in place of SHIFT_M
+    gives the same convolution: M sets only how candidates are shifted.
+    30000 is past 22500, above which M used to be picked larger than 100."""
+    config = SolverConfig(engine=engine, test_mode=True)
+    level = partial(_conv_level, M=M, config=config)
+    rng = np.random.default_rng(bound + M)
+    for _ in range(3):
+        n = int(rng.integers(1, max_n))
+        a = np.sort(rng.integers(1, bound + 1, n))
+        b = np.sort(rng.integers(1, bound + 1, n))
+        got = settle_by_halving(a, b, (2 * n - 1,), level, test_mode=True)
+        assert np.array_equal(got, minplus_convolution_naive(a, b).values)
 
 
 @settings(max_examples=40, deadline=None)

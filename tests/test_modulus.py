@@ -25,7 +25,6 @@ from minplus.modulus import (
     primes_in_range,
     select_prime,
 )
-from minplus.product_row import M_MAX
 from minplus.segments import (
     conv_layout,
     level_start_deltas,
@@ -33,6 +32,9 @@ from minplus.segments import (
     matrix_layout,
     segment_bounds,
 )
+
+# A large shift modulus: ten segment levels.
+BIG_M = 10000
 
 
 def test_prime_pools():
@@ -317,17 +319,17 @@ def test_search_memory_bounded_by_segment_starts(kind, n):
 
 @pytest.mark.parametrize("kind, n", [("verify-row", 48), ("verify-conv", 512)])
 def test_search_memory_bounded_when_every_start_has_its_own_delta(kind, n):
-    """The worst case for the start-delta bins: M = M_MAX (ten levels),
+    """The worst case for the start-delta bins: M = BIG_M (ten levels),
     entries up to 10^12 and a break at every column, so every cell starts a
     segment and nearly every start has a delta of its own. One search then
     allocates at most the operands, the layout's 9 bytes per start and five
     int64 per start for the deltas, their keys and the bins."""
     conv = kind == "verify-conv"
-    inst = cli._instance_from(cli.generate_instance(kind, n, 10**12, 1, "uniform-monotone", M=M_MAX))
+    inst = cli._instance_from(cli.generate_instance(kind, n, 10**12, 1, "uniform-monotone", M=BIG_M))
     operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
     layout = conv_layout(inst) if conv else matrix_layout(inst)
     starts = len(layout.starts)
-    distinct = len(np.unique(level_start_deltas(layout, levelmax_for(M_MAX)).values))
+    distinct = len(np.unique(level_start_deltas(layout, levelmax_for(BIG_M)).values))
     del layout
     tracemalloc.start()
     try:

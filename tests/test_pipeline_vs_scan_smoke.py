@@ -1,0 +1,21 @@
+"""The pipeline-against-scan measurement script runs as part of the suite.
+
+`scripts/pipeline_vs_scan.py --smoke` times every pipeline layer and the
+equality scan on tiny verify-row and verify-conv instances and asserts that
+their masks agree. A change that renames a function it times, or makes the
+pipeline and the scan disagree, fails here. It writes no file.
+"""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pipeline_vs_scan_smoke_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "scripts/pipeline_vs_scan.py", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "pipeline faster than the scan on" in proc.stdout

@@ -513,6 +513,18 @@ def test_col_product_refuses_reference_engine():
 
 
 @pytest.mark.parametrize("engine", ["det", "naive"])
+@pytest.mark.parametrize("field,value", [("R", 50), ("slack", 3.0)])
+def test_col_product_refuses_modulus_options(field, value, engine):
+    """The column driver searches no modulus, so a set R or slack would be
+    silently ignored; it is refused instead."""
+    A = np.ones((4, 4), dtype=np.int64)
+    B = np.ones((4, 4), dtype=np.int64)
+    tag = MonotoneTag(axis="column-monotone", entry_bound=1)
+    with pytest.raises(ValueError, match=f"refuses {field}"):
+        minplus_monotone_col(A, B, tag, SolverConfig(engine=engine, **{field: value}))
+
+
+@pytest.mark.parametrize("engine", ["det", "naive"])
 @pytest.mark.parametrize("driver,axis,A,B", [
     (minplus_monotone_row, "row-monotone", [[1.5, 9.0]], [[1], [1]]),
     (minplus_monotone_col, "column-monotone", [[1.5, 9.0]], [[1], [1]]),

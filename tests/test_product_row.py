@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from helpers import all_shift_pairs, promised_matrix
@@ -16,7 +18,7 @@ from minplus.core import (
     witness_mask_naive,
 )
 from minplus.product_row import (
-    choose_M,
+    _row_level,
     compute_s_matrix,
     minplus_monotone_row,
     normalize_A,
@@ -24,6 +26,7 @@ from minplus.product_row import (
 )
 from minplus.shifting import (
     residue_class,
+    settle_by_halving,
     shift_operand,
     shift_output,
 )
@@ -39,7 +42,7 @@ def random_product_inputs(rng, max_n=9, max_bound=40):
     return A, B, MonotoneTag(axis="row-monotone", entry_bound=bound)
 
 
-# --- normalization and M selection ---------------------------------------------
+# --- normalization -----------------------------------------------------------------
 
 
 def test_normalize_subtracts_row_minima():
@@ -60,26 +63,6 @@ def test_normalize_roundtrips_through_naive_product():
         A_norm, deltas = normalize_A(A, tag.entry_bound)
         lifted = minplus_product_naive(A_norm, B) + deltas[:, None]
         assert np.array_equal(lifted, minplus_product_naive(A, B))
-
-
-def test_choose_M_classical_backend_hits_floor():
-    assert choose_M((8, 8, 8), 8) == 100
-    assert choose_M((32, 32, 32), 128) == 100
-
-
-def test_choose_M_unit_bound_hits_floor():
-    assert choose_M((1000, 1000, 1000), 1) == 100
-
-
-def test_choose_M_rises_above_floor_on_thin_shapes():
-    # n ** d = sqrt(bound / nc): sqrt(10^6 / 1) = 1000, sqrt(10^6 / 25) = 200
-    assert choose_M((100, 100, 1), 10**6) == 1000
-    assert choose_M((100, 100, 25), 10**6) == 200
-
-
-def test_choose_M_clamps_to_cap():
-    # sqrt(10^12 / 1) = 10^6 is far past the cap
-    assert choose_M((10**4, 10**4, 1), 10**12) == 10000
 
 
 # --- residue shifting -----------------------------------------------------------
@@ -324,11 +307,24 @@ def test_product_handles_negative_and_oversized_A():
     assert np.array_equal(got, minplus_product_naive(A, B))
 
 
-def test_product_respects_explicit_modulus():
-    rng = np.random.default_rng(17)
-    A, B, tag = random_product_inputs(rng)
-    got = minplus_monotone_row(A, B, tag, SolverConfig(M=300, test_mode=True))
-    assert np.array_equal(got, minplus_product_naive(A, B))
+@pytest.mark.parametrize("engine,max_n", [("det", 9), ("det-reference", 7)])
+@pytest.mark.parametrize("M", [100, 300, 1000])
+@pytest.mark.parametrize("bound", [9, 30000])
+def test_product_does_not_depend_on_M(engine, max_n, M, bound):
+    """The driver's recursion with the shift modulus M in place of SHIFT_M
+    gives the same product: M sets only how candidates are shifted. 30000
+    is past the bound of 22500 per output column above which M used to be
+    picked larger than 100."""
+    config = SolverConfig(engine=engine, test_mode=True)
+    level = partial(_row_level, M=M, config=config)
+    rng = np.random.default_rng(bound + M)
+    for _ in range(3):
+        na, nb, nc = (int(v) for v in rng.integers(1, max_n, 3))
+        A = rng.integers(0, 2 * bound + 3, (na, nb))
+        B = np.sort(rng.integers(1, bound + 1, (nb, nc)), axis=1)
+        A_norm, deltas = normalize_A(A, bound)
+        got = settle_by_halving(A_norm, B, (na, nc), level, test_mode=True) + deltas[:, None]
+        assert np.array_equal(got, minplus_product_naive(A, B))
 
 
 def test_product_output_rows_monotone():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from minplus import segments
 from minplus.core import magnitude_sum, validate_instance
-from minplus.product_row import M_MAX
 from minplus.segments import (
     active_level0_bounds,
     active_start_mask,
@@ -22,6 +21,9 @@ from minplus.segments import (
     sprime_conv_flat,
     sprime_rows_flat,
 )
+
+# A large shift modulus: ten segment levels.
+BIG_M = 10000
 
 
 # --- oracles -----------------------------------------------------------------
@@ -538,7 +540,7 @@ def threshold_conv(rng, n, tops, Q, M):
 @st.composite
 def layout_case(draw):
     edge = draw(st.sampled_from(LAYOUT_EDGES))
-    M = draw(st.sampled_from((100, M_MAX))) if edge > M_MAX else 100
+    M = draw(st.sampled_from((100, BIG_M))) if edge > BIG_M else 100
     total = draw(st.sampled_from(promised_totals(edge, M)))
     Q = draw(st.sampled_from(LAYOUT_MODULI))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

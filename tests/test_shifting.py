@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from minplus import shifting
 from minplus.core import narrow_int_dtype, witness_mask_naive
 from minplus.modulus import default_range_parameter
-from minplus.product_row import M_MAX
 from minplus.shifting import (
     _narrow,
     congruent_witness_scan,
@@ -19,7 +18,9 @@ from minplus.shifting import (
     settle_by_halving,
 )
 
-MODULI = (100, 300, 1000, M_MAX)
+# A large shift modulus: ten segment levels.
+BIG_M = 10000
+MODULI = (100, 300, 1000, BIG_M)
 # Entry scales (times M/100) whose sums land on both sides of the int16 and
 # int32 thresholds.
 SCALES = (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 29, 1 << 30, 1 << 31)
