@@ -6,12 +6,11 @@ halve entries, recurse, then settle each output slot among the candidates
 drivers share, :func:`minplus.shifting.settle_by_halving`; ``_conv_level``
 is this module's per-level candidate test. Candidate checking shifts
 residues exactly as in the matrix case, by the fixed
-``M = shifting.SHIFT_M``, and counts congruent index pairs with a bivariate
-polynomial product that is cyclic in the value variable and ordinary in the
-position variable, so the count lands per output slot.
+``M = shifting.SHIFT_M``, and counts, per output slot, the index pairs whose
+sum is congruent to the candidate.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
-search, bivariate counting, diagonal segment aggregation). The det driver
+search, congruent-pair counting, diagonal segment aggregation). The det driver
 path instead makes at most two equality scans of all n^2 index pairs per
 level (:func:`minplus.shifting.congruent_witness_scan_conv`), which decide
 the same rule exactly, over about ``log2(bound) + 2`` levels. The driver's
@@ -73,12 +72,10 @@ def _shift_instance_conv(
 def compute_s_array(inst: ConvVerificationInstance, Q: int) -> np.ndarray:
     """Count, per output slot k, the pairs i + j = k with A_i + B_j = C_k (mod Q).
 
-    P_A = sum_i x^A_i y^i and likewise P_B; the product is cyclic in x and
-    ordinary in y, so the y^k stripe of P_A * P_B indexes output slots and
-    its x^C_k coefficient is the congruent-pair count.
-    ``polyring.count_congruent_conv`` reads that one coefficient per slot
-    from the gathered spectra, with no coefficient array and no transform
-    along x.
+    This is the x^C_k y^k coefficient of the product of P_A = sum_i x^A_i y^i
+    and P_B, cyclic in x and ordinary in y. ``polyring.count_congruent_conv``
+    takes it directly: it tests every pair's residues in blocks and sums the
+    hits onto their antidiagonals, with no product formed.
     """
     return count_congruent_conv(inst.A.values, inst.B.values, inst.C.values, Q)
 

@@ -27,6 +27,7 @@ __all__ = [
     "ConvVerificationInstance",
     "as_exact_int64",
     "narrow_int_dtype",
+    "next_pow2",
     "magnitude_sum",
     "as_int_matrix",
     "as_int_array",
@@ -128,6 +129,11 @@ def narrow_int_dtype(bound: int) -> np.dtype:
         if bound <= np.iinfo(dt).max:
             return np.dtype(dt)
     raise OverflowError(f"{bound} does not fit a signed 64-bit integer")
+
+
+def next_pow2(n: int) -> int:
+    """The smallest power of two that is at least n, for n >= 1."""
+    return 1 << max(0, int(n - 1).bit_length())
 
 
 def magnitude_sum(*arrays: np.ndarray) -> int:

@@ -43,6 +43,7 @@ __all__ = [
     "first_live_pair",
     "congruent_witness_scan",
     "congruent_witness_scan_conv",
+    "antidiagonal_rows",
 ]
 
 # The shift modulus M of the row and convolution drivers: the smallest the
@@ -197,7 +198,7 @@ def congruent_witness_scan_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> 
     for lo in range(0, n, rows):
         sl = slice(lo, lo + rows)
         hit = a[sl, None] + b == cw[sl]
-        mask[lo : lo + hit.shape[0] + n - 1] |= _antidiagonal_any(hit)
+        mask[lo : lo + hit.shape[0] + n - 1] |= antidiagonal_rows(hit).any(axis=0)
     return mask
 
 
@@ -208,14 +209,20 @@ def _narrow(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list:
     return [np.asarray(x).astype(dtype) for x in (a, b, c)]
 
 
-def _antidiagonal_any(hit: np.ndarray) -> np.ndarray:
-    """out[t] = any(hit[r, t - r]) for a block of R rows and n columns.
+def antidiagonal_rows(hit: np.ndarray) -> np.ndarray:
+    """An (m, R + n - 1) array, m = min(R, n), whose column t holds the
+    entries hit[r, t - r] of an (R, n) block and zeros elsewhere, so that
+    reducing it along axis 0 (any, sum) reduces each antidiagonal.
 
-    Row r of the zero-padded (R, n + R) copy, read back with row length
-    R + n - 1, starts r cells later, so its column r + j holds hit[r, j].
+    A block with more rows than columns is transposed first; the transpose
+    has the same antidiagonals. Row r of the zero-padded (R, n + R) copy,
+    read back with row length R + n - 1, then starts r cells later, so its
+    column r + j holds hit[r, j]. The copy holds at most 2 R n cells.
     """
+    if hit.shape[0] > hit.shape[1]:
+        hit = hit.T
     R, n = hit.shape
     L = R + n - 1
-    padded = np.zeros((R, n + R), dtype=bool)
+    padded = np.zeros((R, n + R), dtype=hit.dtype)
     padded[:, :n] = hit
-    return padded.reshape(-1)[: R * L].reshape(R, L).any(axis=0)
+    return padded.reshape(-1)[: R * L].reshape(R, L)

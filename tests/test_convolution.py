@@ -72,7 +72,7 @@ def test_shift_union_reproduces_naive_witnesses():
         assert np.array_equal(got, want)
 
 
-# --- bivariate counting -----------------------------------------------------------
+# --- congruent-pair counting ------------------------------------------------------
 
 
 def test_s_array_frozen_tiny():

@@ -1,10 +1,12 @@
-"""The pipeline-against-scan measurement script runs as part of the suite.
+"""The measurement scripts run as part of the suite.
 
 `scripts/pipeline_vs_scan.py --smoke` times every pipeline layer and the
 equality scan on tiny verify-row and verify-conv instances and asserts that
 their masks agree. A change that renames a function it times, or makes the
 pipeline and the scan disagree, fails here. It writes no file.
+`scripts/conv_count_timing.py` is run on one tiny cell.
 """
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,13 @@ def test_pipeline_vs_scan_smoke_exits_zero():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "pipeline faster than the scan on" in proc.stdout
+
+
+def test_conv_count_timing_smoke_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "scripts/conv_count_timing.py", "--cells", "8:13", "--repeats", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    (run,) = json.loads(proc.stdout.splitlines()[-1])["runs"]
+    assert (run["n"], run["Q"]) == (8, 13) and run["hits"] > 0

@@ -10,15 +10,10 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minplus import polyring, shifting
+from minplus import shifting
 from minplus.convolution import compute_s_array
 from minplus.core import PromiseViolationError, narrow_int_dtype
-from minplus.polyring import (
-    _conv_count_limit,
-    count_congruent,
-    count_congruent_conv,
-    next_pow2,
-)
+from minplus.polyring import count_congruent, count_congruent_conv, next_pow2
 from minplus.product_col import compute_r_matrix
 from minplus.product_row import compute_s_matrix
 
@@ -126,29 +121,25 @@ def test_block_split_matches_oracle(monkeypatch):
             assert np.array_equal(count(inst, Q), want), (kind, block)
 
 
-def test_conv_count_exact_at_the_limit_refused_past_it(monkeypatch):
-    seen = []
+@pytest.mark.parametrize("lengths", [(11, 4), (4, 11), (9, 9)])
+def test_conv_block_split_matches_oracle(monkeypatch, lengths):
+    # count_congruent_conv counts in blocks of whole rows i of at most
+    # SCAN_BLOCK pairs. At 1 and 5 every row is its own block; at 37 the
+    # blocks hold 9, 3 or 4 rows, so they end inside antidiagonals, and a
+    # 9-row block of 4 pairs each is folded through its transpose.
+    na, nb = lengths
+    rng = np.random.default_rng(na * 10 + nb)
+    Q = 13  # small, so that counts above 1 occur
 
-    def limit(length, Q):
-        seen.append(length)
-        return 6
+    def pick(k):  # residues 0 and 1, so that many pairs are congruent
+        return rng.integers(0, 2, k) + Q * rng.integers(-(1 << 40), 1 << 40, k)
 
-    monkeypatch.setattr(polyring, "_conv_count_limit", limit)
-    Q = 13
-    for na, nb in ((6, 2), (2, 6), (7, 2), (2, 7)):
-        a, b, c = np.full(na, 5), np.full(nb, 9), np.full(na + nb - 1, 1)
-        if max(na, nb) == 6:
-            assert np.array_equal(count_congruent_conv(a, b, c, Q), congruence_count_conv_direct(a, b, c, Q))
-        else:
-            with pytest.raises(ValueError, match="too large"):
-                count_congruent_conv(a, b, c, Q)
-    assert seen == [8, 8, 8, 8]  # the FFT length the bound is taken at
-
-
-def test_count_limits_bind_only_beyond_memory():
-    # 2^21 positions over 2^19 + 1 frequencies would need 2^40 complex
-    # spectrum values per operand; the limit still admits them.
-    assert _conv_count_limit(1 << 22, 1 << 20) >= 1 << 21
+    a, b, c = pick(na), pick(nb), pick(na + nb - 1)
+    want = congruence_count_conv_direct(a, b, c, Q)
+    assert want.max() > 1
+    for block in (1, 5, 37):
+        monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
+        assert np.array_equal(count_congruent_conv(a, b, c, Q), want), block
 
 
 def test_counts_refuse_bad_operands():
@@ -169,13 +160,13 @@ def test_counts_refuse_bad_operands():
 
 
 def test_counting_solvers_build_no_ring_product(monkeypatch):
-    """compute_s_matrix and compute_r_matrix count directly and
-    compute_s_array gathers its spectra: no real transform along x runs."""
+    """compute_s_matrix, compute_r_matrix and compute_s_array count directly:
+    no transform runs."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the counting route ran a transform along x")
+        raise AssertionError("the counting route ran a transform")
 
-    for name in ("rfft", "irfft", "rfft2", "irfft2"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, forbidden)
     rng = np.random.default_rng(4)
     Q = 143
@@ -207,13 +198,44 @@ def test_matrix_count_memory_bounded_by_block(count, copies):
     assert peak <= residues + block + output + copies * n * n * 8, peak
 
 
-def test_conv_count_memory_bounded_by_spectra():
-    """compute_s_array at n=1024 holds at most two spectra of F x L complex
-    values (L = next_pow2(2n - 1), the FFT length along the positions), an
-    operand spectrum of F x n and the residue table: under 3 F L complex
-    values."""
-    n, Q = 1024, 143
+def conv_count_budget(n, Q):
+    """What a convolution count of two length-n operands may hold: the three
+    narrow residue copies (each formed from an int64 remainder), one block
+    of SCAN_BLOCK pairs (the narrow a + b - c, two bool tests and the
+    zero-padded antidiagonal copy of at most two cells per pair), one
+    block's antidiagonal sums (at most int64) with numpy's reduction buffer,
+    and the int64 output."""
+    width = np.dtype(narrow_int_dtype(2 * Q)).itemsize
+    residues = 3 * (2 * n) * width + (2 * n) * 8
+    block = shifting.SCAN_BLOCK * (width + 2 + 2)
+    sums = (shifting.SCAN_BLOCK // n + n) * 8 + np.getbufsize() * 8
+    return residues + block + sums + (2 * n) * 8
+
+
+def test_conv_count_memory_bounded_by_block():
+    """compute_s_array at n=4096 stays within one block of SCAN_BLOCK pairs
+    beyond its residue copies and output: nothing grows with the n^2 pairs
+    or with Q."""
+    n, Q = 4096, 143
     inst = promised_conv(np.random.default_rng(2), n, hi=50)
-    F, L = Q // 2 + 1, next_pow2(2 * n - 1)
+    assert n * n > shifting.SCAN_BLOCK  # more than one block
     peak = traced_peak(compute_s_array, inst, Q)
-    assert peak <= 3 * F * L * 16
+    assert peak <= conv_count_budget(n, Q), peak
+
+
+def test_conv_count_at_the_largest_order():
+    """At Q = 2^31 the count is exact, and its memory does not depend on Q
+    (a table of Q roots of unity would hold 2^31 complex values)."""
+    n, Q = 64, 1 << 31
+    rng = np.random.default_rng(5)
+    residues = np.array([0, 1, Q - 2, Q - 1])  # both extremes of a + b - c
+
+    def pick(k):
+        return rng.choice(residues, k) + Q * rng.integers(-(1 << 20), 1 << 20, k)
+
+    a, b, c = pick(n), pick(n), pick(2 * n - 1)
+    want = congruence_count_conv_direct(a, b, c, Q)
+    assert want.max() > 1
+    assert np.array_equal(count_congruent_conv(a, b, c, Q), want)
+    peak = traced_peak(count_congruent_conv, a, b, c, Q)
+    assert peak <= conv_count_budget(n, Q), peak
