@@ -142,6 +142,26 @@ def test_conv_block_split_matches_oracle(monkeypatch, lengths):
         assert np.array_equal(count_congruent_conv(a, b, c, Q), want), block
 
 
+def test_conv_count_exact_at_the_limit_refused_past_it():
+    # The one limit left is the order range [1, 2^31]: exact at both ends,
+    # refused just outside them, by both counts.
+    top = 1 << 31
+    a, b = np.array([5, -3]), np.array([9, 2, 7])  # pair sums 14 7 12 / 6 -1 4
+    c = np.array([14, 7 - top, -1 + top, 5])
+    A, B = a[:, None], b[None, :]
+    C = np.add.outer(a, b) - np.array([[0, 1, top], [1, top, 0]])
+    for Q, want, want_matrix in ((1, [1, 2, 2, 1], np.ones((2, 3))), (top, [1, 1, 1, 0], [[1, 0, 1], [0, 1, 1]])):
+        assert np.array_equal(count_congruent_conv(a, b, c, Q), want), Q
+        assert np.array_equal(want, congruence_count_conv_direct(a, b, c, Q))
+        assert np.array_equal(count_congruent(A, B, C, Q), want_matrix), Q
+        assert np.array_equal(want_matrix, congruence_count_direct(A, B, C, Q))
+    for Q in (0, (1 << 31) + 1):
+        with pytest.raises(ValueError, match="ring order"):
+            count_congruent_conv(a, b, c, Q)
+        with pytest.raises(ValueError, match="ring order"):
+            count_congruent(a[:, None], b[None, :], np.zeros((2, 3)), Q)
+
+
 def test_counts_refuse_bad_operands():
     with pytest.raises(ValueError, match="matrix product"):
         count_congruent(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), 5)

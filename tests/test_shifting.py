@@ -13,6 +13,7 @@ from minplus.core import narrow_int_dtype, witness_mask_naive
 from minplus.modulus import default_range_parameter
 from minplus.shifting import (
     _narrow,
+    antidiagonal_rows,
     congruent_witness_scan,
     congruent_witness_scan_conv,
     settle_by_halving,
@@ -197,6 +198,25 @@ def test_conv_scan_memory_bounded_by_blocks():
     item = narrow_int_dtype(20000).itemsize
     peak = traced_peak(congruent_witness_scan_conv, a, b, c)
     assert peak <= 4 * n * item + 2 * n + 4 * shifting.SCAN_BLOCK * item
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (4, 4)])
+def test_antidiagonal_rows_fold_each_antidiagonal(shape):
+    # Wide, tall (folded through the transpose) and square blocks, of bools
+    # and of counts: every entry lands in its antidiagonal's column once.
+    R, n = shape
+    rng = np.random.default_rng(R * 10 + n)
+    block = rng.integers(0, 5, shape)
+    want = np.zeros(R + n - 1, dtype=np.int64)
+    for r in range(R):
+        for j in range(n):
+            want[r + j] += block[r, j]
+    for hit, total in ((block, want), (block > 2, None)):
+        rows = antidiagonal_rows(hit)
+        assert rows.shape == (min(R, n), R + n - 1) and rows.dtype == hit.dtype
+        if total is None:
+            total = np.array([np.count_nonzero(np.fliplr(hit).diagonal(n - 1 - t)) for t in range(R + n - 1)])
+        assert np.array_equal(rows.sum(axis=0), total), hit.dtype
 
 
 # --- settle_by_halving ------------------------------------------------------------
