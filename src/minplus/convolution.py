@@ -132,8 +132,8 @@ def minplus_conv_monotone(
 
     Both arrays must be non-decreasing with entries in [1, tag.entry_bound].
     Raises PromiseViolationError when either array breaks the promise and
-    ValueError for a tag on the wrong axis or with an entry bound of
-    INT64_GUARD // 8 or more.
+    ValueError for a tag that is not a MonotoneTag, is on the wrong axis, or
+    has an entry bound that is not an integer or is INT64_GUARD // 8 or more.
     """
     require_tag(tag, "array-monotone")
     if config is None:

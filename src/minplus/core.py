@@ -9,6 +9,7 @@ outputs), so callers that want 1-based bookkeeping can reconstruct it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "validate_instance",
     "require_valid_instance",
     "require_product_shapes",
+    "is_integer",
     "require_tag",
     "minplus_product_naive",
     "minplus_convolution_naive",
@@ -287,12 +289,22 @@ def require_product_shapes(A: np.ndarray, B: np.ndarray) -> None:
         raise DimensionMismatchError(f"zero dimension in shapes {A.shape} and {B.shape}")
 
 
+def is_integer(value) -> bool:
+    """An integer scalar, numpy's included; bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def require_tag(tag: MonotoneTag, axis: Axis) -> None:
-    """Raise ValueError unless tag is on axis and its entry bound leaves the
-    drivers' int64 arithmetic exact (below INT64_GUARD // 8)."""
+    """Raise ValueError unless tag is a MonotoneTag on axis whose entry bound
+    is an integer that leaves the drivers' int64 arithmetic exact (below
+    INT64_GUARD // 8)."""
+    article = "an" if axis[0] in "aeiou" else "a"
+    if not isinstance(tag, MonotoneTag):
+        raise ValueError(f"expected {article} {axis} MonotoneTag, got {type(tag).__name__}")
     if tag.axis != axis:
-        article = "an" if axis[0] in "aeiou" else "a"
         raise ValueError(f"expected {article} {axis} tag, got axis={tag.axis!r}")
+    if not is_integer(tag.entry_bound):
+        raise ValueError(f"entry bound must be an integer, got {tag.entry_bound!r}")
     if tag.entry_bound >= INT64_GUARD // 8:
         raise ValueError("entry bound too large for exact int64 arithmetic")
 

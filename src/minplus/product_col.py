@@ -13,11 +13,13 @@ The rotated check is a direct two-pointer pass over the constant-block
 decompositions of the rotated rows, exact on any instance.  It tests every
 block start of a row against the whole other axis at once, in blocks of
 ``shifting.SCAN_BLOCK`` narrow-integer cells, so it makes at most two
-compares per triple, and fewer the longer the blocks, where the equality
-scan of the row driver compares every triple.  The candidates of one
-recursion level differ only in the rotated A, so the driver rotates once per
-level and tests the candidates' A matrices as one stack against B and C's
-block starts, built once.  Under ``test_mode`` each mask is also checked
+compares per triple and candidate, and fewer the longer the blocks, where
+the equality scan of the row driver compares every triple.  The hits of a
+row's starts are OR-ed as 64-bit words of eight hits each.  The candidates
+of one recursion level differ only by a constant shift s of the rotated A,
+so the driver rotates once per level and passes the shifts: each block's
+differences are formed once, from one gather of the rotated A, and compared
+with every shift's target.  Under ``test_mode`` each mask is also checked
 against the equality scan on the same rotated triple.  No modulus is
 searched or chosen: neither check reads one.  The recursion over levels is
 :func:`minplus.shifting.settle_by_halving`, shared with the row and
@@ -26,7 +28,7 @@ convolution drivers; ``_col_level`` is this module's per-level test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -127,57 +129,76 @@ def solve_verification_col(
     return r_counts > r_prime
 
 
-def twopointer_direct(inst: VerificationInstance | RotatedInstance) -> WitnessMask:
-    """Per-(i, k) witness mask by testing constant-block representatives.
+def twopointer_direct(
+    inst: VerificationInstance | RotatedInstance, shifts: tuple = (0,)
+) -> WitnessMask:
+    """Per-(i, k) witness masks of A - s, one per shift s, by testing
+    constant-block representatives.
 
-    For the row pair (B[k,:], C[i,:]) every interval of their common
-    refinement has both values constant, so testing the interval starts is
-    enough.  Each start is a block start of B's row or of C's row, so one
-    pass over B's block starts against every i and one over C's block starts
-    against every k cover all (i, k) pairs.  The second pass is the first
-    on the swapped triple (-A^T, C, B), since A[i,k] + B[k,j] = C[i,j] reads
-    -A[i,k] + C[i,j] = B[k,j].  No promise is needed; this is exact on any
-    instance.
+    masks[t, i, k] is True when some j has A[i,k] - shifts[t] + B[k,j] ==
+    C[i,j].  For the row pair (B[k,:], C[i,:]) every interval of their
+    common refinement has both values constant, so testing the interval
+    starts is enough.  Each start is a block start of B's row or of C's
+    row, so one pass over B's block starts against every i and one over C's
+    block starts against every k cover all (i, k) pairs.  The first pass
+    reads the equation as C[i,j] - A[i,k] == B[k,j] - s, the second as
+    B[k,j] + A[i,k] == C[i,j] + s.  No promise is needed; this is exact on
+    any instance.
 
-    A may stack several na x nb matrices along leading axes; the masks come
-    back stacked the same way, and B and C's narrow copies, transposes and
-    block starts are built once for all of them.
+    All shifts share one pass: the narrow copies and the block starts are
+    built once, and each block's left side is formed once and compared with
+    every shift's right side.
     """
-    A, B, C = _narrow_operands(inst)
-    swapped = _block_start_hits(-np.swapaxes(A, -1, -2), C, B)
-    return _block_start_hits(A, B, C) | np.swapaxes(swapped, -1, -2)
+    A, B, C, s = _narrow_operands(inst, shifts)
+    by_b = _start_hits(B, C.T, A.T, -s)
+    by_c = _start_hits(C, B.T, -A, s)
+    return by_c | np.swapaxes(by_b, -1, -2)
 
 
-def _narrow_operands(inst: VerificationInstance | RotatedInstance) -> list:
-    """A, B, C in the narrowest signed dtype that holds every value the
-    two-pointer passes form: the entries of A and their negations, and every
-    difference of an entry of C and one of B."""
-    dtype = narrow_int_dtype(max(magnitude_sum(inst.A), magnitude_sum(inst.B, inst.C)))
-    return [np.asarray(x).astype(dtype) for x in (inst.A, inst.B, inst.C)]
+def _narrow_operands(inst: VerificationInstance | RotatedInstance, shifts: tuple) -> list:
+    """A, B, C and the shifts in the narrowest signed dtype that holds every
+    value the two-pointer passes form: -A, the differences C - A and sums
+    B + A, and the targets B - s and C + s."""
+    s = np.asarray(shifts)
+    top = max(magnitude_sum(inst.B), magnitude_sum(inst.C))
+    dtype = narrow_int_dtype(top + max(magnitude_sum(inst.A), magnitude_sum(s)))
+    return [np.asarray(x).astype(dtype) for x in (inst.A, inst.B, inst.C, s)]
 
 
-def _block_start_hits(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> WitnessMask:
-    """mask[..., i, k]: some block start j of B's row k has A[..., i,k] + B[k,j] == C[i,j].
+def _start_hits(R: np.ndarray, G: np.ndarray, H: np.ndarray, targets: np.ndarray) -> WitnessMask:
+    """mask[t, r, o]: some block start j of R's row r has
+    G[j, o] - H[r, o] == R[r, j] + targets[t].
 
-    The starts come row-major from one mask, so each B row's starts are
-    contiguous; they are tested against all i at once, SCAN_BLOCK cells per
-    block (over all stacked A), and OR-reduced per row (a row may span
-    blocks).
+    The starts come row-major from one mask, so each R row's starts are
+    contiguous; they are tested against every o at once, SCAN_BLOCK cells
+    per block over all targets, and OR-reduced per row (a row may span
+    blocks).  The o axis is padded with zeros to whole 8-byte words, so the
+    per-row OR runs over uint64 words of eight hits each; the pad columns
+    may hit, and are cut off the result.
     """
-    na, nb = A.shape[-2:]
-    stack = A.shape[:-2]
-    AT, CT = np.ascontiguousarray(np.swapaxes(A, -1, -2)), np.ascontiguousarray(C.T)
-    is_start = np.ones(B.shape, dtype=bool)
-    is_start[:, 1:] = B[:, 1:] != B[:, :-1]
-    ks, js = np.nonzero(is_start)
-    maskT = np.zeros(stack + (nb, na), dtype=bool)
-    step = max(1, shifting.SCAN_BLOCK // max(na * int(np.prod(stack)), 1))
-    for lo in range(0, ks.size, step):
-        k, j = ks[lo : lo + step], js[lo : lo + step]
-        hit = CT[j] - B[k, j][:, None] == AT[..., k, :]
-        first = np.flatnonzero(np.diff(k, prepend=-1))
-        maskT[..., k[first], :] |= np.logical_or.reduceat(hit, first, axis=-2)
-    return np.swapaxes(maskT, -1, -2)
+    nr, no = H.shape
+    width = -(-no // 8) * 8
+    Gp = np.zeros((G.shape[0], width), dtype=G.dtype)
+    Hp = np.zeros((nr, width), dtype=H.dtype)
+    Gp[:, :no], Hp[:, :no] = G, H
+    is_start = np.ones(R.shape, dtype=bool)
+    is_start[:, 1:] = R[:, 1:] != R[:, :-1]
+    flat = np.flatnonzero(is_start)
+    rs, js = np.divmod(flat, R.shape[1])
+    want = R.take(flat) + targets[:, None]
+    words = np.zeros((targets.size, nr, width // 8), dtype=np.uint64)
+    step = max(1, shifting.SCAN_BLOCK // max(width * targets.size, 1))
+    # j = 0 starts every row, so a block's rows are consecutive; a run of
+    # one row's starts opens at j = 0 or at the block's edge
+    opens = js == 0
+    opens[::step] = True
+    for lo in range(0, rs.size, step):
+        sl = slice(lo, lo + step)
+        r = rs[sl]
+        hit = Gp.take(js[sl], axis=0) - Hp.take(r, axis=0) == want[:, sl, None]
+        runs = np.bitwise_or.reduceat(hit.view(np.uint64), np.flatnonzero(opens[sl]), axis=1)
+        words[:, r[0] : r[-1] + 1] |= runs
+    return words.view(bool)[..., :no]
 
 
 def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
@@ -187,14 +208,12 @@ def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
     rot = rotate_to_problem2prime(A, B, base, W)
-    stack = replace(rot, A=rot.A - np.arange(3 if test_mode else 2)[:, None, None])
-    del rot  # its A is in the stack; dropping it keeps the level's peak down
-    masks = twopointer_direct(stack)
+    masks = twopointer_direct(rot, (0, 1, 2) if test_mode else (0, 1))
     if not test_mode:
         return masks.__getitem__
 
     def checked(s: int) -> WitnessMask:
-        scan = congruent_witness_scan(stack.A[s], stack.B, stack.C, query_axis="ik")
+        scan = congruent_witness_scan(rot.A - s, rot.B, rot.C, query_axis="ik")
         if not np.array_equal(masks[s], scan):
             raise AssertionError(f"two-pointer pass and equality scan disagree at +{s}")
         return masks[s]
@@ -211,10 +230,11 @@ def minplus_monotone_col(
     in ``[1, tag.entry_bound]``.  Raises DimensionMismatchError when the
     shapes do not chain or have a zero dimension, PromiseViolationError when
     an entry is not an integer of magnitude below INT64_GUARD or B breaks the
-    promise, and ValueError for a tag on the wrong axis or with an entry
-    bound of INT64_GUARD // 8 or more, for the det-reference engine, which
-    only the row and convolution drivers have, and for R or slack set away
-    from SolverConfig()'s, which nothing here reads.
+    promise, and ValueError for a tag that is not a MonotoneTag, is on the
+    wrong axis, or has an entry bound that is not an integer or is
+    INT64_GUARD // 8 or more, for the det-reference engine, which only the
+    row and convolution drivers have, and for R or slack set away from
+    SolverConfig()'s, which nothing here reads.
     """
     require_tag(tag, "column-monotone")
     if config is None:

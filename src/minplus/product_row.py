@@ -158,8 +158,8 @@ def minplus_monotone_row(
     magnitude below INT64_GUARD.  Raises DimensionMismatchError when the
     shapes do not chain or have a zero dimension, PromiseViolationError when
     an entry is not such an integer or B breaks the promise, and ValueError
-    for a tag on the wrong axis or with an entry bound of INT64_GUARD // 8 or
-    more.
+    for a tag that is not a MonotoneTag, is on the wrong axis, or has an
+    entry bound that is not an integer or is INT64_GUARD // 8 or more.
     """
     require_tag(tag, "row-monotone")
     if config is None:

@@ -184,21 +184,21 @@ def congruent_witness_scan(
 def congruent_witness_scan_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Convolution form of the equality scan: one pass over all (i, k - i) pairs.
 
-    a and b have length n, c has length 2n - 1 with slot t holding the
-    candidate for semantic index t + 2. Pair (i, j) hits when
+    a has length na and b length nb; c has length na + nb - 1, slot t holding
+    the candidate for semantic index t + 2. Pair (i, j) hits when
     a[i] + b[j] == c[i + j]; hits are folded onto their diagonal. The pass
     runs in blocks of whole rows i, SCAN_BLOCK pairs at most.
     """
     a, b, c = _narrow(a, b, c)
-    n = a.shape[0]
-    # row i of the window view holds c[i : i + n], the candidates of the pairs (i, j)
-    cw = sliding_window_view(c, n)
-    mask = np.zeros(2 * n - 1, dtype=bool)
-    rows = max(1, SCAN_BLOCK // n)
-    for lo in range(0, n, rows):
+    na, nb = a.size, b.size
+    # row i of the window view holds c[i : i + nb], the candidates of the pairs (i, j)
+    cw = sliding_window_view(c, nb)
+    mask = np.zeros(na + nb - 1, dtype=bool)
+    rows = max(1, SCAN_BLOCK // nb)
+    for lo in range(0, na, rows):
         sl = slice(lo, lo + rows)
         hit = a[sl, None] + b == cw[sl]
-        mask[lo : lo + hit.shape[0] + n - 1] |= antidiagonal_rows(hit).any(axis=0)
+        mask[lo : lo + hit.shape[0] + nb - 1] |= antidiagonal_rows(hit).any(axis=0)
     return mask
 
 

@@ -335,6 +335,7 @@ def test_col_entry_bound_beyond_int64_is_a_diagnostic(tmp_path, capsys, command)
     ("--slack", "-1", "finite and positive"),
     ("--slack", "0", "finite and positive"),
     ("--R", "3", "at least 4"),
+    ("--oracle-limit", "-1", "non-negative"),
 ])
 @pytest.mark.parametrize("command,golden", [
     ("run", "product-row-n4.json"),

@@ -32,6 +32,10 @@ def test_every_config_flag_sets_a_field():
 
 @pytest.mark.parametrize("field,value", [
     ("R", 3),
+    ("R", 4.5),
+    ("R", True),
+    ("oracle_limit", -1),
+    ("oracle_limit", 2.5),
     ("slack", 0.0),
     ("slack", -1.0),
     ("slack", float("nan")),
@@ -42,6 +46,6 @@ def test_out_of_range_knob_is_refused(field, value):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3)])
+@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3), ("oracle_limit", 0)])
 def test_smallest_valid_knob_is_accepted(field, value):
     assert getattr(SolverConfig(**{field: value}), field) == value

@@ -177,14 +177,14 @@ def test_twopointer_finds_block_representative():
     inst = VerificationInstance(
         A=np.array([[0]]), B=np.array([[1, 1, 2]]), C=np.array([[1, 3, 2]]), M=100,
     )
-    assert twopointer_direct(inst).all()
+    assert twopointer_direct(inst)[0].all()
 
 
 def test_twopointer_constant_rows_no_match():
     inst = VerificationInstance(
         A=np.array([[5]]), B=np.array([[1, 1, 1]]), C=np.array([[2, 2, 2]]), M=100,
     )
-    assert not twopointer_direct(inst).any()
+    assert not twopointer_direct(inst)[0].any()
 
 
 def test_twopointer_matches_oracle_on_arbitrary_instances():
@@ -195,14 +195,14 @@ def test_twopointer_matches_oracle_on_arbitrary_instances():
         B = rng.integers(0, 60, (nb, nc))
         C = rng.integers(0, 120, (na, nc))
         inst = VerificationInstance(A=A, B=B, C=C, M=100)
-        assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
+        assert np.array_equal(twopointer_direct(inst)[0], witness_mask_naive(inst, query_axis="ik"))
 
 
 def test_twopointer_agrees_with_verification_solver():
     rng = np.random.default_rng(9)
     for _ in range(15):
         inst = promised_matrix(rng, 5, 4, 6)
-        assert np.array_equal(twopointer_direct(inst), solve_verification_col(inst))
+        assert np.array_equal(twopointer_direct(inst)[0], solve_verification_col(inst))
 
 
 def test_common_refinement_block_count():
@@ -248,21 +248,22 @@ TP_SCALES = (1, 40, 43, 10000, 11000, 1 << 29, 3 << 29)
 )
 def test_twopointer_matches_oracle_property(shape, hi, repeat, seed):
     inst = planted_col(np.random.default_rng(seed), shape, hi, repeat)
-    assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
+    assert np.array_equal(twopointer_direct(inst)[0], witness_mask_naive(inst, query_axis="ik"))
 
 
 # Largest |A|, |B| and |C| one step either side of each switch, with the dtype
-# they must give: A's magnitude and the magnitude of C - B are what is formed.
+# they must give: what is formed is C - A, B + A and -A, so the switch is at
+# max(|B|, |C|) + |A|.
 TP_THRESHOLD_CASES = [
-    ((127, 60, 67), np.int8),
-    ((127, 60, 68), np.int16),
-    ((128, 1, 1), np.int16),
-    ((100, 32700, 67), np.int16),
-    ((100, 32700, 68), np.int32),
-    ((1 << 15, 1, 1), np.int32),
-    ((7, (1 << 30), (1 << 30) - 1), np.int32),
-    ((7, 1 << 30, 1 << 30), np.int64),
-    ((1 << 31, 1, 1), np.int64),
+    ((85, 41, 42), np.int8),
+    ((85, 42, 43), np.int16),
+    ((2, 126, 1), np.int16),
+    ((21845, 10921, 10922), np.int16),
+    ((21845, 10922, 10923), np.int32),
+    ((2, 1, 32766), np.int32),
+    ((1431655765, 715827881, 715827882), np.int32),
+    ((1431655765, 715827882, 715827883), np.int64),
+    ((2**31 - 1, 1, 1), np.int64),
 ]
 
 
@@ -276,8 +277,8 @@ def test_twopointer_exact_on_both_sides_of_each_threshold(tops, dtype, sign):
     B = sign * np.array([[-tb, 0, 1], [0, 1, 0]])
     C = sign * np.array([[tc, 1, 1], [0, 1, 1]])
     inst = minst(A, B, C)
-    assert all(x.dtype == dtype for x in _narrow_operands(inst))
-    got = twopointer_direct(inst)
+    assert all(x.dtype == dtype for x in _narrow_operands(inst, (0,)))
+    got = twopointer_direct(inst)[0]
     assert np.array_equal(got, witness_mask_naive(inst, query_axis="ik"))
     assert got[0, 1] and got[1, 0] and got[1, 1]
     assert got[0, 0] == (ta == tb + tc)
@@ -288,7 +289,7 @@ def test_twopointer_degenerate_shapes(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(10):
         inst = planted_col(rng, shape, 20, repeat=4)
-        assert np.array_equal(twopointer_direct(inst), witness_mask_naive(inst, query_axis="ik"))
+        assert np.array_equal(twopointer_direct(inst)[0], witness_mask_naive(inst, query_axis="ik"))
 
 
 @pytest.mark.parametrize("block", [1, 5, 37])
@@ -299,11 +300,53 @@ def test_twopointer_unchanged_by_many_blocks(monkeypatch, block):
     insts = [planted_col(rng, (3, 4, 40), 30, repeat=2) for _ in range(6)]
     insts.append(minst(rng.integers(0, 9, (3, 4)), np.sort(rng.integers(0, 9, (4, 40)), axis=1),
                        np.sort(rng.integers(0, 18, (3, 40)), axis=1)))
-    whole = [twopointer_direct(inst) for inst in insts]
+    whole = [twopointer_direct(inst)[0] for inst in insts]
     monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
     for inst, want in zip(insts, whole):
-        assert np.array_equal(twopointer_direct(inst), want)
+        assert np.array_equal(twopointer_direct(inst)[0], want)
         assert np.array_equal(want, witness_mask_naive(inst, query_axis="ik"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    na=st.integers(1, 17),
+    nb=st.integers(1, 17),
+    nc=st.integers(1, 9),
+    shifts=st.sampled_from([(0,), (0, 1), (0, 1, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_twopointer_shifts_match_oracle_across_word_widths(na, nb, nc, shifts, seed):
+    # na and nb are the hit rows of the two passes: part of a word, one
+    # word, part of a second word, two words; C is A + B - d with d in
+    # {-1, 0, 1, 2}, so each shift s has planted witnesses at d = s
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-20, 21, (na, nb))
+    B = np.sort(rng.integers(-20, 21, (nb, nc)), axis=1) // 3 * 3
+    k = rng.integers(0, nb, (na, nc))
+    C = A[np.arange(na)[:, None], k] + B[k, np.arange(nc)] - rng.integers(-1, 3, (na, nc))
+    if rng.random() < 0.5:
+        C = np.sort(C, axis=1)
+    got = twopointer_direct(minst(A, B, C), shifts)
+    assert got.shape == (len(shifts), na, nb)
+    for s, mask in zip(shifts, got):
+        assert np.array_equal(mask, witness_mask_naive(minst(A - s, B, C), query_axis="ik"))
+
+
+def test_twopointer_pad_columns_never_reach_the_mask():
+    # hit rows are padded with zeros to whole words; with row k of B at
+    # k % 3 and row i of C at -i, a zero pad column would match every shift
+    # in both passes (0 == B - s, 0 == C + s), while A = 50 leaves only the
+    # planted witness at (0, 0) for +0
+    A = np.full((3, 5), 50)
+    A[0, 0] = 0
+    B = np.repeat(np.arange(5)[:, None] % 3, 4, axis=1)
+    C = np.repeat(-np.arange(3)[:, None], 4, axis=1)
+    inst = minst(A, B, C)
+    got = twopointer_direct(inst, (0, 1, 2))
+    assert got.shape == (3, 3, 5)
+    assert got.sum() == 1 and got[0, 0, 0]
+    for s, mask in enumerate(got):
+        assert np.array_equal(mask, witness_mask_naive(minst(A - s, B, C), query_axis="ik"))
 
 
 def test_twopointer_memory_bounded_by_blocks():
@@ -351,15 +394,39 @@ def test_col_product_rejects_wrong_tag_axis():
         )
 
 
-@pytest.mark.parametrize("bound", [INT64_GUARD // 8, 2**63])
-@pytest.mark.parametrize("driver,axis,A,B", [
+# Each driver with its tag axis and operands that keep any bound of 1 or more.
+DRIVER_OPERANDS = [
     (minplus_monotone_row, "row-monotone", np.ones((2, 2)), np.ones((2, 2))),
     (minplus_monotone_col, "column-monotone", np.ones((2, 2)), np.ones((2, 2))),
     (minplus_conv_monotone, "array-monotone", np.ones(2), np.ones(2)),
-])
+]
+
+
+@pytest.mark.parametrize("bound", [INT64_GUARD // 8, 2**63])
+@pytest.mark.parametrize("driver,axis,A,B", DRIVER_OPERANDS)
 def test_drivers_refuse_entry_bounds_beyond_int64(driver, axis, A, B, bound):
     with pytest.raises(ValueError, match="entry bound too large"):
         driver(A, B, MonotoneTag(axis=axis, entry_bound=bound))
+
+
+@pytest.mark.parametrize("tag_of,match", [
+    (lambda axis: None, "MonotoneTag, got NoneType"),
+    (lambda axis: (axis, 2), "MonotoneTag, got tuple"),
+    (lambda axis: MonotoneTag(axis=axis, entry_bound=2.5), "entry bound must be an integer"),
+    (lambda axis: MonotoneTag(axis=axis, entry_bound=2.0), "entry bound must be an integer"),
+    (lambda axis: MonotoneTag(axis=axis, entry_bound=True), "entry bound must be an integer"),
+], ids=["none", "tuple", "bound-2.5", "bound-2.0", "bound-bool"])
+@pytest.mark.parametrize("driver,axis,A,B", DRIVER_OPERANDS)
+def test_drivers_refuse_malformed_tags(driver, axis, A, B, tag_of, match):
+    with pytest.raises(ValueError, match=match):
+        driver(A, B, tag_of(axis))
+
+
+@pytest.mark.parametrize("driver,axis,A,B", DRIVER_OPERANDS)
+def test_drivers_accept_a_numpy_integer_bound(driver, axis, A, B):
+    got = driver(A, B, MonotoneTag(axis=axis, entry_bound=np.int64(2)))
+    want = driver(A, B, MonotoneTag(axis=axis, entry_bound=2))
+    assert np.array_equal(getattr(got, "values", got), getattr(want, "values", want))
 
 
 def test_col_product_rejects_broken_promise():
@@ -384,8 +451,8 @@ def test_test_mode_catches_a_wrong_twopointer_mask(monkeypatch):
     # the equality scan, and +0 is tested on every level
     real = product_col.twopointer_direct
 
-    def flipped(inst):
-        masks = real(inst)
+    def flipped(inst, shifts):
+        masks = real(inst, shifts)
         masks[(0,) * masks.ndim] ^= True
         return masks
 
@@ -553,17 +620,17 @@ def test_drivers_refuse_zero_dimensions(driver, axis, engine, shape_a, shape_b):
 
 
 @pytest.mark.parametrize("block", [None, 1, 5, 37])
-def test_twopointer_stacked_A_matches_one_call_each(monkeypatch, block):
-    # the column driver passes the candidates' rotated A matrices as one
-    # stack; each layer must equal a call on that A alone
+def test_twopointer_shifts_match_one_call_each(monkeypatch, block):
+    # the column driver passes a level's candidate shifts in one call; each
+    # mask must equal a call on that shifted A alone
     rng = np.random.default_rng(100 + (block or 0))
     if block is not None:
         monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
     for shape in [(1, 1, 1), (3, 4, 40), (5, 1, 7), (6, 6, 6)]:
         inst = planted_col(rng, shape, 30, repeat=3)
-        stack = inst.A - np.arange(3)[:, None, None]
-        got = twopointer_direct(minst(stack, inst.B, inst.C))
-        assert got.shape == stack.shape
-        for A, mask in zip(stack, got):
-            one = minst(A, inst.B, inst.C)
+        got = twopointer_direct(inst, (0, 1, 2))
+        assert got.shape == (3,) + inst.A.shape
+        for s, mask in enumerate(got):
+            one = minst(inst.A - s, inst.B, inst.C)
+            assert np.array_equal(mask, twopointer_direct(one)[0])
             assert np.array_equal(mask, witness_mask_naive(one, query_axis="ik"))

@@ -89,6 +89,18 @@ def test_conv_scan_matches_oracles_across_dtype_thresholds(case):
     assert np.array_equal(got, witness_mask_naive(cinst(a, b, c, M=M), "k"))
 
 
+@pytest.mark.parametrize("na,nb", [(3, 5), (5, 3)])
+def test_conv_scan_takes_unequal_lengths(na, nb):
+    rng = np.random.default_rng(na * 10 + nb)
+    for _ in range(20):
+        a = rng.integers(0, 6, na)
+        b = rng.integers(0, 6, nb)
+        c = rng.integers(0, 11, na + nb - 1)
+        want = [any(a[i] + b[t - i] == c[t] for i in range(na) if 0 <= t - i < nb)
+                for t in range(na + nb - 1)]
+        assert congruent_witness_scan_conv(a, b, c).tolist() == want
+
+
 def threshold_cases():
     """Largest magnitudes (ta, tb, tc) of A, B and C, one step either side of
     each dtype edge E of max(ta + tb, tc), with the dtype the scans must
