@@ -94,7 +94,8 @@ def measure(kind: str, n: int, bound: int, M: int, seed: int, repeats: int) -> d
     s_counts, count_s = timed(repeats, compute_s_array if conv else compute_s_matrix, inst, Q)
     s_prime, segments_s = timed(repeats, _segments, inst, Q, conv)
     scan = congruent_witness_scan_conv if conv else congruent_witness_scan
-    mask, scan_s = timed(repeats, scan, *operands)
+    masks, scan_s = timed(repeats, scan, *operands)
+    mask = masks[0]
     if not np.array_equal(s_counts > s_prime, mask):
         raise AssertionError(f"pipeline and scan masks differ: {kind} n={n} bound={bound} M={M}")
     pipeline_s = search_s + count_s + segments_s

@@ -11,9 +11,10 @@ sum is congruent to the candidate.
 
 ``solve_verification_conv`` is the promised-instance pipeline (modulus
 search, congruent-pair counting, diagonal segment aggregation). The det driver
-path instead makes at most two equality scans of all n^2 index pairs per
-level (:func:`minplus.shifting.congruent_witness_scan_conv`), which decide
-the same rule exactly, over about ``log2(bound) + 2`` levels. The driver's
+path instead makes one equality scan of all n^2 index pairs per level
+(:func:`minplus.shifting.congruent_witness_scan_conv`), which decides the
+same rule exactly for the candidates ``+0`` and ``+1`` at once, forming each
+block of sums once, over about ``log2(bound) + 2`` levels. The driver's
 per-level modulus search computes a Q that nothing reads; it stays only
 because the benchmark's ``Workload.exercises`` requires it (ROADMAP item 1).
 """
@@ -38,11 +39,12 @@ from .core import (
     require_valid_instance,
     validate_promises,
 )
-from .modulus import find_good_modulus
+from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent_conv
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
     SHIFT_M,
+    candidate_shifts,
     class_pair_sweep,
     congruent_witness_scan_conv,
     first_live_pair,
@@ -89,12 +91,16 @@ def solve_verification_conv(
 
     s counts congruent pairs per slot, s' counts the congruent-but-unequal
     ones through the diagonal segment refinement; the mask is ``s > s'``.
+    Q defaults to the searched modulus; raises ValueError for a caller's Q
+    that is not an integer above 7M/100 (modulus.require_modulus).
     """
     if config is None:
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
         Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+    else:
+        require_modulus(Q, inst.M)
     s_counts = compute_s_array(inst, Q)
     layout = conv_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
@@ -113,8 +119,9 @@ def _level_modulus_conv(
 
 
 def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: SolverConfig):
-    """mask_of(s) for one level of settle_by_halving: the class-pair sweep
-    under det-reference, else the equality scan."""
+    """mask_of(s) for one level of settle_by_halving: the class-pair sweep,
+    run lazily per asked candidate, under det-reference; else one equality
+    scan of the level that tests +0 and +1 (and +2 under test_mode) at once."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
@@ -122,7 +129,8 @@ def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: 
         )
     # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
     _level_modulus_conv(a, b, base, M, config)
-    return lambda s: congruent_witness_scan_conv(a, b, base + s)
+    shifts = candidate_shifts(config.test_mode)
+    return congruent_witness_scan_conv(a, b, base, shifts).__getitem__
 
 
 def minplus_conv_monotone(

@@ -9,7 +9,7 @@ outputs), so callers that want 1-based bookkeeping can reconstruct it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
@@ -147,12 +147,25 @@ def magnitude_sum(*arrays: np.ndarray) -> int:
 def as_exact_int64(obj) -> np.ndarray:
     """obj as an int64 array, refusing what int64 would not hold exactly.
 
-    Raises PromiseViolationError, with coord at the first offender, for a
-    non-integral or non-finite entry (1.5 is refused, not truncated to 1)
-    and for an entry of magnitude INT64_GUARD or more.
+    Raises DimensionMismatchError for ragged nested entries, which form no
+    array. Raises PromiseViolationError, with coord at the first offender
+    where there is one, for an entry that is not a real number (a string or
+    a complex number is refused, numeric or not), for a non-integral or
+    non-finite entry (1.5 is refused, not truncated to 1) and for an entry
+    of magnitude INT64_GUARD or more.
     """
-    a = np.asarray(obj)
+    try:
+        a = np.asarray(obj)
+    except ValueError as e:
+        raise DimensionMismatchError(f"entries do not form a rectangular array: {e}") from None
     if a.dtype.kind not in "biu":
+        if a.dtype.kind == "O":
+            bad = np.frompyfunc(lambda x: not isinstance(x, Real), 1, 1)(a).astype(bool)
+            if bad.any():
+                coord = _first_bad(bad)
+                raise PromiseViolationError(f"entry {a[coord]!r} is not a number", coord=coord)
+        elif a.dtype.kind != "f":
+            raise PromiseViolationError(f"entries of dtype {a.dtype} are not integers")
         a = np.asarray(a, dtype=np.float64)
         bad = ~np.isfinite(a) | (a != np.round(a))
         if bad.any():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvVerificationInstance
+from .core import ConvVerificationInstance, is_integer
 from .segments import (
     StartDeltas,
     conv_layout,
@@ -43,6 +43,7 @@ __all__ = [
     "compute_W",
     "select_prime",
     "find_good_modulus",
+    "require_modulus",
     "count_X_bruteforce",
     "count_Z_bruteforce",
     "default_range_parameter",
@@ -276,6 +277,19 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
         slack=slack,
     )
     return Q, report
+
+
+def require_modulus(Q, M: int) -> None:
+    """Raise ValueError unless Q is an integer above 7M/100.
+
+    Every shifted residue is at most 7M/100 (minplus.shifting), and the
+    verification rule reads a congruence mod Q as equality only above that
+    bound: below it the verify solvers return wrong masks (at M = 100,
+    Q = 1, 2 and 4 gave a wrong mask on every generated instance tried).
+    find_good_modulus always returns Q >= M.
+    """
+    if not is_integer(Q) or 100 * Q <= 7 * M:
+        raise ValueError(f"modulus Q={Q!r} must be an integer above 7M/100 = {7 * M / 100:g}")
 
 
 def audit_modulus(inst, Q: int, slack: float | None = None) -> bool:

@@ -50,11 +50,11 @@ from .core import (
     require_valid_instance,
     validate_promises,
 )
-from .modulus import find_good_modulus
+from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent
 from .product_row import normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
-from .shifting import congruent_witness_scan, settle_by_halving
+from .shifting import candidate_shifts, congruent_witness_scan, settle_by_halving
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,17 @@ def solve_verification_col(
 
     Mirrors solve_verification_row with r/r' in place of s/s': r counts the
     congruent j per (i, k), r' the congruent-but-unequal ones via the active
-    level-0 segments, and the mask is ``r > r'``.
+    level-0 segments, and the mask is ``r > r'``.  Q defaults to the
+    searched modulus; raises ValueError for a caller's Q that is not an
+    integer above 7M/100 (modulus.require_modulus).
     """
     if config is None:
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
         Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+    else:
+        require_modulus(Q, inst.M)
     r_counts = compute_r_matrix(inst, Q)
     layout = matrix_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
@@ -208,12 +212,13 @@ def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
     rot = rotate_to_problem2prime(A, B, base, W)
-    masks = twopointer_direct(rot, (0, 1, 2) if test_mode else (0, 1))
+    masks = twopointer_direct(rot, candidate_shifts(test_mode))
     if not test_mode:
         return masks.__getitem__
 
     def checked(s: int) -> WitnessMask:
-        scan = congruent_witness_scan(rot.A - s, rot.B, rot.C, query_axis="ik")
+        # rot.A - s + rot.B == rot.C is the scan's rot.A + rot.B == rot.C + s
+        scan = congruent_witness_scan(rot.A, rot.B, rot.C, "ik", (s,))[0]
         if not np.array_equal(masks[s], scan):
             raise AssertionError(f"two-pointer pass and equality scan disagree at +{s}")
         return masks[s]

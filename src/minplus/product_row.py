@@ -15,9 +15,11 @@ entry ``x`` in residue class ``s = (x % M) // (M // 100)`` to a value whose
 low part is below ``7 * M / 100`` and accepts a cell when some k has shifted
 values congruent mod ``Q > 7 * M / 100`` with matching high parts; those
 conditions bound the defect below ``2 * M / 100``, so they hold exactly when
-``A[i, k] + B[k, j]`` equals the candidate. The det engine therefore makes at most two equality scans of all triples per level
-(:func:`minplus.shifting.congruent_witness_scan`), over about
-``log2(bound) + 2`` levels. The per-level modulus search from
+``A[i, k] + B[k, j]`` equals the candidate. The det engine therefore makes
+one equality scan of all triples per level
+(:func:`minplus.shifting.congruent_witness_scan`), which forms each block of
+sums ``A + B`` once and compares it with ``2 * C' + 0`` and ``2 * C' + 1``,
+over about ``log2(bound) + 2`` levels. The per-level modulus search from
 :mod:`minplus.modulus` computes a Q that nothing reads; it stays on the det
 path only because the benchmark's ``Workload.exercises`` requires it
 (ROADMAP item 1). The driver shifts by the fixed ``M = shifting.SHIFT_M``
@@ -50,11 +52,12 @@ from .core import (
     require_valid_instance,
     validate_promises,
 )
-from .modulus import find_good_modulus
+from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
     SHIFT_M,
+    candidate_shifts,
     class_pair_sweep,
     congruent_witness_scan,
     first_live_pair,
@@ -112,13 +115,17 @@ def solve_verification_row(
     s counts all congruent k per cell; s' counts congruent-but-unequal k by
     aggregating over the refined level-0 segments, where every unequal pair
     lands because its defect is at least 7M/10.  The difference is the number
-    of exact witnesses, so the mask is ``s > s'``.
+    of exact witnesses, so the mask is ``s > s'``. Q defaults to the
+    searched modulus; raises ValueError for a caller's Q that is not an
+    integer above 7M/100 (modulus.require_modulus).
     """
     if config is None:
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
         Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+    else:
+        require_modulus(Q, inst.M)
     s_counts = compute_s_matrix(inst, Q)
     layout = matrix_layout(inst)
     starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)
@@ -136,8 +143,9 @@ def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config
 
 
 def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
-    """mask_of(s) for one level of settle_by_halving: the class-pair sweep
-    under det-reference, else the equality scan."""
+    """mask_of(s) for one level of settle_by_halving: the class-pair sweep,
+    run lazily per asked candidate, under det-reference; else one equality
+    scan of the level that tests +0 and +1 (and +2 under test_mode) at once."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
@@ -145,7 +153,8 @@ def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: Solv
         )
     # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
     _level_modulus(A, B, base, M, config)
-    return lambda s: congruent_witness_scan(A, B, base + s, query_axis="ij")
+    shifts = candidate_shifts(config.test_mode)
+    return congruent_witness_scan(A, B, base, "ij", shifts).__getitem__
 
 
 def minplus_monotone_row(

@@ -14,14 +14,18 @@ result residues are at most 7W = 7M/100, inside the M/10 promise.
 settle_by_halving is the recursion the row, column and convolution drivers
 share (Chi, Duan, Xie and Zhang, STOC'22): halve the entries, recurse, then
 settle each output cell among the candidates 2C' + {0, 1, 2}. Each driver
-supplies only how one level tests a candidate. class_pair_sweep is the
-det-reference engine's test: the literal verification pipeline on every live
-(s, t) instance. congruent_witness_scan and congruent_witness_scan_conv are
-the det engine's test: the witness rule of every class pair at once reduces
-to the equality A + B == candidate, so det makes at most two equality scans
-of all triples (or pairs) per level, over about log2(bound) + 2 levels. The
-per-level modulus search the row and conv drivers still run is read by
-nothing; it stays only for the benchmark's Workload.exercises.
+supplies only how one level tests a candidate, and the recursion settles a
+level by arithmetic on the masks, with no boolean indexing. class_pair_sweep
+is the det-reference engine's test: the literal verification pipeline on
+every live (s, t) instance. congruent_witness_scan and
+congruent_witness_scan_conv are the det engine's test: the witness rule of
+every class pair at once reduces to the equality A + B == candidate. The
+candidates of one level differ only by a constant shift of 2C', so det
+makes one equality scan of all triples (or pairs) per level, forming each
+block's sums once and comparing them with every shifted candidate, over
+about log2(bound) + 2 levels. The per-level modulus search the row and conv
+drivers still run is read by nothing; it stays only for the benchmark's
+Workload.exercises.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from .modulus import audit_modulus, find_good_modulus
 
 __all__ = [
     "settle_by_halving",
+    "candidate_shifts",
     "class_pair_sweep",
     "residue_class",
     "shift_operand",
@@ -68,26 +73,37 @@ def settle_by_halving(
     2C' <= C <= 2C' + 2, so each cell is the first candidate 2C' + s,
     s = 0, 1, 2, that has a witness. level_witnesses(A, B, 2C') does a
     level's shared set-up and returns mask_of, where mask_of(s) marks the
-    cells with a witness for 2C' + s. Candidates are tested only while
-    cells are pending, and outside test_mode whatever the first two leave
-    is +2 untested; test_mode tests +2 too and raises AssertionError if a
-    cell is still pending.
+    cells with a witness for 2C' + s. +0 is asked for first, then +1 unless
+    every cell hit at +0; outside test_mode whatever the two leave is +2
+    untested, and test_mode asks for +2 too (unless every cell is settled)
+    and raises AssertionError if a cell has no witness at any of the three.
+
+    With hit0 and hit1 the masks of +0 and +1, a level's output is
+    2C' + 2 - hit0 - (hit0 | hit1): a cell hit at +0 loses 2, one first hit
+    at +1 loses 1. Nothing is indexed by a mask.
     """
     if not A.any() and not B.any():
         return np.zeros(out_shape, dtype=np.int64)
-    base = 2 * settle_by_halving(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
+    base = settle_by_halving(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
+    base <<= 1
     mask_of = level_witnesses(A, B, base)
-    result = base + 2
-    pending = np.ones(base.shape, dtype=bool)
-    for s in (0, 1, 2) if test_mode else (0, 1):
-        mask = mask_of(s) & pending
-        result[mask] = base[mask] + s
-        pending &= ~mask
-        if not pending.any():
-            return result
-    if test_mode:
+    hit0 = mask_of(0)
+    if hit0.all():
+        return base
+    settled = hit0 | mask_of(1)
+    if test_mode and not settled.all() and not (settled | mask_of(2)).all():
         raise AssertionError("candidate sandwich violated: unresolved cells remain")
-    return result
+    base += 2
+    base -= hit0
+    base -= settled
+    return base
+
+
+def candidate_shifts(test_mode: bool) -> tuple:
+    """The shifts s of the candidates 2C' + s that settle_by_halving may ask
+    a level for: +2 only under test_mode. A level that tests its candidates
+    in one pass tests these."""
+    return (0, 1, 2) if test_mode else (0, 1)
 
 
 def class_pair_sweep(
@@ -153,60 +169,79 @@ def first_live_pair(A: np.ndarray, B: np.ndarray, M: int) -> tuple[int, int]:
 
 
 def congruent_witness_scan(
-    A: np.ndarray, B: np.ndarray, C: np.ndarray, query_axis: str = "ij"
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, query_axis: str = "ij", shifts: tuple = (0,)
 ) -> np.ndarray:
-    """Exact witness mask: the triples (i, k, j) with A[i, k] + B[k, j] == C[i, j].
+    """Exact witness masks, one per shift s: the triples (i, k, j) with
+    A[i, k] + B[k, j] == C[i, j] + s.
 
     This is the verification rule of every class-pair instance at once: the
     class window and the high-part agreement bound the defect
     |C - A - B| below 2M/100, so for any Q > 7M/100 the congruence mod Q
     holds only at defect 0. The answer therefore depends on neither M nor Q,
     and the scan tests equality directly, in the narrowest signed dtype that
-    holds every sum A + B and entry of C, in blocks of SCAN_BLOCK triples.
+    holds every sum A + B and every C + s, in blocks of SCAN_BLOCK triples.
+    Each block's sums are formed once and compared with every shifted
+    candidate, so a level's candidates 2C' + s share one pass.
 
-    query_axis "ij" answers per output cell over inner k; "ik" answers per
-    (i, k) over output columns j, matching witness_mask_naive.
+    masks[t] is the mask of shifts[t]. query_axis "ij" answers per output
+    cell over inner k; "ik" answers per (i, k) over output columns j,
+    matching witness_mask_naive.
     """
     if query_axis not in ("ij", "ik"):
         raise ValueError(f"unknown query axis {query_axis!r}")
-    A, B, C = _narrow(A, B, C)
+    A, B, C, shifts = _narrow(A, B, C, shifts)
     na, nb = A.shape
     nc = B.shape[1]
-    mask = np.zeros((na, nc) if query_axis == "ij" else (na, nb), dtype=bool)
+    masks = np.zeros((shifts.size,) + ((na, nc) if query_axis == "ij" else (na, nb)), dtype=bool)
     rows = max(1, SCAN_BLOCK // max(nb * nc, 1))
     for lo in range(0, na, rows):
         sl = slice(lo, lo + rows)
-        hit = A[sl, :, None] + B == C[sl, None, :]
-        mask[sl] = hit.any(axis=1 if query_axis == "ij" else 2)
-    return mask
+        sums = A[sl, :, None] + B
+        for t, s in enumerate(shifts):
+            masks[t, sl] = (sums == (C[sl] + s)[:, None, :]).any(axis=1 if query_axis == "ij" else 2)
+    return masks
 
 
-def congruent_witness_scan_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Convolution form of the equality scan: one pass over all (i, k - i) pairs.
+def congruent_witness_scan_conv(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, shifts: tuple = (0,)
+) -> np.ndarray:
+    """Convolution form of the equality scan: one pass over all (i, k - i)
+    pairs, with one mask per shift s.
 
     a has length na and b length nb; c has length na + nb - 1, slot t holding
-    the candidate for semantic index t + 2. Pair (i, j) hits when
-    a[i] + b[j] == c[i + j]; hits are folded onto their diagonal. The pass
-    runs in blocks of whole rows i, SCAN_BLOCK pairs at most.
+    the candidate for semantic index t + 2. Pair (i, j) hits shift s when
+    a[i] + b[j] == c[i + j] + s; masks[t] folds the hits of shifts[t] onto
+    their diagonals. The pass runs in blocks of whole rows i: each block's
+    sums are formed once, compared with every shifted candidate and freed
+    before the hits are folded, and a block holds at most
+    SCAN_BLOCK / len(shifts) pairs, so its hits of all shifts together stay
+    within SCAN_BLOCK.
     """
-    a, b, c = _narrow(a, b, c)
+    a, b, c, shifts = _narrow(a, b, c, shifts)
     na, nb = a.size, b.size
-    # row i of the window view holds c[i : i + nb], the candidates of the pairs (i, j)
-    cw = sliding_window_view(c, nb)
-    mask = np.zeros(na + nb - 1, dtype=bool)
-    rows = max(1, SCAN_BLOCK // nb)
+    # row i of window t holds c[i : i + nb] + shifts[t], the candidates of the pairs (i, j)
+    windows = sliding_window_view(c + shifts[:, None], nb, axis=1)
+    masks = np.zeros((shifts.size, na + nb - 1), dtype=bool)
+    rows = max(1, SCAN_BLOCK // (nb * shifts.size))
     for lo in range(0, na, rows):
         sl = slice(lo, lo + rows)
-        hit = a[sl, None] + b == cw[sl]
-        mask[lo : lo + hit.shape[0] + nb - 1] |= antidiagonal_rows(hit).any(axis=0)
-    return mask
+        sums = a[sl, None] + b
+        hits = [sums == window[sl] for window in windows]
+        # free the sums before the folds, and the hits before the next block
+        del sums
+        for mask, hit in zip(masks, hits):
+            mask[lo : lo + hit.shape[0] + nb - 1] |= antidiagonal_rows(hit).any(axis=0)
+        del hits, hit
+    return masks
 
 
-def _narrow(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list:
-    """The two operands and the candidates in the narrowest signed dtype that
-    holds every sum of an entry of a and one of b, and every entry of c."""
-    dtype = narrow_int_dtype(max(magnitude_sum(a, b), magnitude_sum(c)))
-    return [np.asarray(x).astype(dtype) for x in (a, b, c)]
+def _narrow(a: np.ndarray, b: np.ndarray, c: np.ndarray, shifts: tuple) -> list:
+    """The two operands, the candidates and the shifts in the narrowest
+    signed dtype that holds every sum of an entry of a and one of b, and
+    every entry of c plus a shift."""
+    shifts = np.asarray(shifts)
+    dtype = narrow_int_dtype(max(magnitude_sum(a, b), magnitude_sum(c, shifts)))
+    return [np.asarray(x).astype(dtype) for x in (a, b, c, shifts)]
 
 
 def antidiagonal_rows(hit: np.ndarray) -> np.ndarray:

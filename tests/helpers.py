@@ -145,6 +145,27 @@ def congruence_count_conv_direct(a, b, c, Q):
     return out
 
 
+def settle_by_scatter_reference(A, B, out_shape, level_witnesses, test_mode):
+    """shifting.settle_by_halving with its settle step written as one
+    boolean-mask scatter per tested candidate, result[mask] = base[mask] + s,
+    over the cells still pending: the reference for its arithmetic update."""
+    if not A.any() and not B.any():
+        return np.zeros(out_shape, dtype=np.int64)
+    base = 2 * settle_by_scatter_reference(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
+    mask_of = level_witnesses(A, B, base)
+    result = base + 2
+    pending = np.ones(base.shape, dtype=bool)
+    for s in (0, 1, 2) if test_mode else (0, 1):
+        mask = mask_of(s) & pending
+        result[mask] = base[mask] + s
+        pending &= ~mask
+        if not pending.any():
+            return result
+    if test_mode:
+        raise AssertionError("candidate sandwich violated: unresolved cells remain")
+    return result
+
+
 def traced_peak(fn, *args, **kwargs):
     """Peak bytes tracemalloc sees allocated during fn(*args, **kwargs)."""
     tracemalloc.start()

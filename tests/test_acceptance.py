@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from helpers import (
     cinst,
     congruence_count_conv_direct,
@@ -327,3 +328,26 @@ def test_criterion_10_scaling_fit():
         "criterion 10 scaling sanity: PASS "
         f"(exponent {slope:.2f} over n={sizes}, {elapsed:.1f}s)"
     )
+
+
+VERIFY_SOLVERS = [
+    ("verify-row", solve_verification_row, "ij"),
+    ("verify-col", solve_verification_col, "ik"),
+    ("verify-conv", solve_verification_conv, "k"),
+]
+
+
+@pytest.mark.parametrize("kind,solve,axis", VERIFY_SOLVERS)
+def test_verify_solvers_refuse_a_modulus_at_or_below_7M_over_100(kind, solve, axis):
+    """Below 7M/100 the solvers returned wrong masks (at M = 100, Q in
+    {1, 2, 4} on every generated instance tried); they now refuse such a Q,
+    and a non-integer one, and are exact from the first Q above."""
+    for M in (100, 300):
+        inst = cli._instance_from(cli.generate_instance(kind, 6, 12, 3, "uniform-monotone", M=M))
+        want = witness_mask_naive(inst, axis)
+        least = 7 * M // 100 + 1
+        for Q in (1, 2, 4, 5, least - 1, float(least), least + 0.5):
+            with pytest.raises(ValueError, match="above 7M/100"):
+                solve(inst, Q=Q)
+        for Q in (least, least + 1, np.int64(M + 1)):
+            assert np.array_equal(solve(inst, Q=Q), want), (M, Q)

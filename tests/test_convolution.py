@@ -183,7 +183,7 @@ def test_conv_scan_matches_oracle():
         a = rng.integers(0, 600, n)
         b = rng.integers(0, 600, n)
         c = rng.integers(0, 1200, 2 * n - 1)
-        got = congruent_witness_scan_conv(a, b, c)
+        got = congruent_witness_scan_conv(a, b, c)[0]
         assert np.array_equal(got, witness_mask_naive(cinst(a, b, c), "k"))
 
 

@@ -5,6 +5,9 @@ equality scan on tiny verify-row and verify-conv instances and asserts that
 their masks agree. A change that renames a function it times, or makes the
 pipeline and the scan disagree, fails here. It writes no file.
 `scripts/conv_count_timing.py` is run on one tiny cell.
+`scripts/ab_pairs.py --smoke` compares this checkout with itself in
+alternating benchmark pairs, untraced and traced, and checks the layout of
+the BENCH file it would write and that the digests agree.
 """
 import json
 import subprocess
@@ -31,3 +34,21 @@ def test_conv_count_timing_smoke_exits_zero():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     (run,) = json.loads(proc.stdout.splitlines()[-1])["runs"]
     assert (run["n"], run["Q"]) == (8, 13) and run["hits"] > 0
+
+
+def test_ab_pairs_smoke_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "scripts/ab_pairs.py", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert set(doc) == {"what", "claim", "command", "host", "protocol", "result", "runs"}
+    assert [(r["pair"], r["side"], r["trace"]) for r in doc["runs"]] == [
+        (1, "parent", 0), (1, "change", 0), (2, "change", 0), (2, "parent", 0),
+        (1, "parent", 1), (1, "change", 1),
+    ]
+    p50 = doc["result"]["smoke: verify-mix seed 1"]["solve_s.p50"]
+    assert set(p50) == {
+        "parent_median", "parent_iqr", "change_median", "change_iqr", "change_pct", "pairs_won",
+    }

@@ -429,6 +429,29 @@ def test_drivers_accept_a_numpy_integer_bound(driver, axis, A, B):
     assert np.array_equal(getattr(got, "values", got), getattr(want, "values", want))
 
 
+# Entries that form no integer matrix (array): strings, numeric or not, None
+# and ragged rows, as a matrix and as an array. Each is refused in a typed
+# way, as the left or the right operand.
+BAD_ENTRIES = [
+    ([["1", "x"], ["1", "x"]], ["1", "x"], PromiseViolationError, "not integers"),
+    ([["1", "2"], ["1", "2"]], ["1", "2"], PromiseViolationError, "not integers"),
+    ([[1, None], [1, 1]], [1, None], PromiseViolationError, "not a number"),
+    ([[1, 1], [1]], [[1, 1], [1]], DimensionMismatchError, "rectangular"),
+]
+
+
+@pytest.mark.parametrize("matrix,array,error,match", BAD_ENTRIES,
+                         ids=["string", "numeric-string", "none", "ragged"])
+@pytest.mark.parametrize("driver,axis,A,B", DRIVER_OPERANDS)
+def test_drivers_refuse_entries_that_form_no_integer_array(driver, axis, A, B, matrix, array, error, match):
+    bad = matrix if A.ndim == 2 else array
+    tag = MonotoneTag(axis=axis, entry_bound=2)
+    with pytest.raises(error, match=match):
+        driver(bad, B, tag)
+    with pytest.raises(error, match=match):
+        driver(A, bad, tag)
+
+
 def test_col_product_rejects_broken_promise():
     B = np.array([[2, 2], [1, 2]])
     with pytest.raises(PromiseViolationError) as exc:

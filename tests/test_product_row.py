@@ -155,7 +155,7 @@ def test_witness_scan_matches_oracle_on_arbitrary_inputs():
             C = rng.integers(0, 2 * hi, (na, nc))
         inst = VerificationInstance(A=A, B=B, C=C, M=100)
         for ax in ("ij", "ik"):
-            got = congruent_witness_scan(A, B, C, query_axis=ax)
+            got = congruent_witness_scan(A, B, C, query_axis=ax)[0]
             assert np.array_equal(got, witness_mask_naive(inst, query_axis=ax)), (trial, ax)
 
 

@@ -4,7 +4,14 @@ and block sizes, with their memory bounded by blocks; and the halving
 recursion the drivers share, on fake per-level witnesses."""
 import numpy as np
 import pytest
-from helpers import cinst, fused_scan_conv_int64_oracle, fused_scan_int64_oracle, minst, traced_peak
+from helpers import (
+    cinst,
+    fused_scan_conv_int64_oracle,
+    fused_scan_int64_oracle,
+    minst,
+    settle_by_scatter_reference,
+    traced_peak,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,7 +81,7 @@ def test_scan_matches_oracles_across_dtype_thresholds(case):
     A, B, C = planted_matrix(rng, shape, hi, M, Q)
     inst = minst(A, B, C, M=M)
     for ax in ("ij", "ik"):
-        got = congruent_witness_scan(A, B, C, query_axis=ax)
+        got = congruent_witness_scan(A, B, C, query_axis=ax)[0]
         assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, M, Q, ax))
         assert np.array_equal(got, witness_mask_naive(inst, ax))
 
@@ -84,9 +91,35 @@ def test_scan_matches_oracles_across_dtype_thresholds(case):
 def test_conv_scan_matches_oracles_across_dtype_thresholds(case):
     M, Q, hi, rng, (n, _, _) = case
     a, b, c = planted_conv(rng, n + 1, hi, M, Q)
-    got = congruent_witness_scan_conv(a, b, c)
+    got = congruent_witness_scan_conv(a, b, c)[0]
     assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, M, Q))
     assert np.array_equal(got, witness_mask_naive(cinst(a, b, c, M=M), "k"))
+
+
+SHIFT_SETS = ((0,), (0, 1), (0, 1, 2), (2, 0), (1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_case(), st.sampled_from(SHIFT_SETS), st.sampled_from((1, 7, 64, 1 << 17)))
+def test_scans_with_shifts_equal_one_call_per_shifted_candidate(case, shifts, block):
+    """masks[t] of one call with shifts is the single-shift mask of C + s,
+    for both scans and both query axes, at block sizes that split rows."""
+    M, Q, hi, rng, shape = case
+    A, B, C = planted_matrix(rng, shape, hi, M, Q)
+    a, b, c = planted_conv(rng, shape[0] + 1, hi, M, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shifting, "SCAN_BLOCK", block)
+        for ax in ("ij", "ik"):
+            masks = congruent_witness_scan(A, B, C, ax, shifts)
+            assert masks.shape == (len(shifts),) + (C.shape if ax == "ij" else A.shape)
+            for mask, s in zip(masks, shifts):
+                assert np.array_equal(mask, congruent_witness_scan(A, B, C + s, ax)[0])
+                assert np.array_equal(mask, witness_mask_naive(minst(A, B, C + s, M=M), ax))
+        masks = congruent_witness_scan_conv(a, b, c, shifts)
+        assert masks.shape == (len(shifts), c.size)
+        for mask, s in zip(masks, shifts):
+            assert np.array_equal(mask, congruent_witness_scan_conv(a, b, c + s)[0])
+            assert np.array_equal(mask, witness_mask_naive(cinst(a, b, c + s, M=M), "k"))
 
 
 @pytest.mark.parametrize("na,nb", [(3, 5), (5, 3)])
@@ -98,7 +131,7 @@ def test_conv_scan_takes_unequal_lengths(na, nb):
         c = rng.integers(0, 11, na + nb - 1)
         want = [any(a[i] + b[t - i] == c[t] for i in range(na) if 0 <= t - i < nb)
                 for t in range(na + nb - 1)]
-        assert congruent_witness_scan_conv(a, b, c).tolist() == want
+        assert congruent_witness_scan_conv(a, b, c)[0].tolist() == want
 
 
 def threshold_cases():
@@ -127,18 +160,59 @@ def test_scans_exact_on_both_sides_of_each_threshold(tops, dtype):
     B = np.array([[tb, 1, 0], [0, 2, 3]])
     C = np.array([[tc, 2, 4], [1, 2, 5]])
     a, b, c = A[:, 0], B[0, :2], np.array([tc, 7, 1])
-    assert _narrow(A, B, C)[0].dtype == dtype
-    assert _narrow(a, b, c)[0].dtype == dtype
+    assert _narrow(A, B, C, (0,))[0].dtype == dtype
+    assert _narrow(a, b, c, (0,))[0].dtype == dtype
     for ax in ("ij", "ik"):
-        got = congruent_witness_scan(A, B, C, query_axis=ax)
+        got = congruent_witness_scan(A, B, C, query_axis=ax)[0]
         assert np.array_equal(got, fused_scan_int64_oracle(A, B, C, 100, 101, ax))
         assert np.array_equal(got, witness_mask_naive(minst(A, B, C), ax))
-    got = congruent_witness_scan(A, B, C)
+    got = congruent_witness_scan(A, B, C)[0]
     assert got[0, 0] == (ta + tb == tc) and got[0, 1] and got[1, 2] and not got[0, 2]
-    got = congruent_witness_scan_conv(a, b, c)
+    got = congruent_witness_scan_conv(a, b, c)[0]
     assert np.array_equal(got, fused_scan_conv_int64_oracle(a, b, c, 100, 101))
     assert np.array_equal(got, witness_mask_naive(cinst(a, b, c), "k"))
     assert got[0] == (ta + tb == tc) and got[2]
+
+
+def shifted_threshold_cases():
+    """(ta, tb, tc), shifts and the dtype the scans must use, where
+    max|C| + max(s) lands one step either side of each dtype edge E: at E
+    and E + 1 with the sums small, and with a witness at the top cell for
+    the largest shift (ta + tb == tc + max(s)) at E and at E + 1."""
+    cases = []
+    for edge, below, above in ((127, np.int8, np.int16), ((1 << 15) - 1, np.int16, np.int32),
+                               ((1 << 31) - 1, np.int32, np.int64)):
+        ta = (edge + 1) // 2
+        for shifts in ((0, 1), (0, 1, 2)):
+            top = max(shifts)
+            cases += [
+                ((2, 3, edge - top), shifts, below),
+                ((2, 3, edge + 1 - top), shifts, above),
+                ((ta, edge - ta, edge - top), shifts, below),
+                ((ta, edge + 1 - ta, edge + 1 - top), shifts, above),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("tops, shifts, dtype", shifted_threshold_cases())
+def test_scans_with_shifts_exact_on_both_sides_of_each_threshold(tops, shifts, dtype):
+    ta, tb, tc = tops
+    A = np.array([[ta, 0], [0, 2]])
+    B = np.array([[tb, 1, 0], [0, 2, 3]])
+    C = np.array([[tc, 2, 4], [1, 2, 5]])
+    a, b, c = A[:, 0], B[0, :2], np.array([tc, 7, 1])
+    assert _narrow(A, B, C, shifts)[0].dtype == dtype
+    assert _narrow(a, b, c, shifts)[0].dtype == dtype
+    for ax in ("ij", "ik"):
+        masks = congruent_witness_scan(A, B, C, ax, shifts)
+        for mask, s in zip(masks, shifts):
+            assert np.array_equal(mask, witness_mask_naive(minst(A, B, C + s), ax)), s
+    masks = congruent_witness_scan(A, B, C, "ij", shifts)
+    conv_masks = congruent_witness_scan_conv(a, b, c, shifts)
+    for mask, conv_mask, s in zip(masks, conv_masks, shifts):
+        assert mask[0, 0] == conv_mask[0] == (ta + tb == tc + s)
+        assert np.array_equal(conv_mask, witness_mask_naive(cinst(a, b, c + s), "k")), s
+    assert masks[-1, 0, 0] == (ta + tb == tc + max(shifts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,11 +233,11 @@ def test_literal_rule_equals_equality_scan_at_every_Q(M, n, m, seed):
     top = M * default_range_parameter(n)
     Qs = sorted({7 * M // 100 + 1, M, M + 1, int(rng.integers(7 * M // 100 + 1, top + 1)), top})
     for ax in ("ij", "ik"):
-        want = congruent_witness_scan(A, B, C, query_axis=ax)
+        want = congruent_witness_scan(A, B, C, query_axis=ax)[0]
         assert np.array_equal(want, witness_mask_naive(minst(A, B, C, M=M), ax))
         for Q in Qs:
             assert np.array_equal(fused_scan_int64_oracle(A, B, C, M, Q, ax), want), Q
-    want = congruent_witness_scan_conv(a, b, c)
+    want = congruent_witness_scan_conv(a, b, c)[0]
     assert np.array_equal(want, witness_mask_naive(cinst(a, b, c, M=M), "k"))
     for Q in Qs:
         assert np.array_equal(fused_scan_conv_int64_oracle(a, b, c, M, Q), want), Q
@@ -174,42 +248,59 @@ def test_scans_unchanged_by_many_blocks(monkeypatch, block):
     rng = np.random.default_rng(block)
     A, B, C = planted_matrix(rng, (9, 7, 11), 600, 100, 113)
     a, b, c = planted_conv(rng, 23, 600, 100, 113)
-    whole = [congruent_witness_scan(A, B, C, ax) for ax in ("ij", "ik")]
-    whole_conv = congruent_witness_scan_conv(a, b, c)
+    whole = [congruent_witness_scan(A, B, C, ax)[0] for ax in ("ij", "ik")]
+    whole_conv = congruent_witness_scan_conv(a, b, c)[0]
     monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
     for ax, want in zip(("ij", "ik"), whole):
-        assert np.array_equal(congruent_witness_scan(A, B, C, ax), want)
+        assert np.array_equal(congruent_witness_scan(A, B, C, ax)[0], want)
         assert np.array_equal(want, fused_scan_int64_oracle(A, B, C, 100, 113, ax))
-    assert np.array_equal(congruent_witness_scan_conv(a, b, c), whole_conv)
+    assert np.array_equal(congruent_witness_scan_conv(a, b, c)[0], whole_conv)
     assert np.array_equal(whole_conv, fused_scan_conv_int64_oracle(a, b, c, 100, 113))
+
+
+SCAN_SHIFTS = ((0,), (0, 1), (0, 1, 2))
 
 
 @pytest.mark.parametrize("query_axis", ["ij", "ik"])
 def test_scan_memory_bounded_by_blocks(query_axis):
     """One matrix scan at n=256 (n^3 = 16.8M triples) allocates at most the
-    three narrow operand copies, the n x n mask and four SCAN_BLOCK
-    temporaries, so no n^3 temporary is formed."""
+    three narrow operand copies, one n x n mask per shift and four
+    SCAN_BLOCK temporaries, so no n^3 temporary is formed, with one, two or
+    three shifts."""
     n = 256
     rng = np.random.default_rng(0)
     A = rng.integers(0, 10000, (n, n))
     B = np.sort(rng.integers(1, 10000, (n, n)), axis=1)
     C = rng.integers(0, 20000, (n, n))
     item = narrow_int_dtype(20000).itemsize
-    peak = traced_peak(congruent_witness_scan, A, B, C, query_axis=query_axis)
-    assert peak <= 3 * n * n * item + n * n + 4 * shifting.SCAN_BLOCK * item
+    for shifts in SCAN_SHIFTS:
+        peak = traced_peak(congruent_witness_scan, A, B, C, query_axis, shifts)
+        assert peak <= 3 * n * n * item + len(shifts) * n * n + 4 * shifting.SCAN_BLOCK * item, shifts
 
 
-def test_conv_scan_memory_bounded_by_blocks():
+def test_conv_scan_memory_bounded_by_blocks(monkeypatch):
     """One conv scan at n=4096 (16.8M pairs) allocates at most the narrow
-    copies of a, b and c, the 2n - 1 mask and four SCAN_BLOCK temporaries."""
+    copies of a, b and c, one shifted copy of c and one 2n - 1 mask per
+    shift, and one block: the hits of every shift (SCAN_BLOCK bools in all)
+    with either the block's sums (SCAN_BLOCK / len(shifts) narrow entries)
+    or one antidiagonal fold (2 SCAN_BLOCK / len(shifts) bools). The sums
+    must be freed before the fold: held through it, they exceed the bound
+    for one, two and three shifts at a block of 2^20 pairs, where the block
+    terms dominate numpy's fixed ufunc buffer (8192 entries) that the bound
+    allows for; the default block is checked too."""
     n = 4096
     rng = np.random.default_rng(0)
     a = np.sort(rng.integers(1, 10000, n))
     b = np.sort(rng.integers(1, 10000, n))
     c = rng.integers(0, 20000, 2 * n - 1)
     item = narrow_int_dtype(20000).itemsize
-    peak = traced_peak(congruent_witness_scan_conv, a, b, c)
-    assert peak <= 4 * n * item + 2 * n + 4 * shifting.SCAN_BLOCK * item
+    for block in (shifting.SCAN_BLOCK, 1 << 20):
+        monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
+        for shifts in SCAN_SHIFTS:
+            S = len(shifts)
+            peak = traced_peak(congruent_witness_scan_conv, a, b, c, shifts)
+            operands = (4 + 2 * S) * n * item + 2 * n * S
+            assert peak <= operands + block + max(item, 2) * block // S + 8192 * 8, (block, shifts)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (4, 4)])
@@ -290,3 +381,53 @@ def test_halving_asks_for_plus_two_only_in_test_mode():
         base = log[-1][0]
         assert np.array_equal(outs[test_mode], base + pattern)
     assert np.array_equal(outs[True], outs[False])
+
+
+def random_levels(seed, hit_rate):
+    """level_witnesses whose mask_of(s) is an independent random mask per
+    level and candidate, any hit pattern, consistent with a true output or
+    not; and the log of the candidates each level was asked for. Two calls
+    with one seed draw the same masks when their levels are asked in the
+    same order."""
+    rng = np.random.default_rng(seed)
+    log = []
+
+    def level_witnesses(A, B, base):
+        masks = [rng.random(base.shape) < hit_rate for _ in range(3)]
+        asked = []
+        log.append(asked)
+
+        def mask_of(s):
+            asked.append(s)
+            return masks[s].copy()
+
+        return mask_of
+
+    return level_witnesses, log
+
+
+@pytest.mark.parametrize("test_mode", [True, False])
+@pytest.mark.parametrize("hit_rate", [0.0, 0.3, 0.7, 0.97, 1.0])
+def test_settle_arithmetic_equals_the_scatter_reference(test_mode, hit_rate):
+    """The arithmetic settle step gives the output of one boolean-mask
+    scatter per candidate, asks for the same candidates, and raises where
+    the scatter reference raises, on random mask patterns."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 6, 2))
+        A = rng.integers(0, 50, (shape[0], 3))
+        B = rng.integers(1, 50, (3, shape[1]))
+        outs = []
+        for settle in (settle_by_halving, settle_by_scatter_reference):
+            levels, log = random_levels(seed, hit_rate)
+            try:
+                out = settle(A, B, shape, levels, test_mode)
+            except AssertionError as e:
+                out = str(e)
+            outs.append((out, log))
+        (got, got_log), (want, want_log) = outs
+        assert got_log == want_log, seed
+        if isinstance(want, str):
+            assert got == want, seed
+        else:
+            assert np.array_equal(got, want) and got.dtype == want.dtype, seed
