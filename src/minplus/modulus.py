@@ -12,16 +12,22 @@ the starts with delta inside the window exactly; Z_l does not depend on Q,
 so minimising Y minimises X. The search stops at the first Q >= M.
 
 Y is evaluated directly from the per-level multisets of start
-discrepancies (segments.level_start_deltas), one W lookup per bin of starts
-that share a delta and a depth, so a prime costs O(bins), not O(starts).
-The enumerations count_X_bruteforce and count_Z_bruteforce are its
-independent references, through the identity X = Y - Z.
+discrepancies (segments.level_start_deltas), whose bins group the starts
+that share a delta and a depth, so a step costs O(bins), not O(starts). A
+step scores every prime and level in one pass over the bins: each block of
+bins is reduced mod every Q_prev * p at once, and W is taken in closed form
+at those residues for every level at once (compute_W), so no per-prime
+table is built. The end-of-search audit reads the bins the same way, all
+levels in one pass. The enumerations count_X_bruteforce and
+count_Z_bruteforce are the independent references, through the identity
+X = Y - Z.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +58,10 @@ __all__ = [
 
 BRUTE_CELL_LIMIT = 1 << 16
 
+# Entries per block of a one-pass scoring (levels x primes x bins) or audit
+# (levels x bins): a block's int64 W values stay within 128 KB.
+SCORE_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class PrimePool:
@@ -67,8 +77,10 @@ class PrimePool:
                 raise ValueError(f"prime {p} outside [{lo}, {self.R}]")
 
 
+@functools.lru_cache(maxsize=64)
 def primes_in_range(R: int) -> PrimePool:
-    """Exact sieve of [ceil(R/2), R]."""
+    """Exact sieve of [ceil(R/2), R]. The pool is frozen, so each R is sieved
+    once and its pool shared; a process meets few distinct R."""
     if R < 4:
         raise ValueError("range parameter must be at least 4")
     sieve = np.ones(R + 1, dtype=bool)
@@ -83,12 +95,20 @@ def primes_in_range(R: int) -> PrimePool:
     return PrimePool(R=R, primes=primes)
 
 
-def compute_W(level: int, Qp: int) -> np.ndarray:
-    """W(r) = #{s in [-4*2^l, 4*2^l] : s = r mod Qp}, for r in [0, Qp)."""
-    if Qp < 1:
+def compute_W(level, Qp, r) -> np.ndarray:
+    """W(r) = #{s in [-w, w] : s = r mod Qp} with w = 4*2^l, at the residues
+    r in [0, Qp).
+
+    In closed form W(r) = (w - r)//Qp + (w + r)//Qp + 1. With w = q*Qp + e,
+    0 <= e < Qp, that is 2q + 1 + [r >= Qp - e] - [r > e], which is how it
+    is evaluated: two compares per residue, and one division of w by each
+    Qp. level, Qp and r broadcast against each other.
+    """
+    Qp = np.asarray(Qp, dtype=np.int64)
+    if (Qp < 1).any():
         raise ValueError("modulus must be positive")
-    w = 4 << level
-    return np.bincount(np.arange(-w, w + 1) % Qp, minlength=Qp)
+    q, e = np.divmod(np.left_shift(4, level, dtype=np.int64), Qp)
+    return 2 * q + 1 + (r >= Qp - e) - (r > e)
 
 
 @dataclass(frozen=True)
@@ -97,12 +117,15 @@ class YTable:
 
     primes: tuple
     Y: np.ndarray  # shape (lmax + 1, len(primes))
+    # Phi(p) = max_l (Y_l(p) - Y*_l) per prime, set from Y
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Y.ndim != 2 or self.Y.shape[1] != len(self.primes):
             raise ValueError("Y must have one column per prime")
         if (self.Y < 0).any():
             raise ValueError("Y counts cannot be negative")
+        object.__setattr__(self, "phi", (self.Y - self.ystar[:, None]).max(axis=0))
 
     @property
     def ystar(self) -> np.ndarray:
@@ -113,8 +136,7 @@ def select_prime(table: YTable, pool: PrimePool) -> int:
     """Argmin of Phi(p) = max_l (Y_l(p) - Y*_l); ties go to the smallest prime."""
     if table.primes != pool.primes:
         raise ValueError("table and pool disagree on the prime set")
-    phi = (table.Y - table.ystar[:, None]).max(axis=0)
-    return pool.primes[int(np.argmin(phi))]
+    return pool.primes[int(np.argmin(table.phi))]
 
 
 def default_range_parameter(n: int) -> int:
@@ -177,18 +199,34 @@ class ModulusReport:
         }
 
 
+def _bin_blocks(deltas: StartDeltas, entries_per_bin: int):
+    """(lo, hi) of consecutive blocks of the bins that hold level-0 starts,
+    each of at most SCORE_BLOCK // entries_per_bin bins (at least one)."""
+    nbins, step = int(deltas.cut[0]), max(1, SCORE_BLOCK // entries_per_bin)
+    return ((lo, min(lo + step, nbins)) for lo in range(0, nbins, step))
+
+
+def _bin_weights(deltas: StartDeltas, lo: int, hi: int, counts: np.ndarray) -> np.ndarray:
+    """counts of the bins [lo, hi) per level, zero where the bin holds no
+    start of that level; shape (levels, hi - lo)."""
+    held = np.arange(lo, hi) < deltas.cut[:, None]
+    return np.where(held, counts[lo:hi], 0)
+
+
 def _counting_columns(deltas: StartDeltas, Q_prev: int, pool: PrimePool) -> YTable:
-    """Y per (level, prime) from the start-delta bins: one W lookup per bin,
-    weighted by its count, over the bins that hold the level's starts."""
-    cols = []
-    for p in pool.primes:
-        Qp = Q_prev * p
-        r = deltas.values % Qp
-        cols.append([
-            int(deltas.counts[:c] @ compute_W(level, Qp)[r[:c]])
-            for level, c in enumerate(deltas.cut)
-        ])
-    return YTable(primes=pool.primes, Y=np.array(cols, dtype=np.int64).T)
+    """Y per (level, prime) in one pass over the start-delta bins.
+
+    Per block of bins: the deltas mod every Q_prev * p, W at those residues
+    for every level and prime, and its sum weighted by the bins' counts
+    over the bins that hold each level's starts. A block holds at most
+    SCORE_BLOCK (level, prime, bin) entries."""
+    Qp = Q_prev * np.array(pool.primes, dtype=np.int64)[:, None]
+    levels = np.arange(len(deltas.cut))[:, None, None]
+    Y = np.zeros((len(deltas.cut), len(pool.primes), 1), dtype=np.int64)
+    for lo, hi in _bin_blocks(deltas, Y.size):
+        W = compute_W(levels, Qp, deltas.values[lo:hi] % Qp)
+        Y += W @ _bin_weights(deltas, lo, hi, deltas.counts)[:, :, None]
+    return YTable(primes=pool.primes, Y=Y[:, :, 0])
 
 
 def _instance_scale(inst):
@@ -206,15 +244,20 @@ def _instance_scale(inst):
 
 def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
     """Per-level active-segment counts |S_l(Q)| and the audit bound
-    slack * groups * U / Q that each of them must stay within."""
-    r = deltas.values % Q
-    counts = []
-    for level, c in enumerate(deltas.cut):
-        win = 4 << level
-        hit = deltas.differ[:c] & ((r[:c] <= win) | (r[:c] >= Q - win))
-        counts.append(int(deltas.counts[:c][hit].sum()))
+    slack * groups * U / Q that each of them must stay within.
+
+    One pass over the bins, every level at once: a start is active at
+    level l when its high parts differ and its delta lies within 4*2^l of
+    a multiple of Q."""
+    wins = np.left_shift(4, np.arange(len(deltas.cut)))[:, None]
+    live = np.where(deltas.differ, deltas.counts, 0)
+    counts = np.zeros(len(deltas.cut), dtype=np.int64)
+    for lo, hi in _bin_blocks(deltas, len(deltas.cut)):
+        r = deltas.values[lo:hi] % Q
+        near = np.minimum(r, Q - r) <= wins
+        counts += (near * _bin_weights(deltas, lo, hi, live)).sum(axis=1)
     groups = len(layout.gstarts) - 1
-    return counts, slack * groups * U / Q
+    return counts.tolist(), slack * groups * U / Q
 
 
 def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = None,
@@ -243,9 +286,8 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
     primes, q_values, steps = [], [], []
     while Q < M:
         table = _counting_columns(deltas, Q, pool)
-        phi = tuple(int(v) for v in (table.Y - table.ystar[:, None]).max(axis=0))
         p = select_prime(table, pool)
-        steps.append(SearchStep(Q_prev=Q, table=table, phi=phi, chosen=p))
+        steps.append(SearchStep(Q_prev=Q, table=table, phi=tuple(table.phi.tolist()), chosen=p))
         Q *= p
         primes.append(p)
         q_values.append(Q)
@@ -262,6 +304,7 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
             raise AssertionError(msg)
         warnings.warn(msg)
 
+    # every level holds the first cell of each group, so no cut is 0
     report = ModulusReport(
         M=M,
         R=R,
@@ -271,7 +314,7 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
         steps=tuple(steps),
         Q=Q,
         active_counts=tuple(active_counts),
-        level_segments=tuple(int(deltas.counts[:c].sum()) for c in deltas.cut),
+        level_segments=tuple(np.cumsum(deltas.counts)[deltas.cut - 1].tolist()),
         audit_bounds=audit_bounds,
         audit_ok=audit_ok,
         slack=slack,

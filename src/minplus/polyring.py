@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import shifting
-from .core import as_exact_int64, narrow_int_dtype, next_pow2
+from .core import as_exact_int64, is_integer, narrow_int_dtype, next_pow2
 
 __all__ = [
     "count_congruent",
@@ -32,9 +32,10 @@ __all__ = [
 def _check_order(Q: int) -> None:
     # Residues are held in narrow_int_dtype(2Q), so the counts need no
     # ceiling below 2^62; 2^31 is the order range both counts are tested at
-    # (both ends), far above any search modulus (Q < M R).
-    if not 1 <= Q <= 1 << 31:
-        raise ValueError(f"ring order {Q} outside [1, 2^31]")
+    # (both ends), far above any search modulus (Q < M R). A float or bool
+    # order is refused: the residues mod 2.5 are not a ring's.
+    if not is_integer(Q) or not 1 <= Q <= 1 << 31:
+        raise ValueError(f"ring order {Q!r} must be an integer in [1, 2^31]")
 
 
 def count_congruent(A: np.ndarray, B: np.ndarray, C: np.ndarray, Q: int) -> np.ndarray:

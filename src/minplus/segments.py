@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ConvVerificationInstance, VerificationInstance
 
@@ -127,7 +126,8 @@ def matrix_layout(inst: VerificationInstance) -> FlatLayout:
     # (i, k, j) starts a segment where B row k or C row i breaks at j, and
     # column 0 starts one at every level; its depth is the larger of the two
     # row depths.
-    depth_B, depth_C = np.split(_break_depth(np.concatenate([B, C])), [nb])
+    depth_BC = _break_depth(np.concatenate([B, C]))
+    depth_B, depth_C = depth_BC[:nb], depth_BC[nb:]
     # B row k breaks at j: the cell (i, k, j) of every i
     k_B, j_B = np.nonzero(depth_B)
     pos_B = (np.arange(na, dtype=np.int64) * (nb * nc))[:, None] + (k_B * nc + j_B)[None, :]
@@ -149,6 +149,7 @@ def matrix_layout(inst: VerificationInstance) -> FlatLayout:
     del pos_B, pos_C
     order = np.argsort(pos, kind="stable")  # the parts are sorted runs
     G = na * nb
+    glabel1, glabel2 = np.divmod(np.arange(G, dtype=np.int64), nb)
     return FlatLayout(
         kind="matrix",
         x=A,
@@ -158,8 +159,8 @@ def matrix_layout(inst: VerificationInstance) -> FlatLayout:
         starts=pos[order],
         depth=depth[order],
         gstarts=np.arange(G + 1, dtype=np.int64) * nc,
-        glabel1=np.repeat(np.arange(na, dtype=np.int64), nb),
-        glabel2=np.broadcast_to(np.arange(nb, dtype=np.int64), (na, nb)).reshape(-1),
+        glabel1=glabel1,
+        glabel2=glabel2,
         gbase=np.zeros(G, dtype=np.int64),
         dims=(na, nb, nc),
     )
@@ -184,12 +185,14 @@ def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
     off = gstarts[:-1] - lo  # cell i of diagonal t sits at off[t] + i
     # Past its first cell, diagonal t starts a segment at i where a breaks
     # between i-1 and i or b between t-i and t-i+1: depth max(da[i], db[t-i+1]).
-    da, db = _break_depth(a), _break_depth(b)
-    a_rows = np.flatnonzero(da[1:]) + 1
-    quiet_rows = np.flatnonzero(da[1:] == 0) + 1
-    b_cols = np.flatnonzero(db[1:])
+    dab = _break_depth(np.concatenate([a, b]))
+    dab[na] = DEPTH_ALL  # b[0] follows no entry of b
+    da, db = dab[:na], dab[na:]
+    a_rows = da[1:].nonzero()[0] + 1
+    quiet_rows = (da[1:] == 0).nonzero()[0] + 1
+    b_cols = db[1:].nonzero()[0]
     # a breaks at i: the cell i of every diagonal t in [i, i + nb - 2]
-    pos_a = sliding_window_view(off, nb - 1)[a_rows]
+    pos_a = off[a_rows[:, None] + np.arange(nb - 1)]
     pos_a += a_rows[:, None]
     depth_a = np.maximum(da[a_rows][:, None], db[None, 1:])
     # b breaks between j and j+1: the cell i = t - j of every row i >= 1
@@ -289,11 +292,19 @@ def refine_bounds(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, leve
 
 
 def active_level0_bounds(layout: FlatLayout, lmax: int, Q: int):
-    """The complete active level-0 family, reached by refining from lmax."""
+    """The complete active level-0 family, reached by refining from lmax.
+
+    Each level keeps the children of the previous level's active segments
+    whose own start is active. An empty family refines to an empty family,
+    so the refinement stops at the first level that leaves no segment
+    active; with a searched Q that is most levels of most instances.
+    """
     starts, ends = segment_bounds(layout, lmax)
     m = active_start_mask(layout, starts, lmax, Q)
     starts, ends = starts[m], ends[m]
     for level in range(lmax - 1, -1, -1):
+        if not starts.size:
+            break
         starts, ends, _ = refine_bounds(layout, starts, ends, level)
         m = active_start_mask(layout, starts, level, Q)
         starts, ends = starts[m], ends[m]
@@ -347,7 +358,7 @@ def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
         key[sl] = (shallow * nd + np.searchsorted(distinct, key[sl])) * 2 + differ[sl]
     del delta, differ
     key.sort()
-    first = np.flatnonzero(_run_heads(key))
+    first = _run_heads(key).nonzero()[0]
     bins = key[first]
     del key
     counts = np.empty(first.size, dtype=np.int64)

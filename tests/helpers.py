@@ -166,6 +166,42 @@ def settle_by_scatter_reference(A, B, out_shape, level_witnesses, test_mode):
     return result
 
 
+def window_table(level, Qp):
+    """W(r) = #{s in [-4*2^l, 4*2^l] : s = r mod Qp} for every r in [0, Qp),
+    by enumerating the window."""
+    w = 4 << level
+    return np.bincount(np.arange(-w, w + 1) % Qp, minlength=Qp)
+
+
+def y_by_window_tables(deltas, Q_prev, primes):
+    """The search's Y[level, prime] as one window table per (prime, level),
+    gathered at each bin's residue and weighted by the bin's count over the
+    bins that hold the level's starts: the reference for the one-pass
+    scoring, modulus._counting_columns."""
+    cols = []
+    for p in primes:
+        Qp = Q_prev * p
+        r = deltas.values % Qp
+        cols.append([
+            int(deltas.counts[:c] @ window_table(level, Qp)[r[:c]])
+            for level, c in enumerate(deltas.cut)
+        ])
+    return np.array(cols, dtype=np.int64).T
+
+
+def active_counts_by_level(deltas, Q):
+    """|S_l(Q)| per level, one level at a time: the starts whose high parts
+    differ and whose delta lies within 4*2^l of a multiple of Q. The
+    reference for the one-pass audit, modulus._active_audit."""
+    r = deltas.values % Q
+    counts = []
+    for level, c in enumerate(deltas.cut):
+        win = 4 << level
+        hit = deltas.differ[:c] & ((r[:c] <= win) | (r[:c] >= Q - win))
+        counts.append(int(deltas.counts[:c][hit].sum()))
+    return counts
+
+
 def traced_peak(fn, *args, **kwargs):
     """Peak bytes tracemalloc sees allocated during fn(*args, **kwargs)."""
     tracemalloc.start()

@@ -1,22 +1,29 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import (
+    active_counts_by_level,
     cinst,
     conv_level_instances,
     minst,
     promised_conv,
     promised_matrix,
     row_level_instances,
+    window_table,
+    y_by_window_tables,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minplus import cli
+from minplus import cli, modulus
 from minplus.core import ConvVerificationInstance
 
 from minplus.modulus import (
     ModulusReport,
     YTable,
+    _active_audit,
     _counting_columns,
     compute_W,
     count_X_bruteforce,
@@ -26,6 +33,7 @@ from minplus.modulus import (
     select_prime,
 )
 from minplus.segments import (
+    StartDeltas,
     conv_layout,
     level_start_deltas,
     levelmax_for,
@@ -55,8 +63,13 @@ def test_every_range_has_two_primes():
     assert min(len(primes_in_range(R).primes) for R in range(4, 3001)) >= 2
 
 
+def W_table(level, Qp):
+    """compute_W at every residue of Qp."""
+    return compute_W(level, Qp, np.arange(Qp))
+
+
 def test_compute_W_window_11():
-    W = compute_W(1, 11)
+    W = W_table(1, 11)
     assert W[0] == 1
     assert W[3] == 2  # s in {3, -8}
     assert W[5] == 2  # s in {5, -6}
@@ -64,7 +77,7 @@ def test_compute_W_window_11():
 
 
 def test_compute_W_collapsed():
-    assert compute_W(1, 1).tolist() == [17]
+    assert W_table(1, 1).tolist() == [17]
 
 
 def test_compute_W_at_most_two_when_period_exceeds_halfwidth():
@@ -72,9 +85,95 @@ def test_compute_W_at_most_two_when_period_exceeds_halfwidth():
     for _ in range(40):
         level = int(rng.integers(0, 5))
         Qp = int(rng.integers(4 << level, 200)) + 1
-        W = compute_W(level, Qp)
+        W = W_table(level, Qp)
         assert W.max() <= 2
         assert W.sum() == 8 * (1 << level) + 1
+
+
+def test_compute_W_closed_form_equals_the_window_table():
+    rng = np.random.default_rng(8)
+    for level in range(6):
+        for Qp in (1, 2, 3, 4 << level, (4 << level) + 1, 8 << level, (8 << level) + 1, 1 << 20):
+            assert np.array_equal(W_table(level, Qp), window_table(level, Qp)), (level, Qp)
+        Qp = int(rng.integers(1, 500))
+        r = rng.integers(0, Qp, size=50)
+        assert np.array_equal(compute_W(level, Qp, r), window_table(level, Qp)[r])
+
+
+def test_compute_W_refuses_a_modulus_below_one():
+    for Qp in (0, -3, np.array([5, 0])):
+        with pytest.raises(ValueError, match="positive"):
+            compute_W(1, Qp, np.arange(3))
+
+
+@st.composite
+def start_delta_bins(draw):
+    """StartDeltas of 1 to 6 levels over up to 40 bins: deltas of either sign
+    (up to 2^40), weights 1 to 9, and level cuts that shrink with the level
+    and may leave the last bins out of every level."""
+    levels = draw(st.integers(1, 6))
+    nbins = draw(st.integers(1, 40))
+    big = draw(st.sampled_from([10, 10**6, 1 << 40]))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=nbins, max_size=nbins)), dtype=dtype)
+
+    cut = sorted(draw(st.lists(st.integers(1, nbins), min_size=levels, max_size=levels)), reverse=True)
+    return StartDeltas(
+        values=column(st.integers(-big, big), np.int64),
+        counts=column(st.integers(1, 9), np.int64),
+        differ=column(st.booleans(), bool),
+        cut=np.array(cut, dtype=np.int64),
+    )
+
+
+# SCORE_BLOCK 1 and 5 split every table into blocks of one bin; 64 into
+# blocks of a few bins.
+SCORE_BLOCKS = (1, 5, 64, modulus.SCORE_BLOCK)
+
+
+@settings(max_examples=80, deadline=None)
+@given(start_delta_bins(), st.sampled_from([8, 16, 64]), st.integers(1, 400), st.sampled_from(SCORE_BLOCKS))
+def test_one_pass_scoring_equals_one_table_per_prime_and_level(deltas, R, Q_prev, block):
+    pool = primes_in_range(R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modulus, "SCORE_BLOCK", block)
+        table = _counting_columns(deltas, Q_prev, pool)
+    assert table.primes == pool.primes
+    assert np.array_equal(table.Y, y_by_window_tables(deltas, Q_prev, pool.primes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(start_delta_bins(), st.integers(1, 5000), st.sampled_from(SCORE_BLOCKS))
+def test_one_pass_audit_equals_one_count_per_level(deltas, Q, block):
+    layout = SimpleNamespace(gstarts=np.arange(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modulus, "SCORE_BLOCK", block)
+        counts, bound = _active_audit(layout, deltas, 10, Q, 5.0)
+    assert counts == active_counts_by_level(deltas, Q)
+    assert bound == 5.0 * 3 * 10 / Q
+
+
+@pytest.mark.parametrize("kind, n", [("verify-row", 12), ("verify-conv", 96)])
+def test_search_unchanged_when_its_bins_span_many_blocks(monkeypatch, kind, n):
+    """A search on real start deltas gives the same Y tables, choices and
+    audit with blocks of two bins as with one block."""
+    inst = cli._instance_from(cli.generate_instance(kind, n, 10**6, 3, "uniform-monotone"))
+    layout = conv_layout(inst) if kind == "verify-conv" else matrix_layout(inst)
+    deltas = level_start_deltas(layout, levelmax_for(inst.M))
+    Q, want = find_good_modulus(inst, inst.M, R=64)
+    monkeypatch.setattr(modulus, "SCORE_BLOCK", 2 * len(deltas.cut) * len(want.pool.primes))
+    assert len(deltas.values) > 20
+    got_Q, got = find_good_modulus(inst, inst.M, R=64)
+    assert got_Q == Q and got.to_dict() == want.to_dict()
+    for a, b in zip(got.steps, want.steps):
+        assert np.array_equal(a.table.Y, b.table.Y)
+        assert np.array_equal(b.table.Y, y_by_window_tables(deltas, b.Q_prev, want.pool.primes))
+
+
+def test_prime_pool_is_built_once_per_range():
+    assert primes_in_range(16) is primes_in_range(16)
+    assert primes_in_range(64).primes == (37, 41, 43, 47, 53, 59, 61)
 
 
 def counting_Y(inst, Q_prev, pool, lmax):

@@ -162,6 +162,27 @@ def test_conv_count_exact_at_the_limit_refused_past_it():
             count_congruent(a[:, None], b[None, :], np.zeros((2, 3)), Q)
 
 
+# Orders the counts used to take as Q: 2.5 gave count_congruent [[0]] on a
+# triple with A + B == C, and count_congruent_conv [1, 0, 0] where every slot
+# holds an equal pair; 2.0, 3.0 and both bools counted as Q = 2, 3 and 1.
+NON_INTEGER_ORDERS = (2.5, 2.0, np.float64(3.0), True, np.bool_(True))
+
+
+@pytest.mark.parametrize("Q", NON_INTEGER_ORDERS, ids=repr)
+@pytest.mark.parametrize("count, operands", [
+    (count_congruent, ([[1, 2]], [[1], [2]], [[4]])),
+    (count_congruent_conv, ([1, 2], [1, 2], [2, 3, 4])),
+], ids=["matrix", "conv"])
+def test_counts_refuse_a_non_integer_order(count, operands, Q):
+    with pytest.raises(ValueError, match="ring order .* must be an integer"):
+        count(*operands, Q)
+
+
+def test_counts_take_a_numpy_integer_order():
+    assert count_congruent([[1, 2]], [[1], [2]], [[4]], np.int32(5)).tolist() == [[1]]
+    assert count_congruent_conv([1, 2], [1, 2], [2, 3, 4], np.int64(5)).tolist() == [1, 2, 1]
+
+
 def test_counts_refuse_bad_operands():
     with pytest.raises(ValueError, match="matrix product"):
         count_congruent(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), 5)

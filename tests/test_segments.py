@@ -6,8 +6,9 @@ from helpers import cinst, minst, promised_conv, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus import segments
-from minplus.core import magnitude_sum, validate_instance
+from minplus import cli, segments
+from minplus.core import ConvVerificationInstance, magnitude_sum, validate_instance
+from minplus.modulus import find_good_modulus
 from minplus.segments import (
     active_level0_bounds,
     active_start_mask,
@@ -349,6 +350,72 @@ def test_active_refinement_conv_matches_direct_enumeration():
                 got = set(sets[level])
                 want = set(active_oracle_conv(inst, Q, level))
                 assert got == want
+
+
+def refine_every_level(layout, lmax, Q):
+    """active_level0_bounds without its early stop: every level refined and
+    filtered, empty or not. Returns the level-0 family and the family's size
+    after each level, lmax first."""
+    starts, ends = segment_bounds(layout, lmax)
+    sizes = []
+    for level in range(lmax, -1, -1):
+        if level < lmax:
+            starts, ends, _ = refine_bounds(layout, starts, ends, level)
+        m = active_start_mask(layout, starts, level, Q)
+        starts, ends = starts[m], ends[m]
+        sizes.append(len(starts))
+    return starts, ends, sizes
+
+
+def early_stop_cases():
+    """(instance, layout, Q): verification instances under their searched Q,
+    whose family empties at lmax (staircase rows, every conv) or at a middle
+    level (uniform-monotone rows), and small promised instances under
+    Q = 143, most of which keep active segments down to level 0."""
+    rng = np.random.default_rng(13)
+    out = []
+    for kind, n in (("verify-row", 6), ("verify-conv", 16)):
+        for family in ("uniform-monotone", "staircase"):
+            for seed in (0, 1):
+                inst = cli._instance_from(cli.generate_instance(kind, n, 256, seed, family))
+                out.append((inst, find_good_modulus(inst, inst.M)[0]))
+    out += [(promised_matrix(rng, 3, 3, 4), 143) for _ in range(4)]
+    out += [(promised_conv(rng, 6), 143) for _ in range(4)]
+    return [(inst, conv_layout(inst) if isinstance(inst, ConvVerificationInstance) else matrix_layout(inst), Q)
+            for inst, Q in out]
+
+
+def test_early_stop_equals_a_full_refinement():
+    lmax = levelmax_for(100)
+    emptied, kept = set(), 0
+    for _, layout, Q in early_stop_cases():
+        want_s, want_e, sizes = refine_every_level(layout, lmax, Q)
+        got_s, got_e = active_level0_bounds(layout, lmax, Q)
+        assert np.array_equal(got_s, want_s) and got_s.dtype == want_s.dtype
+        assert np.array_equal(got_e, want_e) and got_e.dtype == want_e.dtype
+        if 0 in sizes:
+            emptied.add(lmax - sizes.index(0))
+        kept += sizes[-1] > 0
+    assert lmax in emptied and emptied & set(range(1, lmax)), emptied
+    assert kept, "no case keeps an active segment at level 0"
+
+
+def test_refinement_stops_once_the_family_is_empty(monkeypatch):
+    refine = segments.refine_bounds
+    calls = []
+
+    def spy(layout, starts, ends, level):
+        calls.append(len(starts))
+        return refine(layout, starts, ends, level)
+
+    monkeypatch.setattr(segments, "refine_bounds", spy)
+    lmax = levelmax_for(100)
+    for _, layout, Q in early_stop_cases():
+        sizes = refine_every_level(layout, lmax, Q)[2]
+        calls.clear()
+        active_level0_bounds(layout, lmax, Q)
+        # one refinement per level below lmax, each of a family that is not empty
+        assert calls == sizes[: sizes.index(0) if 0 in sizes else lmax]
 
 
 def test_sprime_matches_triple_loop():
