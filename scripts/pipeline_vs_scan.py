@@ -90,7 +90,7 @@ def measure(kind: str, n: int, bound: int, M: int, seed: int, repeats: int) -> d
     conv = kind == "verify-conv"
     inst = cli._instance_from(cli.generate_instance(kind, n, bound, seed, FAMILY, M=M))
     operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
-    (Q, _), search_s = timed(repeats, find_good_modulus, inst, M)
+    (Q, _), search_s = timed(repeats, find_good_modulus, inst)
     s_counts, count_s = timed(repeats, compute_s_array if conv else compute_s_matrix, inst, Q)
     s_prime, segments_s = timed(repeats, _segments, inst, Q, conv)
     scan = congruent_witness_scan_conv if conv else congruent_witness_scan

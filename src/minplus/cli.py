@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,10 +36,10 @@ from .config import ENGINES, SolverConfig
 from .convolution import _shift_instance_conv, minplus_conv_monotone, solve_verification_conv
 from .core import (
     ConvVerificationInstance,
-    IntArray,
     MonotoneTag,
     VerificationInstance,
     as_exact_int64,
+    as_shift_modulus,
     minplus_convolution_naive,
     minplus_product_naive,
     require_valid_instance,
@@ -153,9 +154,6 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
     verify = kind.startswith("verify")
     if not verify and M is not None:
         raise CliError(f"M applies only to the verify kinds, not {kind}", kind=kind, M=M)
-    M = 100 if M is None else int(M)
-    if verify and (M < 100 or M % 100):
-        raise CliError("invalid instance: M not a positive multiple of 100", kind=kind, coord=None)
     rng = _rng_for(seed)
     header = {
         "format": FORMAT_VERSION,
@@ -176,6 +174,7 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
         return {**header, "dims": [n] if kind == "conv" else [n, n, n], "A": A.tolist(), "B": B.tolist()}
 
     with _diagnosed(kind):
+        M = as_shift_modulus(100 if M is None else M)
         if kind == "verify-row":
             inst = _shift_instance(A, B, minplus_product_naive(A, B), M, *first_live_pair(A, B, M))
         elif kind == "verify-col":
@@ -243,14 +242,12 @@ def _diagnosed(kind: str):
 
 
 def _instance_from(payload: dict):
-    kind = payload["kind"]
+    """The verification instance of a verify file. An M that is not an
+    integer is a malformed field; the instance checks its shapes and M."""
     A, B, C = (_field(payload, key) for key in ("A", "B", "C"))
-    M = _field(payload, "M", int)
-    if kind == "verify-conv":
-        return ConvVerificationInstance(
-            A=IntArray(values=A), B=IntArray(values=B), C=IntArray(values=C, origin=2), M=M
-        )
-    return VerificationInstance(A=A, B=B, C=C, M=M)
+    M = _field(payload, "M", operator.index)
+    instance = ConvVerificationInstance if payload["kind"] == "verify-conv" else VerificationInstance
+    return instance(A=A, B=B, C=C, M=M)
 
 
 def _solve(payload: dict, kind: str, config: SolverConfig):
@@ -266,7 +263,7 @@ def _solve(payload: dict, kind: str, config: SolverConfig):
         inst = _instance_from(payload)
         require_valid_instance(inst)
         t0 = time.perf_counter()
-        Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        Q, rep = find_good_modulus(inst, R=config.R, slack=config.slack)
         timings["modulus_search"] = time.perf_counter() - t0
         digests.append({"Q": Q, "sha256": checksum_of(canonical_bytes(rep.to_dict()))})
         operands = (inst,)
@@ -367,7 +364,7 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
     with _diagnosed(kind):
         inst = _instance_from(payload)
         require_valid_instance(inst)
-        Q, rep = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        Q, rep = find_good_modulus(inst, R=config.R, slack=config.slack)
         dump = {
             "format": FORMAT_VERSION,
             "kind": "stats",
@@ -377,14 +374,16 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
             "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
         }
         if test_mode:
+            levels = range(levelmax_for(inst.M) + 1)
+            Z_of = [count_Z_bruteforce(inst, level, limit=config.oracle_limit) for level in levels]
             checks = []
             verified = True
             for step in rep.steps:
                 for pi, p in enumerate(step.table.primes):
                     Qp = step.Q_prev * p
-                    for level in range(step.table.Y.shape[0]):
+                    for level in levels:
                         X = count_X_bruteforce(inst, Qp, level, limit=config.oracle_limit)
-                        Z = count_Z_bruteforce(inst, level, limit=config.oracle_limit)
+                        Z = Z_of[level]
                         Y = int(step.table.Y[level, pi])
                         ok = X == Y - Z
                         verified &= ok
@@ -392,10 +391,8 @@ def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False)
                                        "X": X, "Y": Y, "Z": Z, "ok": ok})
             dump["xyz_checks"] = checks
             dump["xyz_verified"] = verified
-            dump["x_at_Q"] = [
-                count_X_bruteforce(inst, Q, level, limit=config.oracle_limit)
-                for level in range(levelmax_for(inst.M) + 1)
-            ]
+            dump["x_at_Q"] = [count_X_bruteforce(inst, Q, level, limit=config.oracle_limit)
+                              for level in levels]
     return dump
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .core import is_integer
 
@@ -42,5 +43,6 @@ class SolverConfig:
             raise ValueError("range parameter R must be an integer at least 4")
         if not (is_integer(self.oracle_limit) and self.oracle_limit >= 0):
             raise ValueError("oracle_limit must be a non-negative integer")
-        if self.slack is not None and not (math.isfinite(self.slack) and self.slack > 0):
-            raise ValueError("slack must be finite and positive")
+        real = isinstance(self.slack, Real) and not isinstance(self.slack, bool)
+        if self.slack is not None and not (real and math.isfinite(self.slack) and self.slack > 0):
+            raise ValueError("slack must be a finite and positive real number")

@@ -64,9 +64,9 @@ def _shift_instance_conv(
     a: np.ndarray, b: np.ndarray, c_cand: np.ndarray, M: int, s: int, t: int
 ) -> ConvVerificationInstance:
     return ConvVerificationInstance(
-        A=IntArray(values=shift_operand(a + M, s, M), origin=1),
-        B=IntArray(values=shift_operand(b + M, t, M), origin=1),
-        C=IntArray(values=shift_output(c_cand + 2 * M, s + t, M), origin=2),
+        A=shift_operand(a + M, s, M),
+        B=shift_operand(b + M, t, M),
+        C=shift_output(c_cand + 2 * M, s + t, M),
         M=M,
     )
 
@@ -98,7 +98,7 @@ def solve_verification_conv(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        Q, _ = find_good_modulus(inst, R=config.R, slack=config.slack)
     else:
         require_modulus(Q, inst.M)
     s_counts = compute_s_array(inst, Q)
@@ -114,7 +114,7 @@ def _level_modulus_conv(
     """The convolution form of product_row._level_modulus; nothing reads
     its Q either."""
     inst = _shift_instance_conv(a, b, c_cand, M, *first_live_pair(a, b, M))
-    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
+    Q, _ = find_good_modulus(inst, R=config.R, slack=config.slack)
     return Q
 
 
@@ -151,7 +151,7 @@ def minplus_conv_monotone(
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     for name, arr in (("A", a), ("B", b)):
-        rep = validate_promises(IntArray(values=arr), tag)
+        rep = validate_promises(arr, tag)
         if not rep.ok:
             raise PromiseViolationError(
                 f"{name} violates the promise: {rep.reason}", coord=rep.coord

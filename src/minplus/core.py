@@ -27,6 +27,7 @@ __all__ = [
     "VerificationInstance",
     "ConvVerificationInstance",
     "as_exact_int64",
+    "as_shift_modulus",
     "narrow_int_dtype",
     "next_pow2",
     "magnitude_sum",
@@ -107,6 +108,10 @@ class VerificationInstance:
     k has A[i,k] + B[k,j] == C[i,j]; solve_verification_col, given the
     already rotated data (same layout and promises), answers per (i, k)
     whether some column j works.
+
+    Built, it holds int64 matrices that chain with no zero dimension
+    (as_int_matrix, no copy of int64 input; else DimensionMismatchError) and
+    M as a Python int (as_shift_modulus); validate_instance checks the rest.
     """
 
     A: np.ndarray
@@ -114,15 +119,40 @@ class VerificationInstance:
     C: np.ndarray
     M: int
 
+    def __post_init__(self):
+        A, B, C = (as_int_matrix(v) for v in (self.A, self.B, self.C))
+        require_product_shapes(A, B)
+        if C.shape != (A.shape[0], B.shape[1]):
+            raise DimensionMismatchError(f"C has shape {C.shape}, not {(A.shape[0], B.shape[1])}")
+        for name, value in (("A", A), ("B", B), ("C", C), ("M", as_shift_modulus(self.M))):
+            object.__setattr__(self, name, value)
+
 
 @dataclass(frozen=True, eq=False)
 class ConvVerificationInstance:
-    """(A, B, C, M) for convolution verification; C has origin 2."""
+    """(A, B, C, M) for convolution verification, checked when built as
+    VerificationInstance is: IntArrays of lengths n, n and 2n - 1, C at origin 2."""
 
     A: IntArray
     B: IntArray
     C: IntArray
     M: int
+
+    def __post_init__(self):
+        A, B, C = as_int_array(self.A), as_int_array(self.B), as_int_array(self.C, origin=2)
+        n = len(A)
+        if len(B) != n or len(C) != 2 * n - 1:
+            raise DimensionMismatchError(f"lengths {n}, {len(B)}, {len(C)}; expected n, n, 2n - 1")
+        for name, value in (("A", A), ("B", B), ("C", C), ("M", as_shift_modulus(self.M))):
+            object.__setattr__(self, name, value)
+
+
+def as_shift_modulus(M) -> int:
+    """M as a Python int: an integer multiple of 100 in [100, INT64_GUARD).
+    Anything else is a PromiseViolationError."""
+    if not (is_integer(M) and 100 <= M < INT64_GUARD and M % 100 == 0):
+        raise PromiseViolationError("invalid instance: M not a positive multiple of 100")
+    return int(M)
 
 
 def narrow_int_dtype(bound: int) -> np.dtype:
@@ -195,13 +225,7 @@ def as_int_vector(obj) -> np.ndarray:
 def as_int_array(obj, origin: int = 1) -> IntArray:
     if isinstance(obj, IntArray):
         return obj
-    return IntArray(values=as_int_vector(obj), origin=origin)
-
-
-def _values_of(m) -> np.ndarray:
-    if isinstance(m, IntArray):
-        return m.values
-    return np.asarray(m, dtype=np.int64)
+    return IntArray(values=obj, origin=origin)
 
 
 def validate_promises(m: Union[IntMatrix, IntArray], tag: MonotoneTag) -> ValidationReport:
@@ -210,13 +234,9 @@ def validate_promises(m: Union[IntMatrix, IntArray], tag: MonotoneTag) -> Valida
     Returns ok, or the smallest violating coordinate in row-major order.
     A monotonicity break between positions p and p+1 is reported at p+1.
     """
-    v = _values_of(m)
-    if tag.axis == "array-monotone":
-        if v.ndim != 1:
-            raise DimensionMismatchError("array-monotone tag on a non-array")
-    else:
-        if v.ndim != 2:
-            raise DimensionMismatchError("matrix tag on a non-matrix")
+    v = m.values if isinstance(m, IntArray) else np.asarray(m, dtype=np.int64)
+    if v.ndim != (1 if tag.axis == "array-monotone" else 2):
+        raise DimensionMismatchError(f"{tag.axis} tag on an array of ndim {v.ndim}")
 
     bad_bound = (v < 1) | (v > tag.entry_bound)
     bad_mono = np.zeros_like(bad_bound)
@@ -230,8 +250,7 @@ def validate_promises(m: Union[IntMatrix, IntArray], tag: MonotoneTag) -> Valida
     viol = bad_bound | bad_mono
     if not viol.any():
         return ValidationReport(True)
-    flat = int(np.argmax(viol))
-    coord = tuple(int(c) for c in np.unravel_index(flat, viol.shape))
+    coord = _first_bad(viol)
     reason = "bound" if bad_bound[coord] else "monotonicity"
     return ValidationReport(False, coord=coord, reason=reason)
 
@@ -244,26 +263,17 @@ def _first_bad(mask: np.ndarray) -> Tuple[int, ...]:
 def validate_instance(
     inst: Union[VerificationInstance, ConvVerificationInstance],
 ) -> ValidationReport:
-    """Validate the promises of a verification instance (report style)."""
+    """Validate the promises of a verification instance (report style):
+    entries non-negative with residues mod M at most M/10, and the monotone
+    operands non-decreasing. Shapes and M were checked when it was built."""
     if isinstance(inst, ConvVerificationInstance):
-        a, b, c = inst.A.values, inst.B.values, inst.C.values
-        n = a.shape[0]
-        if b.shape[0] != n or c.shape[0] != 2 * n - 1:
-            return ValidationReport(False, reason="shape")
-        mats = (("A", a), ("B", b), ("C", c))
-        mono = (("A", a), ("B", b))
+        mats = (("A", inst.A.values), ("B", inst.B.values), ("C", inst.C.values))
+        mono = mats[:2]
     else:
-        a, b, c = inst.A, inst.B, inst.C
-        if a.ndim != 2 or b.ndim != 2 or c.ndim != 2:
-            return ValidationReport(False, reason="shape")
-        if a.shape[1] != b.shape[0] or c.shape != (a.shape[0], b.shape[1]):
-            return ValidationReport(False, reason="shape")
-        mats = (("A", a), ("B", b), ("C", c))
-        mono = (("B", b), ("C", c))
+        mats = (("A", inst.A), ("B", inst.B), ("C", inst.C))
+        mono = mats[1:]
 
     M = inst.M
-    if M < 100 or M % 100 != 0:
-        return ValidationReport(False, reason="M not a positive multiple of 100")
     for name, m in mats:
         neg = m < 0
         if neg.any():
@@ -272,12 +282,8 @@ def validate_instance(
         if res.any():
             return ValidationReport(False, coord=_first_bad(res), reason=f"{name} residue exceeds M/10")
     for name, m in mono:
-        if m.ndim == 1:
-            brk = np.zeros(m.shape, dtype=bool)
-            brk[1:] = m[1:] < m[:-1]
-        else:
-            brk = np.zeros(m.shape, dtype=bool)
-            brk[:, 1:] = m[:, 1:] < m[:, :-1]
+        brk = np.zeros(m.shape, dtype=bool)
+        brk[..., 1:] = m[..., 1:] < m[..., :-1]
         if brk.any():
             return ValidationReport(False, coord=_first_bad(brk), reason=f"{name} not monotone")
     return ValidationReport(True)
@@ -373,8 +379,6 @@ def witness_mask_naive(
     if isinstance(inst, ConvVerificationInstance):
         raise DimensionMismatchError(f"axis '{query_axis}' needs a matrix instance")
     A, B, C = inst.A, inst.B, inst.C
-    if A.shape[1] != B.shape[0] or C.shape != (A.shape[0], B.shape[1]):
-        raise DimensionMismatchError("instance shapes are inconsistent")
     ni = A.shape[0]
     if query_axis == "ij":
         mask = np.zeros(C.shape, dtype=bool)

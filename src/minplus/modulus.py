@@ -229,17 +229,21 @@ def _counting_columns(deltas: StartDeltas, Q_prev: int, pool: PrimePool) -> YTab
     return YTable(primes=pool.primes, Y=Y[:, :, 0])
 
 
-def _instance_scale(inst):
-    """Flat layout, size scale n and value bound U of a verification instance."""
+def _search_inputs(inst, slack):
+    """What the search and its audit read of a verification instance: the
+    flat layout, the level-start deltas up to levelmax_for(M), the size
+    scale n, the value bound U, and slack (default_slack(n) when None)."""
     if isinstance(inst, ConvVerificationInstance):
         layout = conv_layout(inst)
-        n_scale = max(len(inst.A.values), len(inst.B.values))
+        n_scale = len(inst.A)
         U = int(max(inst.A.values.max(), inst.B.values.max(), inst.C.values.max(), 1))
     else:
         layout = matrix_layout(inst)
         n_scale = max(*inst.A.shape, inst.B.shape[1])
         U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
-    return layout, n_scale, U
+    if slack is None:
+        slack = default_slack(n_scale)
+    return layout, level_start_deltas(layout, levelmax_for(inst.M)), n_scale, U, slack
 
 
 def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
@@ -260,27 +264,21 @@ def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
     return counts.tolist(), slack * groups * U / Q
 
 
-def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = None,
+def find_good_modulus(inst, R: int | None = None, slack: float | None = None,
                       test_mode: bool = False):
-    """Grow Q = p_1 * ... * p_T until the first crossing of M.
+    """Grow Q = p_1 * ... * p_T until the first crossing of inst.M.
 
+    R and slack default to default_range_parameter(n), default_slack(n).
     Returns (Q, ModulusReport). The report keeps the full Y table of every
     step so the X = Y - Z identity can be audited externally, plus the
     measured per-level active-segment counts at the final Q and the number
     of segment starts per level.
     """
-    if M <= 0 or M % 100:
-        raise ValueError("M must be a positive multiple of 100")
-    layout, n_scale, U = _instance_scale(inst)
-
+    M = inst.M
+    layout, deltas, n_scale, U, slack = _search_inputs(inst, slack)
     if R is None:
         R = default_range_parameter(n_scale)
     pool = primes_in_range(R)
-    if slack is None:
-        slack = default_slack(n_scale)
-
-    lmax = levelmax_for(M)
-    deltas = level_start_deltas(layout, lmax)
 
     Q = 1
     primes, q_values, steps = [], [], []
@@ -293,7 +291,7 @@ def find_good_modulus(inst, M: int, R: int | None = None, slack: float | None = 
         q_values.append(Q)
 
     active_counts, bound = _active_audit(layout, deltas, U, Q, slack)
-    audit_bounds = (bound,) * (lmax + 1)
+    audit_bounds = (bound,) * len(deltas.cut)
     audit_ok = all(c <= bound for c in active_counts)
     if not audit_ok:
         msg = (
@@ -342,10 +340,7 @@ def audit_modulus(inst, Q: int, slack: float | None = None) -> bool:
     that reuse a Q found on a different instance run it to decide whether a
     fresh search is needed.
     """
-    layout, n_scale, U = _instance_scale(inst)
-    if slack is None:
-        slack = default_slack(n_scale)
-    deltas = level_start_deltas(layout, levelmax_for(inst.M))
+    layout, deltas, _, U, slack = _search_inputs(inst, slack)
     counts, bound = _active_audit(layout, deltas, U, Q, slack)
     return all(c <= bound for c in counts)
 

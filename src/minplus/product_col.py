@@ -123,7 +123,7 @@ def solve_verification_col(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        Q, _ = find_good_modulus(inst, R=config.R, slack=config.slack)
     else:
         require_modulus(Q, inst.M)
     r_counts = compute_r_matrix(inst, Q)

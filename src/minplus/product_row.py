@@ -123,7 +123,7 @@ def solve_verification_row(
         config = SolverConfig()
     require_valid_instance(inst)
     if Q is None:
-        Q, _ = find_good_modulus(inst, inst.M, R=config.R, slack=config.slack)
+        Q, _ = find_good_modulus(inst, R=config.R, slack=config.slack)
     else:
         require_modulus(Q, inst.M)
     s_counts = compute_s_matrix(inst, Q)
@@ -138,7 +138,7 @@ def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config
     class-pair instance of the level's first candidate. The equality scan
     does not read it."""
     inst = _shift_instance(A, B, C_cand, M, *first_live_pair(A, B, M))
-    Q, _ = find_good_modulus(inst, M, R=config.R, slack=config.slack)
+    Q, _ = find_good_modulus(inst, R=config.R, slack=config.slack)
     return Q
 
 

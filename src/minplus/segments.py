@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConvVerificationInstance, VerificationInstance
+from .core import ConvVerificationInstance, VerificationInstance, as_shift_modulus
 
 __all__ = [
     "levelmax_for",
@@ -61,10 +61,9 @@ GATHER_BLOCK = 1 << 14
 
 
 def levelmax_for(M: int) -> int:
-    """The unique l with M/20 <= 2^l < M/10."""
-    if M <= 0 or M % 100:
-        raise ValueError("M must be a positive multiple of 100")
-    return (M // 20 - 1).bit_length()
+    """The unique l with M/20 <= 2^l < M/10, for an M that as_shift_modulus
+    accepts (numpy integers included); any other M is a ValueError."""
+    return (as_shift_modulus(M) // 20 - 1).bit_length()
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +174,7 @@ def _matrix_entries(cells: np.ndarray, nb: int, nc: int):
 
 
 def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
-    a, b, c = (np.asarray(v.values, dtype=np.int64) for v in (inst.A, inst.B, inst.C))
+    a, b, c = inst.A.values, inst.B.values, inst.C.values
     na, nb = len(a), len(b)
     nT = na + nb - 1
     t = np.arange(nT, dtype=np.int64)

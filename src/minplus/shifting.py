@@ -131,7 +131,7 @@ def class_pair_sweep(
                 continue
             inst = shift(A, B, cand, M, s, t)
             if not (q_holder and audit_modulus(inst, q_holder[0], slack=config.slack)):
-                q_holder[:] = [find_good_modulus(inst, M, R=config.R, slack=config.slack)[0]]
+                q_holder[:] = [find_good_modulus(inst, R=config.R, slack=config.slack)[0]]
             mask |= solve(inst, Q=q_holder[0], config=config)
     return mask
 

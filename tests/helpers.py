@@ -6,7 +6,6 @@ import numpy as np
 from minplus.convolution import _shift_instance_conv
 from minplus.core import (
     ConvVerificationInstance,
-    IntArray,
     VerificationInstance,
     as_int_matrix,
     minplus_convolution_naive,
@@ -17,21 +16,11 @@ from minplus.shifting import SHIFT_M, first_live_pair, residue_class
 
 
 def minst(A, B, C, M=100):
-    return VerificationInstance(
-        A=np.asarray(A, dtype=np.int64),
-        B=np.asarray(B, dtype=np.int64),
-        C=np.asarray(C, dtype=np.int64),
-        M=M,
-    )
+    return VerificationInstance(A=A, B=B, C=C, M=M)
 
 
 def cinst(a, b, c, M=100):
-    return ConvVerificationInstance(
-        A=IntArray(values=np.asarray(a, dtype=np.int64)),
-        B=IntArray(values=np.asarray(b, dtype=np.int64)),
-        C=IntArray(values=np.asarray(c, dtype=np.int64), origin=2),
-        M=M,
-    )
+    return ConvVerificationInstance(A=a, B=b, C=c, M=M)
 
 
 def promised_matrix(rng, na, nb, nc, M=100, hi=5):

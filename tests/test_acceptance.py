@@ -175,7 +175,7 @@ def test_criterion_05_modulus_search_xyz_identity():
             inst = promised_conv(rng, n)
         else:
             inst = promised_matrix(rng, n, n, n)
-        _, rep = find_good_modulus(inst, inst.M)
+        _, rep = find_good_modulus(inst)
         lmax = levelmax_for(inst.M)
         Z = [count_Z_bruteforce(inst, level) for level in range(lmax + 1)]
         for step in rep.steps:
@@ -202,7 +202,7 @@ def test_criterion_06_good_modulus_structure():
             inst = promised_conv(rng, n)
         else:
             inst = promised_matrix(rng, n, n, n)
-        Q, rep = find_good_modulus(inst, inst.M)
+        Q, rep = find_good_modulus(inst)
         assert rep.M <= Q <= rep.M * rep.R
         # first crossing: Q passed M only by its last prime factor
         assert Q // rep.primes[-1] < rep.M
@@ -228,7 +228,7 @@ def test_criterion_07_segment_hierarchy():
             inst = promised_matrix(rng, n, n, n)
             layout = matrix_layout(inst)
             U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
-        Q, _ = find_good_modulus(inst, inst.M)
+        Q, _ = find_good_modulus(inst)
         lmax = levelmax_for(inst.M)
         groups = len(layout.gstarts) - 1
         bounds = {}

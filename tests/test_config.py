@@ -6,6 +6,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minplus import cli
@@ -40,6 +41,10 @@ def test_every_config_flag_sets_a_field():
     ("slack", -1.0),
     ("slack", float("nan")),
     ("slack", float("inf")),
+    ("slack", True),
+    ("slack", np.bool_(True)),
+    ("slack", "1"),
+    ("slack", 1 + 0j),
 ])
 def test_out_of_range_knob_is_refused(field, value):
     with pytest.raises(ValueError):

@@ -154,7 +154,7 @@ def test_conv_s_dominates_s_prime():
 
     for _ in range(10):
         inst = promised_conv(rng, 9)
-        Q, _ = find_good_modulus(inst, inst.M)
+        Q, _ = find_good_modulus(inst)
         s = compute_s_array(inst, Q)
         layout = conv_layout(inst)
         starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)

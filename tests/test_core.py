@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minplus import cli
+from minplus.convolution import solve_verification_conv
 from minplus.core import (
     ConvVerificationInstance,
     DimensionMismatchError,
@@ -22,6 +24,9 @@ from minplus.core import (
     validate_promises,
     witness_mask_naive,
 )
+from minplus.modulus import find_good_modulus
+from minplus.product_col import solve_verification_col
+from minplus.product_row import solve_verification_row
 
 
 def test_validate_row_monotone_ok():
@@ -247,3 +252,101 @@ def test_narrow_int_dtype_refuses_past_int64():
 
 def test_magnitude_sum_counts_negative_extremes():
     assert magnitude_sum(np.array([3, -7]), np.array([[5]]), np.zeros(0, dtype=np.int64)) == 12
+
+
+# Field sets that every check accepts: a matrix instance with shapes
+# (1, 2) x (2, 1) -> (1, 1), and a conv instance of length 2.
+_MATRIX = {"A": [[100, 105]], "B": [[200], [300]], "C": [[301]], "M": 100}
+_CONV = {"A": [100, 101], "B": [100, 102], "C": [200, 201, 203], "M": 100}
+
+
+def _matrix(**fields):
+    return VerificationInstance(**{**_MATRIX, **fields})
+
+
+def _conv(**fields):
+    return ConvVerificationInstance(**{**_CONV, **fields})
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: _matrix(M=100.0), PromiseViolationError),
+    (lambda: _matrix(M="100"), PromiseViolationError),
+    (lambda: _matrix(M=True), PromiseViolationError),
+    (lambda: _matrix(M=10**30), PromiseViolationError),
+    (lambda: _matrix(M=150), PromiseViolationError),
+    (lambda: _matrix(M=0), PromiseViolationError),
+    (lambda: _conv(M=100.0), PromiseViolationError),
+    (lambda: _conv(M=np.bool_(True)), PromiseViolationError),
+    (lambda: _matrix(A=[[100, 105], [100]]), DimensionMismatchError),
+    (lambda: _matrix(B=[200, 300]), DimensionMismatchError),
+    (lambda: _matrix(A=np.zeros((1, 0), dtype=np.int64), B=np.zeros((0, 1), dtype=np.int64)),
+     DimensionMismatchError),
+    (lambda: _matrix(C=[[301, 302]]), DimensionMismatchError),
+    (lambda: _matrix(C=[[301.5]]), PromiseViolationError),
+    (lambda: _conv(B=[100, 102, 103]), DimensionMismatchError),
+    (lambda: _conv(C=[200, 201]), DimensionMismatchError),
+    (lambda: _conv(A=[[100, 101]]), DimensionMismatchError),
+    (lambda: _conv(A=[], B=[], C=[]), DimensionMismatchError),
+    (lambda: _conv(A=[100.5, 101]), PromiseViolationError),
+], ids=[
+    "M-float", "M-str", "M-bool", "M-past-int64", "M-150", "M-0", "conv-M-float", "conv-M-numpy-bool",
+    "ragged", "1-D", "zero-dimension", "C-shape", "non-integral", "conv-unequal-lengths",
+    "conv-C-length", "conv-2-D", "conv-empty", "conv-non-integral",
+])
+def test_instance_refuses_bad_fields_when_built(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_instance_refusal_of_M_is_the_cli_diagnostic():
+    with pytest.raises(PromiseViolationError) as err:
+        _conv(M=50)
+    assert str(err.value) == "invalid instance: M not a positive multiple of 100"
+
+
+VERIFY = {
+    "verify-row": (solve_verification_row, "ij"),
+    "verify-col": (solve_verification_col, "ik"),
+    "verify-conv": (solve_verification_conv, "k"),
+}
+
+
+@pytest.mark.parametrize("kind,form", [
+    (kind, form) for kind in VERIFY for form in ("nested-lists", "numpy-M", "integral-floats")
+] + [("verify-conv", "raw-ndarrays")])
+def test_instance_normalises_accepted_fields(kind, form):
+    """An instance built from another form of a generated file's fields is
+    the int64 instance: same fields, same solver mask (the naive oracle's)
+    and the same search report."""
+    payload = cli.generate_instance(kind, 5, 40, 1, "adversarial-ties", M=200)
+    fields = {key: payload[key] for key in ("A", "B", "C", "M")}
+    if form == "numpy-M":
+        fields["M"] = np.int32(fields["M"])
+    elif form == "integral-floats":
+        fields.update({key: np.asarray(fields[key], dtype=np.float64) for key in "ABC"})
+    elif form == "raw-ndarrays":
+        fields.update({key: np.asarray(fields[key]) for key in "ABC"})
+    conv = kind == "verify-conv"
+    inst = (ConvVerificationInstance if conv else VerificationInstance)(**fields)
+    want = cli._instance_from(payload)
+    assert type(inst.M) is int and inst.M == want.M == 200
+    for got, ref in zip((inst.A, inst.B, inst.C), (want.A, want.B, want.C)):
+        if conv:
+            assert isinstance(got, IntArray)
+            got, ref = got.values, ref.values
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    if conv:
+        assert inst.C.origin == 2
+    solver, axis = VERIFY[kind]
+    mask = witness_mask_naive(inst, axis)
+    assert mask.any() and not mask.all()
+    assert np.array_equal(solver(inst), mask)
+    assert find_good_modulus(inst)[1].to_dict() == find_good_modulus(want)[1].to_dict()
+
+
+def test_instance_keeps_int64_operands_without_a_copy():
+    A, B, C = (np.asarray(_MATRIX[key], dtype=np.int64) for key in "ABC")
+    inst = VerificationInstance(A=A, B=B, C=C, M=100)
+    assert inst.A is A and inst.B is B and inst.C is C
+    a = np.asarray(_CONV["A"], dtype=np.int64)
+    assert _conv(A=a).A.values is a

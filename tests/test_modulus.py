@@ -161,10 +161,10 @@ def test_search_unchanged_when_its_bins_span_many_blocks(monkeypatch, kind, n):
     inst = cli._instance_from(cli.generate_instance(kind, n, 10**6, 3, "uniform-monotone"))
     layout = conv_layout(inst) if kind == "verify-conv" else matrix_layout(inst)
     deltas = level_start_deltas(layout, levelmax_for(inst.M))
-    Q, want = find_good_modulus(inst, inst.M, R=64)
+    Q, want = find_good_modulus(inst, R=64)
     monkeypatch.setattr(modulus, "SCORE_BLOCK", 2 * len(deltas.cut) * len(want.pool.primes))
     assert len(deltas.values) > 20
-    got_Q, got = find_good_modulus(inst, inst.M, R=64)
+    got_Q, got = find_good_modulus(inst, R=64)
     assert got_Q == Q and got.to_dict() == want.to_dict()
     for a, b in zip(got.steps, want.steps):
         assert np.array_equal(a.table.Y, b.table.Y)
@@ -271,7 +271,7 @@ def test_select_prime_two_levels():
 
 def test_find_good_modulus_all_zero():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    Q, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+    Q, report = find_good_modulus(inst, R=16, test_mode=True)
     assert Q == 121
     assert report.primes == (11, 11)
     assert report.q_values == (11, 121)
@@ -279,7 +279,7 @@ def test_find_good_modulus_all_zero():
 
 def test_find_good_modulus_small_pool():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    Q, report = find_good_modulus(inst, 100, R=4, test_mode=True)
+    Q, report = find_good_modulus(inst, R=4, test_mode=True)
     assert len(report.primes) <= 7
     assert 100 <= Q <= 400
     assert Q // report.primes[-1] < 100
@@ -290,7 +290,7 @@ def test_find_good_modulus_invariants_random():
     for _ in range(8):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        Q, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+        Q, report = find_good_modulus(inst, R=16, test_mode=True)
         assert 100 <= Q <= 1600
         for step, p in zip(report.steps, report.primes):
             assert step.chosen == p
@@ -301,7 +301,7 @@ def test_find_good_modulus_invariants_random():
 
 def test_report_validates_first_crossing():
     inst = minst(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    _, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+    _, report = find_good_modulus(inst, R=16, test_mode=True)
     with pytest.raises(ValueError):
         ModulusReport(
             M=report.M,
@@ -325,7 +325,7 @@ def test_X_identity_matrix():
     for _ in range(8):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        _, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+        _, report = find_good_modulus(inst, R=16, test_mode=True)
         for step in report.steps:
             for pi, p in enumerate(step.table.primes):
                 for level in range(lmax + 1):
@@ -340,7 +340,7 @@ def test_X_identity_conv():
     for _ in range(8):
         n = int(rng.integers(1, 9))
         inst = promised_conv(rng, n)
-        _, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+        _, report = find_good_modulus(inst, R=16, test_mode=True)
         for step in report.steps:
             for pi, p in enumerate(step.table.primes):
                 for level in range(lmax + 1):
@@ -377,14 +377,14 @@ def test_active_counts_bounded_by_X():
     for _ in range(6):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        Q, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+        Q, report = find_good_modulus(inst, R=16, test_mode=True)
         for level, count in enumerate(report.active_counts):
             assert count <= count_X_bruteforce(inst, Q, level)
 
 
 def test_report_round_trips_to_dict():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    _, report = find_good_modulus(inst, 100, R=16, test_mode=True)
+    _, report = find_good_modulus(inst, R=16, test_mode=True)
     d = report.to_dict()
     assert d["Q"] == 121
     assert d["primes"] == [11, 11]
@@ -407,7 +407,7 @@ def test_search_memory_bounded_by_segment_starts(kind, n):
     del layout
     tracemalloc.start()
     try:
-        find_good_modulus(inst, inst.M)
+        find_good_modulus(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,7 +432,7 @@ def test_search_memory_bounded_when_every_start_has_its_own_delta(kind, n):
     del layout
     tracemalloc.start()
     try:
-        find_good_modulus(inst, inst.M)
+        find_good_modulus(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

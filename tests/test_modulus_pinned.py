@@ -24,28 +24,28 @@ SEED = 1
 
 
 def pinned_instances():
-    """(name, instance, M) of every pinned search, in file order."""
+    """(name, instance) of every pinned search, in file order."""
     for kind in ("verify-row", "verify-col", "verify-conv"):
         path = next((TESTS / "golden").glob(f"{kind}-n*.json"))
         inst = cli._instance_from(cli.load_payload(path))
-        yield path.stem, inst, inst.M
+        yield path.stem, inst
     for family in cli.FAMILIES:
         for kind, n, levels in (("product-row", 64, row_level_instances),
                                 ("conv", 320, conv_level_instances)):
             payload = cli.generate_instance(kind, n, n, SEED, family)
             for depth, inst in levels(payload):
-                yield f"{kind}-n{n}/{family}/seed{SEED}/depth{depth}", inst, inst.M
+                yield f"{kind}-n{n}/{family}/seed{SEED}/depth{depth}", inst
 
 
-def report_of(inst, M):
+def report_of(inst):
     cfg = SolverConfig()
-    _, rep = find_good_modulus(inst, M, R=cfg.R, slack=cfg.slack)
+    _, rep = find_good_modulus(inst, R=cfg.R, slack=cfg.slack)
     return json.loads(json.dumps(rep.to_dict()))
 
 
 def test_search_reports_match_pinned():
     want = json.loads(PINNED.read_text())
-    got = {name: report_of(inst, M) for name, inst, M in pinned_instances()}
+    got = {name: report_of(inst) for name, inst in pinned_instances()}
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
@@ -53,6 +53,6 @@ def test_search_reports_match_pinned():
 
 if __name__ == "__main__":
     PINNED.parent.mkdir(exist_ok=True)
-    reports = {name: report_of(inst, M) for name, inst, M in pinned_instances()}
+    reports = {name: report_of(inst) for name, inst in pinned_instances()}
     PINNED.write_text(json.dumps(reports, indent=1) + "\n")
     print(f"wrote {len(reports)} reports to {PINNED}")

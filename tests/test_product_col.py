@@ -141,7 +141,7 @@ def test_r_dominates_r_prime_cellwise():
 
     for _ in range(10):
         inst = promised_matrix(rng, 4, 5, 4)
-        Q, _ = find_good_modulus(inst, inst.M)
+        Q, _ = find_good_modulus(inst)
         r = compute_r_matrix(inst, Q)
         layout = matrix_layout(inst)
         starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)

@@ -237,7 +237,7 @@ def test_s_dominates_s_prime_cellwise():
 
     for _ in range(10):
         inst = promised_matrix(rng, 4, 5, 4)
-        Q, _ = find_good_modulus(inst, inst.M)
+        Q, _ = find_good_modulus(inst)
         s = compute_s_matrix(inst, Q)
         layout = matrix_layout(inst)
         starts, ends = active_level0_bounds(layout, levelmax_for(inst.M), Q)

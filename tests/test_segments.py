@@ -182,17 +182,15 @@ def active_chain(inst, Q, lmax, conv=False):
 
 # --- frozen cases ------------------------------------------------------------
 
-def test_levelmax_values():
-    assert levelmax_for(100) == 3
-    assert levelmax_for(200) == 4
-    assert levelmax_for(400) == 5
+@pytest.mark.parametrize("M,lmax", [(100, 3), (200, 4), (400, 5), (np.int64(100), 3), (np.uint16(400), 5)])
+def test_levelmax_values(M, lmax):
+    assert levelmax_for(M) == lmax
 
 
-def test_levelmax_rejects_bad_M():
+@pytest.mark.parametrize("M", [150, 0, 100.0, np.float64(200.0), True, "100", 10**30])
+def test_levelmax_rejects_bad_M(M):
     with pytest.raises(ValueError):
-        levelmax_for(150)
-    with pytest.raises(ValueError):
-        levelmax_for(0)
+        levelmax_for(M)
 
 
 def test_level_params_consistency():
@@ -378,7 +376,7 @@ def early_stop_cases():
         for family in ("uniform-monotone", "staircase"):
             for seed in (0, 1):
                 inst = cli._instance_from(cli.generate_instance(kind, n, 256, seed, family))
-                out.append((inst, find_good_modulus(inst, inst.M)[0]))
+                out.append((inst, find_good_modulus(inst)[0]))
     out += [(promised_matrix(rng, 3, 3, 4), 143) for _ in range(4)]
     out += [(promised_conv(rng, 6), 143) for _ in range(4)]
     return [(inst, conv_layout(inst) if isinstance(inst, ConvVerificationInstance) else matrix_layout(inst), Q)
