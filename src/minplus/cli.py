@@ -241,26 +241,35 @@ def _diagnosed(kind: str):
         raise CliError(str(e), kind=kind, coord=list(coord) if coord else None)
 
 
-def _instance_from(payload: dict):
-    """The verification instance of a verify file. An M that is not an
+def _operands(payload: dict) -> tuple:
+    """The file's A and B, converted."""
+    return _field(payload, "A"), _field(payload, "B")
+
+
+def _instance_from(payload: dict, operands: tuple | None = None):
+    """The verification instance of a verify file, from its A and B as
+    converted already (operands) or else from the file. An M that is not an
     integer is a malformed field; the instance checks its shapes and M."""
-    A, B, C = (_field(payload, key) for key in ("A", "B", "C"))
+    A, B = operands or _operands(payload)
+    C = _field(payload, "C")
     M = _field(payload, "M", operator.index)
     instance = ConvVerificationInstance if payload["kind"] == "verify-conv" else VerificationInstance
     return instance(A=A, B=B, C=C, M=M)
 
 
-def _solve(payload: dict, kind: str, config: SolverConfig):
+def _solve(payload: dict, kind: str, config: SolverConfig, operands: tuple | None = None):
     """(result, operands, timings, modulus digests) of one instance file.
 
     A product or conv file runs its driver on (A, B) under a tag on the
     driver's axis. A verify file is searched for Q once, and its solver runs
-    with that Q. The operands are what the kind's oracle takes.
+    with that Q. A and B are taken as given in operands, when the caller has
+    converted them already, and converted from the file otherwise. The
+    operands returned are what the kind's oracle takes.
     """
     solver, axis, _ = SOLVERS[kind]
     timings, digests = {}, []
     if kind.startswith("verify"):
-        inst = _instance_from(payload)
+        inst = _instance_from(payload, operands)
         require_valid_instance(inst)
         t0 = time.perf_counter()
         Q, rep = find_good_modulus(inst, R=config.R, slack=config.slack)
@@ -270,7 +279,7 @@ def _solve(payload: dict, kind: str, config: SolverConfig):
         args, kwargs = operands, {"Q": Q, "config": config}
     else:
         tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", int))
-        operands = (_field(payload, "A"), _field(payload, "B"))
+        operands = operands or _operands(payload)
         args, kwargs = (*operands, tag, config), {}
     t0 = time.perf_counter()
     result = solver(*args, **kwargs)
@@ -315,18 +324,18 @@ def _out_paths(args, in_path: Path):
 # ---------------------------------------------------------------------------
 # check
 
-def _oracle_cells(payload: dict, kind: str) -> int:
-    """Oracle volume, sized from the arrays; a "dims" field that disagrees
-    with their shapes is malformed."""
+def _oracle_cells(payload: dict, kind: str) -> tuple:
+    """Oracle volume, sized from the arrays, and the converted (A, B); a
+    "dims" field that disagrees with their shapes is malformed."""
     dims = _field(payload, "dims", lambda dims: [int(d) for d in dims])
-    A, B = _field(payload, "A"), _field(payload, "B")
+    A, B = _operands(payload)
     conv = kind in ("conv", "verify-conv")
     shape = list(A.shape[:1] if conv else A.shape[:2] + B.shape[1:2])
     if dims != shape:
         raise CliError("malformed field 'dims': it disagrees with the arrays",
                        field="dims", dims=dims, shape=shape)
     cells = math.prod(shape)
-    return cells * cells if conv else cells
+    return (cells * cells if conv else cells), (A, B)
 
 
 def check_instance(payload: dict, config: SolverConfig):
@@ -336,7 +345,7 @@ def check_instance(payload: dict, config: SolverConfig):
     volume exceeds config.oracle_limit.
     """
     kind = _kind_of(payload)
-    cells = _oracle_cells(payload, kind)
+    cells, operands = _oracle_cells(payload, kind)
     if cells > config.oracle_limit:
         raise CliError(
             "instance too large for the oracle; raise --oracle-limit to force",
@@ -344,7 +353,7 @@ def check_instance(payload: dict, config: SolverConfig):
         )
     _, _, oracle = SOLVERS[kind]
     with _diagnosed(kind):
-        got, operands, _, _ = _solve(payload, kind, config)
+        got, operands, _, _ = _solve(payload, kind, config, operands)
         want = oracle(*operands)
     if kind == "conv":
         got, want = got.values, want.values

@@ -131,7 +131,9 @@ class VerificationInstance:
 @dataclass(frozen=True, eq=False)
 class ConvVerificationInstance:
     """(A, B, C, M) for convolution verification, checked when built as
-    VerificationInstance is: IntArrays of lengths n, n and 2n - 1, C at origin 2."""
+    VerificationInstance is: IntArrays of lengths n, n and 2n - 1, A and B at
+    origin 1 and C at origin 2. An IntArray given at another origin is a
+    DimensionMismatchError: its slots would not line up with the sums."""
 
     A: IntArray
     B: IntArray
@@ -140,6 +142,9 @@ class ConvVerificationInstance:
 
     def __post_init__(self):
         A, B, C = as_int_array(self.A), as_int_array(self.B), as_int_array(self.C, origin=2)
+        for name, arr, origin in (("A", A, 1), ("B", B, 1), ("C", C, 2)):
+            if arr.origin != origin:
+                raise DimensionMismatchError(f"{name} has origin {arr.origin}, not {origin}")
         n = len(A)
         if len(B) != n or len(C) != 2 * n - 1:
             raise DimensionMismatchError(f"lengths {n}, {len(B)}, {len(C)}; expected n, n, 2n - 1")

@@ -15,7 +15,6 @@ witness where these make one compare.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import shifting
 from .core import as_exact_int64, is_integer, narrow_int_dtype, next_pow2
@@ -82,8 +81,10 @@ def count_congruent_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray, Q: int) ->
     signed dtype that holds 2Q, a_i + b_j - c_(i+j) tested for 0 or Q, in
     blocks of whole rows i of at most shifting.SCAN_BLOCK pairs (one row
     when a row alone is larger), through one set of block buffers. Row i
-    reads c through a sliding window, and each block's hits are summed onto
-    their antidiagonals (``shifting.antidiagonal_rows``). The memory beyond
+    reads c[i : i + nb] through a strided view of c whose rows step one
+    entry along it, built directly: sliding_window_view's checks took a
+    sixth of a count at n = 128. Each block's hits are summed onto their
+    antidiagonals (``shifting.antidiagonal_rows``). The memory beyond
     the residue copies and the output does not grow with the instance or
     with Q. Exponents may be negative or larger than Q.
 
@@ -103,7 +104,7 @@ def count_congruent_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray, Q: int) ->
     dtype = narrow_int_dtype(2 * Q)
     a, b, c = ((x % Q).astype(dtype) for x in (a, b, c))
     # row i of the window view holds c[i : i + nb], the targets of the pairs (i, j)
-    cw = sliding_window_view(c, b.size)
+    cw = np.ndarray((a.size, b.size), dtype, c, 0, (c.itemsize, c.itemsize))
     counts = np.zeros(c.size, dtype=np.int64)
     rows = max(1, min(a.size, shifting.SCAN_BLOCK // b.size))
     # one block of buffers, reused by every block: a + b - c and its two tests

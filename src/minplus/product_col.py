@@ -154,6 +154,9 @@ def twopointer_direct(
     every shift's right side.
     """
     A, B, C, s = _narrow_operands(inst, shifts)
+    # a rotation the caller passed unnamed (_col_level) is freed here, so it
+    # is not held beside its narrow copy during the passes
+    del inst
     by_b = _start_hits(B, C.T, A.T, -s)
     by_c = _start_hits(C, B.T, -A, s)
     return by_c | np.swapaxes(by_b, -1, -2)
@@ -176,9 +179,11 @@ def _start_hits(R: np.ndarray, G: np.ndarray, H: np.ndarray, targets: np.ndarray
     The starts come row-major from one mask, so each R row's starts are
     contiguous; they are tested against every o at once, SCAN_BLOCK cells
     per block over all targets, and OR-reduced per row (a row may span
-    blocks).  The o axis is padded with zeros to whole 8-byte words, so the
-    per-row OR runs over uint64 words of eight hits each; the pad columns
-    may hit, and are cut off the result.
+    blocks).  A block's difference is formed in place on its gather of G,
+    so a block holds two block-sized arrays at a time.  The o axis is padded
+    with zeros to whole 8-byte words, so the per-row OR runs over uint64
+    words of eight hits each; the pad columns may hit, and are cut off the
+    result.
     """
     nr, no = H.shape
     width = -(-no // 8) * 8
@@ -190,6 +195,7 @@ def _start_hits(R: np.ndarray, G: np.ndarray, H: np.ndarray, targets: np.ndarray
     flat = np.flatnonzero(is_start)
     rs, js = np.divmod(flat, R.shape[1])
     want = R.take(flat) + targets[:, None]
+    del is_start, flat
     words = np.zeros((targets.size, nr, width // 8), dtype=np.uint64)
     step = max(1, shifting.SCAN_BLOCK // max(width * targets.size, 1))
     # j = 0 starts every row, so a block's rows are consecutive; a run of
@@ -199,7 +205,10 @@ def _start_hits(R: np.ndarray, G: np.ndarray, H: np.ndarray, targets: np.ndarray
     for lo in range(0, rs.size, step):
         sl = slice(lo, lo + step)
         r = rs[sl]
-        hit = Gp.take(js[sl], axis=0) - Hp.take(r, axis=0) == want[:, sl, None]
+        diff = Gp.take(js[sl], axis=0)
+        diff -= Hp.take(r, axis=0)
+        hit = diff == want[:, sl, None]
+        del diff
         runs = np.bitwise_or.reduceat(hit.view(np.uint64), np.flatnonzero(opens[sl]), axis=1)
         words[:, r[0] : r[-1] + 1] |= runs
     return words.view(bool)[..., :no]
@@ -210,11 +219,13 @@ def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
     rotation: two-pointer masks of all tested candidates at once.  Under
     test_mode each mask asked for is checked against the equality scan."""
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
+    shifts = candidate_shifts(test_mode)
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
-    rot = rotate_to_problem2prime(A, B, base, W)
-    masks = twopointer_direct(rot, candidate_shifts(test_mode))
     if not test_mode:
-        return masks.__getitem__
+        # passed unnamed, the int64 rotation is freed once the pass has narrowed it
+        return twopointer_direct(rotate_to_problem2prime(A, B, base, W), shifts).__getitem__
+    rot = rotate_to_problem2prime(A, B, base, W)
+    masks = twopointer_direct(rot, shifts)
 
     def checked(s: int) -> WitnessMask:
         # rot.A - s + rot.B == rot.C is the scan's rot.A + rot.B == rot.C + s

@@ -11,11 +11,14 @@ u = s + t kept as a plain integer (up to 198), not reduced mod 100.
 All maps are non-decreasing in x, so monotone rows stay monotone, and all
 result residues are at most 7W = 7M/100, inside the M/10 promise.
 
-settle_by_halving is the recursion the row, column and convolution drivers
-share (Chi, Duan, Xie and Zhang, STOC'22): halve the entries, recurse, then
-settle each output cell among the candidates 2C' + {0, 1, 2}. Each driver
-supplies only how one level tests a candidate, and the recursion settles a
-level by arithmetic on the masks, with no boolean indexing. class_pair_sweep
+settle_by_halving is the halving recursion the row, column and convolution
+drivers share (Chi, Duan, Xie and Zhang, STOC'22), run as a loop from the
+coarsest level down: each level halves the caller's entries h times and
+settles each output cell among the candidates 2C' + {0, 1, 2}, C' the
+previous level's output. Each driver supplies only how one level tests a
+candidate; the loop holds one level's operands and masks at a time and
+settles a level by arithmetic on the masks, with no boolean indexing, so its
+memory does not grow with the entry bound. class_pair_sweep
 is the det-reference engine's test: the literal verification pipeline on
 every live (s, t) instance. congruent_witness_scan and
 congruent_witness_scan_conv are the det engine's test: the witness rule of
@@ -69,33 +72,44 @@ def settle_by_halving(
 ) -> np.ndarray:
     """The exact product (or convolution) of non-negative A and B by halving.
 
-    The true output C and the output C' of the halved operands satisfy
-    2C' <= C <= 2C' + 2, so each cell is the first candidate 2C' + s,
-    s = 0, 1, 2, that has a witness. level_witnesses(A, B, 2C') does a
-    level's shared set-up and returns mask_of, where mask_of(s) marks the
-    cells with a witness for 2C' + s. +0 is asked for first, then +1 unless
-    every cell hit at +0; outside test_mode whatever the two leave is +2
-    untested, and test_mode asks for +2 too (unless every cell is settled)
-    and raises AssertionError if a cell has no witness at any of the three.
+    With C_h the output of A >> h and B >> h, 2C_{h+1} <= C_h <= 2C_{h+1} + 2,
+    so each cell of C_h is the first candidate 2C_{h+1} + s, s = 0, 1, 2, that
+    has a witness. The levels run in a loop from h = top - 1 down to 0, top
+    the bit length of the largest entry (C_top = 0), and the loop holds one
+    level at a time: A >> h and B >> h are formed from the caller's arrays
+    for their level only (at h = 0 the caller's own arrays are passed, not
+    copied), and a level's masks are dropped before the next level starts, so
+    the memory does not grow with the entry bound. A and B must be
+    non-negative, as every driver makes them: a negative entry never halves
+    to 0, so the coarsest level would not start from C_top = 0.
+
+    level_witnesses(A >> h, B >> h, 2C_{h+1}) does a level's shared set-up
+    and returns mask_of, where mask_of(s) marks the cells with a witness for
+    2C_{h+1} + s. +0 is asked for first, then +1 unless every cell hit at +0;
+    outside test_mode whatever the two leave is +2 untested, and test_mode
+    asks for +2 too (unless every cell is settled) and raises AssertionError
+    if a cell has no witness at any of the three.
 
     With hit0 and hit1 the masks of +0 and +1, a level's output is
-    2C' + 2 - hit0 - (hit0 | hit1): a cell hit at +0 loses 2, one first hit
-    at +1 loses 1. Nothing is indexed by a mask.
+    2C_{h+1} + 2 - hit0 - (hit0 | hit1), formed in place on one base array:
+    a cell hit at +0 loses 2, one first hit at +1 loses 1. Nothing is indexed
+    by a mask.
     """
-    if not A.any() and not B.any():
-        return np.zeros(out_shape, dtype=np.int64)
-    base = settle_by_halving(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
-    base <<= 1
-    mask_of = level_witnesses(A, B, base)
-    hit0 = mask_of(0)
-    if hit0.all():
-        return base
-    settled = hit0 | mask_of(1)
-    if test_mode and not settled.all() and not (settled | mask_of(2)).all():
-        raise AssertionError("candidate sandwich violated: unresolved cells remain")
-    base += 2
-    base -= hit0
-    base -= settled
+    top = int(max(A.max(), B.max())).bit_length()
+    base = np.zeros(out_shape, dtype=np.int64)
+    for h in range(top - 1, -1, -1):
+        base <<= 1
+        mask_of = level_witnesses(A >> h, B >> h, base) if h else level_witnesses(A, B, base)
+        hit0 = mask_of(0)
+        if not hit0.all():
+            settled = hit0 | mask_of(1)
+            if test_mode and not settled.all() and not (settled | mask_of(2)).all():
+                raise AssertionError("candidate sandwich violated: unresolved cells remain")
+            base += 2
+            base -= hit0
+            base -= settled
+            del settled
+        del mask_of, hit0
     return base
 
 

@@ -169,6 +169,25 @@ def test_check_reports_first_mismatch(monkeypatch):
     assert not ok and coord == (2, 1)
 
 
+@pytest.mark.parametrize("name", [
+    "product-row-n4", "product-col-n4", "conv-n4", "verify-row-n3", "verify-col-n3", "verify-conv-n4",
+])
+def test_check_converts_each_operand_once(monkeypatch, name):
+    """check sizes the oracle from A and B and solves with the same arrays:
+    each field of the file is converted once."""
+    payload = cli.load_payload(GOLDEN / f"{name}.json")
+    keys = []
+    field = cli._field
+
+    def counted(payload, key, *args):
+        keys.append(key)
+        return field(payload, key, *args)
+
+    monkeypatch.setattr(cli, "_field", counted)
+    assert cli.check_instance(payload, CFG) == (True, None)
+    assert sorted(keys) == sorted(set(keys)) and {"A", "B"} <= set(keys)
+
+
 def test_check_refuses_oversized_oracle():
     payload = cli.load_payload(GOLDEN / "product-row-n4.json")
     with pytest.raises(cli.CliError):

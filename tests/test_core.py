@@ -288,14 +288,26 @@ def _conv(**fields):
     (lambda: _conv(A=[[100, 101]]), DimensionMismatchError),
     (lambda: _conv(A=[], B=[], C=[]), DimensionMismatchError),
     (lambda: _conv(A=[100.5, 101]), PromiseViolationError),
+    (lambda: _conv(C=IntArray(_CONV["C"], origin=1)), DimensionMismatchError),
+    (lambda: _conv(A=IntArray(_CONV["A"], origin=2)), DimensionMismatchError),
+    (lambda: _conv(B=IntArray(_CONV["B"], origin=0)), DimensionMismatchError),
 ], ids=[
     "M-float", "M-str", "M-bool", "M-past-int64", "M-150", "M-0", "conv-M-float", "conv-M-numpy-bool",
     "ragged", "1-D", "zero-dimension", "C-shape", "non-integral", "conv-unequal-lengths",
-    "conv-C-length", "conv-2-D", "conv-empty", "conv-non-integral",
+    "conv-C-length", "conv-2-D", "conv-empty", "conv-non-integral", "conv-C-origin-1",
+    "conv-A-origin-2", "conv-B-origin-0",
 ])
 def test_instance_refuses_bad_fields_when_built(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_conv_instance_keeps_intarrays_at_their_origins():
+    """IntArrays at the origins the instance holds (1, 1 and 2) are kept as
+    given, their values not copied."""
+    A, B, C = IntArray(_CONV["A"]), IntArray(_CONV["B"]), IntArray(_CONV["C"], origin=2)
+    inst = _conv(A=A, B=B, C=C)
+    assert inst.A is A and inst.B is B and inst.C is C
 
 
 def test_instance_refusal_of_M_is_the_cli_diagnostic():

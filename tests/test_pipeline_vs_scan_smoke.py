@@ -8,6 +8,8 @@ pipeline and the scan disagree, fails here. It writes no file.
 `scripts/ab_pairs.py --smoke` compares this checkout with itself in
 alternating benchmark pairs, untraced and traced, and checks the layout of
 the BENCH file it would write and that the digests agree.
+`scripts/level_memory.py --smoke` measures the peak of one tiny solve per
+driver at a small and a large entry bound.
 """
 import json
 import subprocess
@@ -52,3 +54,13 @@ def test_ab_pairs_smoke_exits_zero():
     assert set(p50) == {
         "parent_median", "parent_iqr", "change_median", "change_iqr", "change_pct", "pairs_won",
     }
+
+
+def test_level_memory_smoke_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "scripts/level_memory.py", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    rows = json.loads(proc.stdout.splitlines()[-1])["rows"]
+    assert [row["kind"] for row in rows] == ["product-row"] * 2 + ["product-col"] * 2 + ["conv"] * 2

@@ -2,6 +2,8 @@
 literal three-condition rule in int64, across the dtype thresholds, moduli
 and block sizes, with their memory bounded by blocks; and the halving
 recursion the drivers share, on fake per-level witnesses."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -381,6 +383,34 @@ def test_halving_asks_for_plus_two_only_in_test_mode():
         base = log[-1][0]
         assert np.array_equal(outs[test_mode], base + pattern)
     assert np.array_equal(outs[True], outs[False])
+
+
+def test_halving_holds_one_level_at_a_time():
+    """At bound 2^40 (40 levels) the memory in use at every level stays
+    within a few n x n int64 arrays: the base, the level's A >> h and B >> h
+    and the masks of one level. A recursion that keeps every level's halved
+    operands until the top level settles holds about 80 of them at its
+    deepest level. The last level gets the caller's own arrays."""
+    n = 32
+    rng = np.random.default_rng(3)
+    A = rng.integers(1 << 39, 1 << 40, (n, n))
+    B = rng.integers(1 << 39, 1 << 40, (n, n))
+    in_use, uncopied = [], []
+
+    def level_witnesses(A_h, B_h, base):
+        in_use.append(tracemalloc.get_traced_memory()[0] - start)
+        uncopied.append(A_h is A and B_h is B)
+        return lambda s: np.zeros(base.shape, dtype=bool)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        settle_by_halving(A, B, (n, n), level_witnesses, test_mode=False)
+    finally:
+        tracemalloc.stop()
+    assert len(in_use) == 40
+    assert max(in_use) <= 6 * n * n * 8, max(in_use) / (n * n * 8)
+    assert uncopied == [False] * 39 + [True]
 
 
 def random_levels(seed, hit_rate):
