@@ -30,6 +30,14 @@ file's. The file holds:
 - ``result["failed"]``: the failed solves and non-zero exits of all runs.
 - ``runs``: every run made, with its metrics.
 
+Before the first pair, each checkout's ``src/`` is compiled to bytecode
+(``python -m compileall -q src``), so both sides import ``minplus`` from a
+warm cache. Otherwise a checkout that holds a ``__pycache__`` from an earlier
+run imports faster than one that does not, and with PYTHONDONTWRITEBYTECODE
+set the uncached side compiles its modules on every import; ``-B`` alone
+would not close that, as Python still reads an existing cache. The file
+records the method under ``bytecode``.
+
 ``--smoke`` compares this checkout with itself: verify-mix, two pairs at
 ``--trace 0`` and one at ``--trace 1``, 0.2 s each. It checks the layout and
 that the digests agree, prints the result and writes no file.
@@ -45,11 +53,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds T --trace X"
+BYTECODE = "python -m compileall -q src in each checkout before the first pair"
 SIDES = ("parent", "change")
 
 
 class PairsError(Exception):
     """A checkout cannot be run, or a run printed no result."""
+
+
+def compile_bytecode(checkout: Path) -> None:
+    """Compile checkout's src/ to bytecode with this interpreter (BYTECODE)."""
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout,
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode:
+        raise PairsError(f"cannot compile {checkout}/src: {proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -179,6 +196,7 @@ def merge(doc: dict, runs: list, protocol: str, host: dict, spec: dict, what, cl
         "what": what or doc.get("what", ""),
         "claim": claim or doc.get("claim", ""),
         "command": COMMAND,
+        "bytecode": BYTECODE,
         "host": doc.get("host") or host_line(host),
         "protocol": doc.get("protocol", []) + [protocol],
         "result": compute_result(runs, spec),
@@ -188,6 +206,7 @@ def merge(doc: dict, runs: list, protocol: str, host: dict, spec: dict, what, cl
 
 def smoke() -> int:
     checkouts = {side: ROOT for side in SIDES}
+    compile_bytecode(ROOT)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = {}
     labels = {side: "this checkout" for side in SIDES}
@@ -200,7 +219,7 @@ def smoke() -> int:
     assert all(v["pairs_won"].endswith("/2") for v in end_to_end.values())
     per_layer = doc["result"]["smoke: verify-mix seed 1 --trace 1"]
     assert set(per_layer) == {m["name"] for m in spec["per_layer"]}, per_layer
-    assert len(doc["runs"]) == 6
+    assert len(doc["runs"]) == 6 and doc["bytecode"] == BYTECODE
     assert doc["result"]["digests"] == {"verify-mix seed 1": "equal on both sides in every run"}
     assert doc["result"]["failed"].startswith("0 failed solves and 0 non-zero exits")
     print(json.dumps(doc))
@@ -233,6 +252,7 @@ def main(argv=None) -> int:
         for side, path in checkouts.items():
             if not (path / "perfbench" / "run.py").is_file():
                 raise PairsError(f"{side} checkout has no perfbench/run.py")
+            compile_bytecode(path)
         seeds = args.seed or [1]
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {}

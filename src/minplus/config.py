@@ -24,17 +24,15 @@ class SolverConfig:
     shifting.SHIFT_M and the verify solvers by the instance's own M; the
     column driver searches no modulus and refuses R or slack set away from
     their defaults. oracle_limit caps the brute-force volume the CLI's check
-    and stats commands accept (a non-negative integer). test_mode tests
-    every candidate and asserts the sandwich 2C' <= C <= 2C' + 2; the column
-    driver also asserts that each two-pointer mask equals the equality
-    scan's.
+    and stats commands accept (a non-negative integer). No knob turns on
+    invariant checks: the tests check the halving sandwich, the column
+    driver's two-pointer masks and the good-modulus audit.
     """
 
     engine: str = "det"
     R: int | None = None
     slack: float | None = None
     oracle_limit: int = 1 << 22
-    test_mode: bool = False
 
     def __post_init__(self):
         if self.engine not in ENGINES:

@@ -43,8 +43,8 @@ from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent_conv
 from .segments import active_level0_bounds, conv_layout, levelmax_for, sprime_conv_flat
 from .shifting import (
+    CANDIDATE_SHIFTS,
     SHIFT_M,
-    candidate_shifts,
     class_pair_sweep,
     congruent_witness_scan_conv,
     first_live_pair,
@@ -121,7 +121,7 @@ def _level_modulus_conv(
 def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: SolverConfig):
     """mask_of(s) for one level of settle_by_halving: the class-pair sweep,
     run lazily per asked candidate, under det-reference; else one equality
-    scan of the level that tests +0 and +1 (and +2 under test_mode) at once."""
+    scan of the level that tests +0 and +1 at once."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
@@ -129,8 +129,7 @@ def _conv_level(a: np.ndarray, b: np.ndarray, base: np.ndarray, M: int, config: 
         )
     # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
     _level_modulus_conv(a, b, base, M, config)
-    shifts = candidate_shifts(config.test_mode)
-    return congruent_witness_scan_conv(a, b, base, shifts).__getitem__
+    return congruent_witness_scan_conv(a, b, base, CANDIDATE_SHIFTS).__getitem__
 
 
 def minplus_conv_monotone(
@@ -139,7 +138,9 @@ def minplus_conv_monotone(
     """Min-plus convolution of two monotone arrays; output has origin 2.
 
     Both arrays must be non-decreasing with entries in [1, tag.entry_bound].
-    Raises PromiseViolationError when either array breaks the promise and
+    Raises DimensionMismatchError when the arrays differ in length, are not
+    1-D or are empty, PromiseViolationError when an entry is not an integer
+    of magnitude below INT64_GUARD or either array breaks the promise, and
     ValueError for a tag that is not a MonotoneTag, is on the wrong axis, or
     has an entry bound that is not an integer or is INT64_GUARD // 8 or more.
     """
@@ -159,5 +160,5 @@ def minplus_conv_monotone(
     if config.engine == "naive":
         return minplus_convolution_naive(a, b)
     level = partial(_conv_level, M=SHIFT_M, config=config)
-    out = settle_by_halving(a, b, (2 * a.shape[0] - 1,), level, config.test_mode)
+    out = settle_by_halving(a, b, (2 * a.shape[0] - 1,), level)
     return IntArray(values=out, origin=2)

@@ -19,17 +19,17 @@ row's starts are OR-ed as 64-bit words of eight hits each.  The candidates
 of one recursion level differ only by a constant shift s of the rotated A,
 so the driver rotates once per level and passes the shifts: each block's
 differences are formed once, from one gather of the rotated A, and compared
-with every shift's target.  Under ``test_mode`` each mask is also checked
-against the equality scan on the same rotated triple.  No modulus is
-searched or chosen: neither check reads one.  The recursion over levels is
-:func:`minplus.shifting.settle_by_halving`, shared with the row and
-convolution drivers; ``_col_level`` is this module's per-level test.
+with every shift's target.  ``twopointer_bruteforce`` is the oracle the
+tests hold each level's masks to: the row driver's equality scan on the same
+rotated triple.  No modulus is searched or chosen: neither reads one.  The
+recursion over levels is :func:`minplus.shifting.settle_by_halving`, shared
+with the row and convolution drivers; ``_col_level`` is this module's
+per-level test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent
 from .product_row import normalize_A
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, rprime_ik_flat
-from .shifting import candidate_shifts, congruent_witness_scan, settle_by_halving
+from .shifting import CANDIDATE_SHIFTS, congruent_witness_scan, settle_by_halving
 
 
 @dataclass(frozen=True)
@@ -214,27 +214,20 @@ def _start_hits(R: np.ndarray, G: np.ndarray, H: np.ndarray, targets: np.ndarray
     return words.view(bool)[..., :no]
 
 
-def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, test_mode: bool):
+def _col_level(A: IntMatrix, B: IntMatrix, base: IntMatrix):
     """mask_of(s) for one level of settle_by_halving, on the level's one
-    rotation: two-pointer masks of all tested candidates at once.  Under
-    test_mode each mask asked for is checked against the equality scan."""
+    rotation: two-pointer masks of all tested candidates at once."""
     W = int(max(A.max(), B.max(), base.max() + 2, 0))
-    shifts = candidate_shifts(test_mode)
     # Candidate base + s rotates to (rot.A - s, rot.B, rot.C): only A moves.
-    if not test_mode:
-        # passed unnamed, the int64 rotation is freed once the pass has narrowed it
-        return twopointer_direct(rotate_to_problem2prime(A, B, base, W), shifts).__getitem__
-    rot = rotate_to_problem2prime(A, B, base, W)
-    masks = twopointer_direct(rot, shifts)
+    # Passed unnamed, the int64 rotation is freed once the pass has narrowed it.
+    return twopointer_direct(rotate_to_problem2prime(A, B, base, W), CANDIDATE_SHIFTS).__getitem__
 
-    def checked(s: int) -> WitnessMask:
-        # rot.A - s + rot.B == rot.C is the scan's rot.A + rot.B == rot.C + s
-        scan = congruent_witness_scan(rot.A, rot.B, rot.C, "ik", (s,))[0]
-        if not np.array_equal(masks[s], scan):
-            raise AssertionError(f"two-pointer pass and equality scan disagree at +{s}")
-        return masks[s]
 
-    return checked
+def twopointer_bruteforce(rot: RotatedInstance, shifts: tuple) -> WitnessMask:
+    """The masks twopointer_direct(rot, shifts) must equal, by the equality
+    scan of every triple: rot.A - s + rot.B == rot.C is the scan's
+    rot.A + rot.B == rot.C + s."""
+    return congruent_witness_scan(rot.A, rot.B, rot.C, "ik", shifts)
 
 
 def minplus_monotone_col(
@@ -271,6 +264,5 @@ def minplus_monotone_col(
         return minplus_product_naive(A, B)
     A_norm, deltas = normalize_A(A, tag.entry_bound)
     A_norm = normalize_nonincreasing(A_norm)
-    level = partial(_col_level, test_mode=config.test_mode)
-    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
+    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), _col_level)
     return C_norm + deltas[:, None]

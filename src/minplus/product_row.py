@@ -56,8 +56,8 @@ from .modulus import find_good_modulus, require_modulus
 from .polyring import count_congruent
 from .segments import active_level0_bounds, levelmax_for, matrix_layout, sprime_rows_flat
 from .shifting import (
+    CANDIDATE_SHIFTS,
     SHIFT_M,
-    candidate_shifts,
     class_pair_sweep,
     congruent_witness_scan,
     first_live_pair,
@@ -145,7 +145,7 @@ def _level_modulus(A: IntMatrix, B: IntMatrix, C_cand: IntMatrix, M: int, config
 def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: SolverConfig):
     """mask_of(s) for one level of settle_by_halving: the class-pair sweep,
     run lazily per asked candidate, under det-reference; else one equality
-    scan of the level that tests +0 and +1 (and +2 under test_mode) at once."""
+    scan of the level that tests +0 and +1 at once."""
     if config.engine == "det-reference":
         q_holder: list = []
         return lambda s: class_pair_sweep(
@@ -153,8 +153,7 @@ def _row_level(A: IntMatrix, B: IntMatrix, base: IntMatrix, M: int, config: Solv
         )
     # Nothing reads the level's Q; the search stays for the benchmark (ROADMAP item 1).
     _level_modulus(A, B, base, M, config)
-    shifts = candidate_shifts(config.test_mode)
-    return congruent_witness_scan(A, B, base, "ij", shifts).__getitem__
+    return congruent_witness_scan(A, B, base, "ij", CANDIDATE_SHIFTS).__getitem__
 
 
 def minplus_monotone_row(
@@ -183,5 +182,5 @@ def minplus_monotone_row(
         return minplus_product_naive(A, B)
     A_norm, deltas = normalize_A(A, tag.entry_bound)
     level = partial(_row_level, M=SHIFT_M, config=config)
-    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level, config.test_mode)
+    C_norm = settle_by_halving(A_norm, B, (A.shape[0], B.shape[1]), level)
     return C_norm + deltas[:, None]

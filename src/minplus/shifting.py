@@ -43,7 +43,7 @@ from .modulus import audit_modulus, find_good_modulus
 
 __all__ = [
     "settle_by_halving",
-    "candidate_shifts",
+    "CANDIDATE_SHIFTS",
     "class_pair_sweep",
     "residue_class",
     "shift_operand",
@@ -66,9 +66,14 @@ SHIFT_M = 100
 # the instance.
 SCAN_BLOCK = 1 << 17
 
+# The shifts s of the candidates 2C' + s that settle_by_halving asks a level
+# for; whatever they leave is +2. A level that tests its candidates in one
+# pass tests these.
+CANDIDATE_SHIFTS = (0, 1)
+
 
 def settle_by_halving(
-    A: np.ndarray, B: np.ndarray, out_shape: tuple, level_witnesses: Callable, test_mode: bool
+    A: np.ndarray, B: np.ndarray, out_shape: tuple, level_witnesses: Callable
 ) -> np.ndarray:
     """The exact product (or convolution) of non-negative A and B by halving.
 
@@ -86,9 +91,7 @@ def settle_by_halving(
     level_witnesses(A >> h, B >> h, 2C_{h+1}) does a level's shared set-up
     and returns mask_of, where mask_of(s) marks the cells with a witness for
     2C_{h+1} + s. +0 is asked for first, then +1 unless every cell hit at +0;
-    outside test_mode whatever the two leave is +2 untested, and test_mode
-    asks for +2 too (unless every cell is settled) and raises AssertionError
-    if a cell has no witness at any of the three.
+    whatever the two leave is +2, untested: the sandwich guarantees it.
 
     With hit0 and hit1 the masks of +0 and +1, a level's output is
     2C_{h+1} + 2 - hit0 - (hit0 | hit1), formed in place on one base array:
@@ -103,21 +106,12 @@ def settle_by_halving(
         hit0 = mask_of(0)
         if not hit0.all():
             settled = hit0 | mask_of(1)
-            if test_mode and not settled.all() and not (settled | mask_of(2)).all():
-                raise AssertionError("candidate sandwich violated: unresolved cells remain")
             base += 2
             base -= hit0
             base -= settled
             del settled
         del mask_of, hit0
     return base
-
-
-def candidate_shifts(test_mode: bool) -> tuple:
-    """The shifts s of the candidates 2C' + s that settle_by_halving may ask
-    a level for: +2 only under test_mode. A level that tests its candidates
-    in one pass tests these."""
-    return (0, 1, 2) if test_mode else (0, 1)
 
 
 def class_pair_sweep(

@@ -1,8 +1,11 @@
 """Instance builders and oracles shared by the test modules."""
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+from minplus import convolution, product_col, product_row
 from minplus.convolution import _shift_instance_conv
 from minplus.core import (
     ConvVerificationInstance,
@@ -12,7 +15,14 @@ from minplus.core import (
     minplus_product_naive,
 )
 from minplus.product_row import _shift_instance, normalize_A
-from minplus.shifting import SHIFT_M, first_live_pair, residue_class
+from minplus.shifting import (
+    SHIFT_M,
+    congruent_witness_scan,
+    congruent_witness_scan_conv,
+    first_live_pair,
+    residue_class,
+    settle_by_halving,
+)
 
 
 def minst(A, B, C, M=100):
@@ -134,25 +144,81 @@ def congruence_count_conv_direct(a, b, c, Q):
     return out
 
 
-def settle_by_scatter_reference(A, B, out_shape, level_witnesses, test_mode):
+def settle_by_scatter_reference(A, B, out_shape, level_witnesses):
     """shifting.settle_by_halving with its settle step written as one
     boolean-mask scatter per tested candidate, result[mask] = base[mask] + s,
     over the cells still pending: the reference for its arithmetic update."""
     if not A.any() and not B.any():
         return np.zeros(out_shape, dtype=np.int64)
-    base = 2 * settle_by_scatter_reference(A >> 1, B >> 1, out_shape, level_witnesses, test_mode)
+    base = 2 * settle_by_scatter_reference(A >> 1, B >> 1, out_shape, level_witnesses)
     mask_of = level_witnesses(A, B, base)
     result = base + 2
     pending = np.ones(base.shape, dtype=bool)
-    for s in (0, 1, 2) if test_mode else (0, 1):
+    for s in (0, 1):
         mask = mask_of(s) & pending
         result[mask] = base[mask] + s
         pending &= ~mask
         if not pending.any():
             return result
-    if test_mode:
-        raise AssertionError("candidate sandwich violated: unresolved cells remain")
     return result
+
+
+def sandwich_checked(level_witnesses):
+    """level_witnesses for shifting.settle_by_halving that also checks the
+    halving sandwich 2C' <= C <= 2C' + 2 on every level. Once the level's
+    masks of +0 and +1 leave a cell unsettled, the equality scan on the same
+    level operands is asked for +2, and AssertionError is raised if a cell
+    has no witness at any of the three."""
+
+    def level(A, B, base):
+        mask_of = level_witnesses(A, B, base)
+        masks = {}
+
+        def checked(s):
+            masks[s] = mask_of(s)
+            if s == 1:
+                settled = masks[0] | masks[1]
+                if not settled.all() and not (settled | witnesses_at_plus_two(A, B, base)).all():
+                    raise AssertionError("candidate sandwich violated: unresolved cells remain")
+            return masks[s]
+
+        return checked
+
+    return level
+
+
+def witnesses_at_plus_two(A, B, base):
+    """The equality scan's mask of the candidate base + 2, matrix or conv."""
+    if A.ndim == 1:
+        return congruent_witness_scan_conv(A, B, base, (2,))[0]
+    return congruent_witness_scan(A, B, base, "ij", (2,))[0]
+
+
+def twopointer_checked(twopointer):
+    """twopointer with every call's masks compared with the oracle,
+    product_col.twopointer_bruteforce; a mismatch raises AssertionError."""
+
+    def checked(rot, shifts):
+        masks = twopointer(rot, shifts)
+        if not np.array_equal(masks, product_col.twopointer_bruteforce(rot, shifts)):
+            raise AssertionError(f"two-pointer masks and equality scan disagree at shifts {shifts}")
+        return masks
+
+    return checked
+
+
+@contextmanager
+def checked_levels():
+    """Within the block, every det driver checks each recursion level: the
+    row, column and convolution drivers settle through sandwich_checked
+    levels, and the column driver's two-pointer masks go through
+    twopointer_checked."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (product_row, product_col, convolution):
+            mp.setattr(module, "settle_by_halving",
+                       lambda A, B, shape, level: settle_by_halving(A, B, shape, sandwich_checked(level)))
+        mp.setattr(product_col, "twopointer_direct", twopointer_checked(product_col.twopointer_direct))
+        yield
 
 
 def window_table(level, Qp):

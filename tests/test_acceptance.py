@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    checked_levels,
     cinst,
     congruence_count_conv_direct,
     congruence_count_direct,
@@ -93,8 +94,9 @@ def test_criterion_02_col_product_oracle():
         A, B = _payload_arrays("product-col", n, bound, seed=idx, family=family)
         tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
         want = minplus_product_naive(A, B)
-        # test_mode also checks each two-pointer mask against the equality scan
-        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+        # checked_levels also checks each two-pointer mask against the equality scan
+        with checked_levels():
+            got = minplus_monotone_col(A, B, tag)
         assert np.array_equal(got, want), f"instance {idx}"
         count += 1
     elapsed = time.perf_counter() - t0

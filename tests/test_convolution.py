@@ -2,11 +2,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import all_shift_pairs, cinst, promised_conv
+from helpers import all_shift_pairs, checked_levels, cinst, promised_conv, sandwich_checked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus import cli
+from minplus import cli, convolution
 from minplus.config import SolverConfig
 from minplus.convolution import (
     _conv_level,
@@ -17,6 +17,7 @@ from minplus.convolution import (
 )
 from minplus.core import (
     INT64_GUARD,
+    DimensionMismatchError,
     MonotoneTag,
     PromiseViolationError,
     minplus_convolution_naive,
@@ -206,9 +207,24 @@ def test_conv_matches_naive(engine):
     rng = np.random.default_rng(10)
     for _ in range(20):
         a, b, tag = random_conv_inputs(rng)
-        cfg = SolverConfig(engine=engine, test_mode=engine != "naive")
-        got = minplus_conv_monotone(a, b, tag, cfg)
+        with checked_levels():
+            got = minplus_conv_monotone(a, b, tag, SolverConfig(engine=engine))
         assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
+
+
+def test_checked_levels_catch_a_conv_level_that_drops_a_slot(monkeypatch):
+    # one pair per slot at n = 1: once the slot's +0 and +1 hits are
+    # dropped no candidate has a witness there
+    real = convolution.congruent_witness_scan_conv
+
+    def dropping(*args):
+        masks = real(*args)
+        masks[:, 0] = False
+        return masks
+
+    monkeypatch.setattr(convolution, "congruent_witness_scan_conv", dropping)
+    with checked_levels(), pytest.raises(AssertionError, match="candidate sandwich violated"):
+        minplus_conv_monotone([4], [3], MonotoneTag(axis="array-monotone", entry_bound=4))
 
 
 def test_conv_reference_engine_matches_naive():
@@ -216,8 +232,8 @@ def test_conv_reference_engine_matches_naive():
     rng = np.random.default_rng(16)
     for _ in range(8):
         a, b, tag = random_conv_inputs(rng, max_n=7, max_bound=10)
-        cfg = SolverConfig(engine="det-reference", test_mode=True)
-        got = minplus_conv_monotone(a, b, tag, cfg)
+        with checked_levels():
+            got = minplus_conv_monotone(a, b, tag, SolverConfig(engine="det-reference"))
         assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
 
 
@@ -243,10 +259,22 @@ def test_conv_rejects_broken_promise():
 
 
 def test_conv_rejects_length_mismatch():
-    from minplus.core import DimensionMismatchError
-
     with pytest.raises(DimensionMismatchError):
         minplus_conv_monotone([1, 2], [1], MonotoneTag(axis="array-monotone", entry_bound=2))
+
+
+@pytest.mark.parametrize("bad,error,match", [
+    ([[1, 2], [1, 2]], DimensionMismatchError, "1-D"),
+    (1, DimensionMismatchError, "1-D"),
+    ([], DimensionMismatchError, "empty array"),
+    ([1, INT64_GUARD], PromiseViolationError, "too large"),
+], ids=["2-D", "scalar", "empty", "past-guard"])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_conv_refuses_operands_that_are_no_int64_vector(bad, error, match, side):
+    # each operand is refused before the lengths are compared
+    operands = (bad, [1]) if side == "A" else ([1], bad)
+    with pytest.raises(error, match=match):
+        minplus_conv_monotone(*operands, MonotoneTag(axis="array-monotone", entry_bound=2))
 
 
 def test_conv_output_attains_minimum():
@@ -275,14 +303,13 @@ def test_conv_does_not_depend_on_M(engine, max_n, M, bound):
     """The driver's recursion with the shift modulus M in place of SHIFT_M
     gives the same convolution: M sets only how candidates are shifted.
     30000 is past 22500, above which M used to be picked larger than 100."""
-    config = SolverConfig(engine=engine, test_mode=True)
-    level = partial(_conv_level, M=M, config=config)
+    level = sandwich_checked(partial(_conv_level, M=M, config=SolverConfig(engine=engine)))
     rng = np.random.default_rng(bound + M)
     for _ in range(3):
         n = int(rng.integers(1, max_n))
         a = np.sort(rng.integers(1, bound + 1, n))
         b = np.sort(rng.integers(1, bound + 1, n))
-        got = settle_by_halving(a, b, (2 * n - 1,), level, test_mode=True)
+        got = settle_by_halving(a, b, (2 * n - 1,), level)
         assert np.array_equal(got, minplus_convolution_naive(a, b).values)
 
 
@@ -296,7 +323,8 @@ def test_conv_matches_naive_property(data, n, bound):
     a = np.sort(np.array(data.draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))
     b = np.sort(np.array(data.draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))
     tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
-    got = minplus_conv_monotone(a, b, tag, SolverConfig(test_mode=True))
+    with checked_levels():
+        got = minplus_conv_monotone(a, b, tag)
     assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)
 
 
@@ -312,5 +340,6 @@ def test_conv_driver_matches_naive_on_every_family(family, n, bound, seed):
     a = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
     b = cli._family_rows(rng, family, 1, n, bound, monotone=True)[0]
     tag = MonotoneTag(axis="array-monotone", entry_bound=bound)
-    got = minplus_conv_monotone(a, b, tag, SolverConfig(test_mode=True))
+    with checked_levels():
+        got = minplus_conv_monotone(a, b, tag)
     assert np.array_equal(got.values, minplus_convolution_naive(a, b).values)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -269,9 +270,30 @@ def test_select_prime_two_levels():
     assert select_prime(table, pool) == 13
 
 
+def audited_modulus(inst, **kwargs):
+    """find_good_modulus with its audit warning raised as an error, and the
+    audit asserted passed in the report."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="active-segment audit failed")
+        Q, report = find_good_modulus(inst, **kwargs)
+    assert report.audit_ok
+    return Q, report
+
+
+def test_failed_audit_warns_and_is_reported():
+    # slack 1e-6 puts the bound below one active segment start, and this
+    # instance has some
+    inst = promised_matrix(np.random.default_rng(3), 4, 4, 4)
+    with pytest.warns(UserWarning, match="active-segment audit failed"):
+        _, report = find_good_modulus(inst, R=16, slack=1e-6)
+    assert report.audit_ok is False and report.to_dict()["audit_ok"] is False
+    with pytest.raises(UserWarning, match="active-segment audit failed"):
+        audited_modulus(inst, R=16, slack=1e-6)
+
+
 def test_find_good_modulus_all_zero():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    Q, report = find_good_modulus(inst, R=16, test_mode=True)
+    Q, report = audited_modulus(inst, R=16)
     assert Q == 121
     assert report.primes == (11, 11)
     assert report.q_values == (11, 121)
@@ -279,7 +301,7 @@ def test_find_good_modulus_all_zero():
 
 def test_find_good_modulus_small_pool():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    Q, report = find_good_modulus(inst, R=4, test_mode=True)
+    Q, report = audited_modulus(inst, R=4)
     assert len(report.primes) <= 7
     assert 100 <= Q <= 400
     assert Q // report.primes[-1] < 100
@@ -290,7 +312,7 @@ def test_find_good_modulus_invariants_random():
     for _ in range(8):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        Q, report = find_good_modulus(inst, R=16, test_mode=True)
+        Q, report = audited_modulus(inst, R=16)
         assert 100 <= Q <= 1600
         for step, p in zip(report.steps, report.primes):
             assert step.chosen == p
@@ -301,7 +323,7 @@ def test_find_good_modulus_invariants_random():
 
 def test_report_validates_first_crossing():
     inst = minst(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-    _, report = find_good_modulus(inst, R=16, test_mode=True)
+    _, report = audited_modulus(inst, R=16)
     with pytest.raises(ValueError):
         ModulusReport(
             M=report.M,
@@ -325,7 +347,7 @@ def test_X_identity_matrix():
     for _ in range(8):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        _, report = find_good_modulus(inst, R=16, test_mode=True)
+        _, report = audited_modulus(inst, R=16)
         for step in report.steps:
             for pi, p in enumerate(step.table.primes):
                 for level in range(lmax + 1):
@@ -340,7 +362,7 @@ def test_X_identity_conv():
     for _ in range(8):
         n = int(rng.integers(1, 9))
         inst = promised_conv(rng, n)
-        _, report = find_good_modulus(inst, R=16, test_mode=True)
+        _, report = audited_modulus(inst, R=16)
         for step in report.steps:
             for pi, p in enumerate(step.table.primes):
                 for level in range(lmax + 1):
@@ -377,14 +399,14 @@ def test_active_counts_bounded_by_X():
     for _ in range(6):
         na, nb, nc = rng.integers(1, 6, 3)
         inst = promised_matrix(rng, na, nb, nc)
-        Q, report = find_good_modulus(inst, R=16, test_mode=True)
+        Q, report = audited_modulus(inst, R=16)
         for level, count in enumerate(report.active_counts):
             assert count <= count_X_bruteforce(inst, Q, level)
 
 
 def test_report_round_trips_to_dict():
     inst = minst(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    _, report = find_good_modulus(inst, R=16, test_mode=True)
+    _, report = audited_modulus(inst, R=16)
     d = report.to_dict()
     assert d["Q"] == 121
     assert d["primes"] == [11, 11]

@@ -45,7 +45,8 @@ def test_ab_pairs_smoke_exits_zero():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert set(doc) == {"what", "claim", "command", "host", "protocol", "result", "runs"}
+    assert set(doc) == {"what", "claim", "command", "bytecode", "host", "protocol", "result", "runs"}
+    assert doc["bytecode"].startswith("python -m compileall -q src in each checkout")
     assert [(r["pair"], r["side"], r["trace"]) for r in doc["runs"]] == [
         (1, "parent", 0), (1, "change", 0), (2, "change", 0), (2, "parent", 0),
         (1, "parent", 1), (1, "change", 1),

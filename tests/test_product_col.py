@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import all_shift_pairs, minst, promised_matrix
+from helpers import all_shift_pairs, checked_levels, minst, promised_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -465,13 +465,14 @@ def test_col_product_matches_naive():
     rng = np.random.default_rng(12)
     for _ in range(25):
         A, B, tag = random_col_inputs(rng)
-        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+        with checked_levels():
+            got = minplus_monotone_col(A, B, tag)
         assert np.array_equal(got, minplus_product_naive(A, B))
 
 
-def test_test_mode_catches_a_wrong_twopointer_mask(monkeypatch):
-    # flip the first cell of the +0 mask; test_mode compares each mask with
-    # the equality scan, and +0 is tested on every level
+def test_checked_levels_catch_a_wrong_twopointer_mask(monkeypatch):
+    # flip the first cell of the +0 mask; checked_levels compares every
+    # level's masks with twopointer_bruteforce, and +0 is tested on every level
     real = product_col.twopointer_direct
 
     def flipped(inst, shifts):
@@ -483,12 +484,12 @@ def test_test_mode_catches_a_wrong_twopointer_mask(monkeypatch):
     A = np.array([[3, 1, 4], [0, 2, 5]])
     B = np.array([[1, 2], [3, 3], [4, 6]])
     tag = MonotoneTag(axis="column-monotone", entry_bound=6)
-    with pytest.raises(AssertionError, match="disagree"):
-        minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+    with checked_levels(), pytest.raises(AssertionError, match="disagree"):
+        minplus_monotone_col(A, B, tag)
 
 
-def test_scan_runs_once_per_tested_candidate_only_under_test_mode(monkeypatch):
-    calls = {"scan": 0, "tested": 0}
+def test_twopointer_bruteforce_runs_the_scan_once_per_level_and_only_when_checked(monkeypatch):
+    calls = {"scan": 0, "levels": 0}
     real_scan, real_level = product_col.congruent_witness_scan, product_col._col_level
 
     def scan(*args, **kwargs):
@@ -496,25 +497,21 @@ def test_scan_runs_once_per_tested_candidate_only_under_test_mode(monkeypatch):
         return real_scan(*args, **kwargs)
 
     def level(*args, **kwargs):
-        mask_of = real_level(*args, **kwargs)
-
-        def counted(s):
-            calls["tested"] += 1
-            return mask_of(s)
-
-        return counted
+        calls["levels"] += 1
+        return real_level(*args, **kwargs)
 
     monkeypatch.setattr(product_col, "congruent_witness_scan", scan)
     monkeypatch.setattr(product_col, "_col_level", level)
     rng = np.random.default_rng(17)
     for _ in range(5):
         A, B, tag = random_col_inputs(rng)
-        calls.update(scan=0, tested=0)
+        calls.update(scan=0, levels=0)
         minplus_monotone_col(A, B, tag)
-        assert calls["scan"] == 0 and calls["tested"] > 0
-        calls.update(scan=0, tested=0)
-        got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
-        assert calls["scan"] == calls["tested"] > 0
+        assert calls["scan"] == 0 and calls["levels"] > 0
+        calls.update(scan=0, levels=0)
+        with checked_levels():
+            got = minplus_monotone_col(A, B, tag)
+        assert calls["scan"] == calls["levels"] > 0
         assert np.array_equal(got, minplus_product_naive(A, B))
 
 
@@ -553,7 +550,8 @@ def test_col_driver_matches_naive_on_every_family(family):
             A = cli._family_rows(rng, family, na, nb, bound, monotone=False)
             B = cli._family_rows(rng, family, nc, nb, bound, monotone=True).T
             tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
-            got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+            with checked_levels():
+                got = minplus_monotone_col(A, B, tag)
             assert np.array_equal(got, minplus_product_naive(A, B)), (na, nb, nc, bound)
 
 
@@ -578,7 +576,8 @@ def test_col_product_matches_naive_property(data, na, nb, nc, bound):
         axis=0,
     )
     tag = MonotoneTag(axis="column-monotone", entry_bound=bound)
-    got = minplus_monotone_col(A, B, tag, SolverConfig(test_mode=True))
+    with checked_levels():
+        got = minplus_monotone_col(A, B, tag)
     assert np.array_equal(got, minplus_product_naive(A, B))
 
 

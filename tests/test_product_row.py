@@ -2,11 +2,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import all_shift_pairs, promised_matrix
+from helpers import all_shift_pairs, checked_levels, promised_matrix, sandwich_checked
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus import cli
+from minplus import cli, product_row
 from minplus.config import SolverConfig
 from minplus.core import (
     INT64_GUARD,
@@ -283,18 +283,35 @@ def test_product_matches_naive_across_engines():
     for _ in range(40):
         A, B, tag = random_product_inputs(rng)
         want = minplus_product_naive(A, B)
-        got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
+        with checked_levels():
+            got = minplus_monotone_row(A, B, tag)
         assert np.array_equal(got, want)
         via_naive = minplus_monotone_row(A, B, tag, SolverConfig(engine="naive"))
         assert np.array_equal(via_naive, want)
+
+
+def test_checked_levels_catch_a_row_level_that_drops_a_cell(monkeypatch):
+    # one inner index: cell (0, 0)'s only sum is its true value, so once its
+    # +0 and +1 hits are dropped no candidate has a witness there
+    real = product_row.congruent_witness_scan
+
+    def dropping(*args):
+        masks = real(*args)
+        masks[:, 0, 0] = False
+        return masks
+
+    monkeypatch.setattr(product_row, "congruent_witness_scan", dropping)
+    A, B = np.array([[4], [2]]), np.array([[3, 4]])
+    with checked_levels(), pytest.raises(AssertionError, match="candidate sandwich violated"):
+        minplus_monotone_row(A, B, MonotoneTag(axis="row-monotone", entry_bound=4))
 
 
 def test_product_reference_engine_agrees():
     rng = np.random.default_rng(15)
     for _ in range(12):
         A, B, tag = random_product_inputs(rng, max_n=5, max_bound=9)
-        cfg = SolverConfig(engine="det-reference", test_mode=True)
-        got = minplus_monotone_row(A, B, tag, cfg)
+        with checked_levels():
+            got = minplus_monotone_row(A, B, tag, SolverConfig(engine="det-reference"))
         assert np.array_equal(got, minplus_product_naive(A, B))
 
 
@@ -315,15 +332,14 @@ def test_product_does_not_depend_on_M(engine, max_n, M, bound):
     gives the same product: M sets only how candidates are shifted. 30000
     is past the bound of 22500 per output column above which M used to be
     picked larger than 100."""
-    config = SolverConfig(engine=engine, test_mode=True)
-    level = partial(_row_level, M=M, config=config)
+    level = sandwich_checked(partial(_row_level, M=M, config=SolverConfig(engine=engine)))
     rng = np.random.default_rng(bound + M)
     for _ in range(3):
         na, nb, nc = (int(v) for v in rng.integers(1, max_n, 3))
         A = rng.integers(0, 2 * bound + 3, (na, nb))
         B = np.sort(rng.integers(1, bound + 1, (nb, nc)), axis=1)
         A_norm, deltas = normalize_A(A, bound)
-        got = settle_by_halving(A_norm, B, (na, nc), level, test_mode=True) + deltas[:, None]
+        got = settle_by_halving(A_norm, B, (na, nc), level) + deltas[:, None]
         assert np.array_equal(got, minplus_product_naive(A, B))
 
 
@@ -366,7 +382,8 @@ def test_product_matches_naive_property(data, na, nb, nc, bound):
         axis=1,
     )
     tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
-    got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
+    with checked_levels():
+        got = minplus_monotone_row(A, B, tag)
     assert np.array_equal(got, minplus_product_naive(A, B))
 
 
@@ -384,5 +401,6 @@ def test_row_driver_matches_naive_on_every_family(family, na, nb, nc, bound, see
     A = cli._family_rows(rng, family, na, nb, bound, monotone=False)
     B = cli._family_rows(rng, family, nb, nc, bound, monotone=True)
     tag = MonotoneTag(axis="row-monotone", entry_bound=bound)
-    got = minplus_monotone_row(A, B, tag, SolverConfig(test_mode=True))
+    with checked_levels():
+        got = minplus_monotone_row(A, B, tag)
     assert np.array_equal(got, minplus_product_naive(A, B))

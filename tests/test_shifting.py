@@ -11,6 +11,7 @@ from helpers import (
     fused_scan_conv_int64_oracle,
     fused_scan_int64_oracle,
     minst,
+    sandwich_checked,
     settle_by_scatter_reference,
     traced_peak,
 )
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus import shifting
-from minplus.core import narrow_int_dtype, witness_mask_naive
+from minplus.core import minplus_product_naive, narrow_int_dtype, witness_mask_naive
 from minplus.modulus import default_range_parameter
 from minplus.shifting import (
     _narrow,
@@ -348,41 +349,64 @@ def fake_levels(hit_at):
 A3, B3 = np.array([[3, 0]]), np.array([[2], [1]])  # levels at (3, 2), (1, 1), (0, 0)
 
 
-def test_halving_without_witnesses_raises_in_test_mode_and_fills_plus_two_otherwise():
-    never = lambda base: np.full(base.shape, -1)  # noqa: E731
-    with pytest.raises(AssertionError, match="candidate sandwich violated"):
-        settle_by_halving(A3, B3, (1, 1), fake_levels(never)[0], test_mode=True)
-    levels, log = fake_levels(never)
-    got = settle_by_halving(A3, B3, (1, 1), levels, test_mode=False)
+def test_halving_without_witnesses_fills_plus_two():
+    levels, log = fake_levels(lambda base: np.full(base.shape, -1))
+    got = settle_by_halving(A3, B3, (1, 1), levels)
     # deepest level first: base 0 settles at 2, so the top base is 4, settling at 6
     assert [int(base[0, 0]) for base, _ in log] == [0, 4]
     assert got.tolist() == [[6]]
     assert [asked for _, asked in log] == [[0, 1], [0, 1]]
 
 
-@pytest.mark.parametrize("test_mode", [True, False])
-def test_halving_stops_asking_once_every_cell_settles(test_mode):
+def test_halving_stops_asking_once_every_cell_settles():
     levels, log = fake_levels(lambda base: np.zeros(base.shape))
-    got = settle_by_halving(A3, B3, (1, 1), levels, test_mode)
+    got = settle_by_halving(A3, B3, (1, 1), levels)
     assert got.tolist() == [[0]]
     assert [asked for _, asked in log] == [[0], [0]]
 
 
-def test_halving_asks_for_plus_two_only_in_test_mode():
+def test_halving_asks_only_for_plus_zero_and_plus_one():
     rng = np.random.default_rng(5)
     A = rng.integers(0, 40, (4, 3))
     B = rng.integers(1, 40, (3, 5))
     pattern = rng.integers(0, 3, (4, 5))
     pattern[0, 0] = 2  # some cell is pending after +1 on every level
-    outs = {}
-    for test_mode in (True, False):
-        levels, log = fake_levels(lambda base: pattern)
-        outs[test_mode] = settle_by_halving(A, B, (4, 5), levels, test_mode)
-        want = [0, 1, 2] if test_mode else [0, 1]
-        assert all(asked == want for _, asked in log)
-        base = log[-1][0]
-        assert np.array_equal(outs[test_mode], base + pattern)
-    assert np.array_equal(outs[True], outs[False])
+    levels, log = fake_levels(lambda base: pattern)
+    got = settle_by_halving(A, B, (4, 5), levels)
+    assert all(asked == [0, 1] for _, asked in log)
+    assert np.array_equal(got, log[-1][0] + pattern)
+
+
+def scan_level(A, B, base):
+    """The det row driver's level test without its modulus search."""
+    return congruent_witness_scan(A, B, base, "ij", (0, 1)).__getitem__
+
+
+def test_sandwich_check_raises_where_no_candidate_has_a_witness():
+    never = lambda base: np.full(base.shape, -1)  # noqa: E731
+    with pytest.raises(AssertionError, match="candidate sandwich violated"):
+        settle_by_halving(A3, B3, (1, 1), sandwich_checked(fake_levels(never)[0]))
+
+
+def test_sandwich_check_catches_a_level_that_drops_a_cell():
+    """A level whose masks miss one cell that has no witness at +2 either.
+    With one inner index a cell's only sum is its true value, here 2C' + 1
+    at cell (0, 0) on the coarsest level, so the dropped cell has no witness
+    at any of the three candidates. Unchecked, the drop only settles a
+    wrong value."""
+    A, B = np.array([[4], [2]]), np.array([[3, 4]])
+    want = minplus_product_naive(A, B)
+    assert np.array_equal(settle_by_halving(A, B, (2, 2), sandwich_checked(scan_level)), want)
+
+    def dropping_level(A, B, base):
+        masks = congruent_witness_scan(A, B, base, "ij", (0, 1))
+        masks[:, 0, 0] = False
+        return masks.__getitem__
+
+    with pytest.raises(AssertionError, match="candidate sandwich violated"):
+        settle_by_halving(A, B, (2, 2), sandwich_checked(dropping_level))
+    got = settle_by_halving(A, B, (2, 2), dropping_level)
+    assert got[0, 0] != want[0, 0] and np.array_equal(got[1:], want[1:])
 
 
 def test_halving_holds_one_level_at_a_time():
@@ -405,7 +429,7 @@ def test_halving_holds_one_level_at_a_time():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        settle_by_halving(A, B, (n, n), level_witnesses, test_mode=False)
+        settle_by_halving(A, B, (n, n), level_witnesses)
     finally:
         tracemalloc.stop()
     assert len(in_use) == 40
@@ -436,12 +460,11 @@ def random_levels(seed, hit_rate):
     return level_witnesses, log
 
 
-@pytest.mark.parametrize("test_mode", [True, False])
 @pytest.mark.parametrize("hit_rate", [0.0, 0.3, 0.7, 0.97, 1.0])
-def test_settle_arithmetic_equals_the_scatter_reference(test_mode, hit_rate):
+def test_settle_arithmetic_equals_the_scatter_reference(hit_rate):
     """The arithmetic settle step gives the output of one boolean-mask
-    scatter per candidate, asks for the same candidates, and raises where
-    the scatter reference raises, on random mask patterns."""
+    scatter per candidate and asks for the same candidates, on random mask
+    patterns."""
     for seed in range(12):
         rng = np.random.default_rng(seed)
         shape = tuple(int(v) for v in rng.integers(1, 6, 2))
@@ -450,14 +473,7 @@ def test_settle_arithmetic_equals_the_scatter_reference(test_mode, hit_rate):
         outs = []
         for settle in (settle_by_halving, settle_by_scatter_reference):
             levels, log = random_levels(seed, hit_rate)
-            try:
-                out = settle(A, B, shape, levels, test_mode)
-            except AssertionError as e:
-                out = str(e)
-            outs.append((out, log))
+            outs.append((settle(A, B, shape, levels), log))
         (got, got_log), (want, want_log) = outs
         assert got_log == want_log, seed
-        if isinstance(want, str):
-            assert got == want, seed
-        else:
-            assert np.array_equal(got, want) and got.dtype == want.dtype, seed
+        assert np.array_equal(got, want) and got.dtype == want.dtype, seed
