@@ -1,11 +1,21 @@
-"""Peak memory of one det solve per driver, as the entry bound grows.
+"""Peak memory of one det solve per driver, and of one modulus search, as
+the entry bound grows.
 
-For each driver (product-row n=64, product-col n=96, conv n=320: the shapes
-of the benchmark's det workloads) and each entry bound (n, 2^20 and 2^40),
-one uniform-monotone instance from ``cli.generate_instance`` is solved once
-to warm up, then once under tracemalloc; the peak above the memory in use
-before the solve is recorded. Each checkout runs in its own process, from
-its own ``src/``, so two commits can be compared on the same instances.
+Two tables, each over the entry bounds n, 2^20 and 2^40, on
+uniform-monotone instances from ``cli.generate_instance``:
+
+- solves: for each driver (product-row n=64, product-col n=96, conv n=320:
+  the shapes of the benchmark's det workloads), one instance is solved once
+  to warm up, then once under tracemalloc.
+- searches: for the row and conv drivers, ``find_good_modulus`` runs on the
+  instance the driver searches at its top level (``row_level_instances`` or
+  ``conv_level_instances`` of ``tests/helpers.py``), once to warm up and
+  once under tracemalloc; the table gives its level-0 segment starts and
+  the peak per start, the shapes the search's memory model is stated for.
+
+Each peak is the traced peak above the memory in use before the call. Each
+checkout runs in its own process, from its own ``src/`` and ``tests/``, so
+two commits can be compared on the same instances.
 
 Run from the repository root, for example:
 
@@ -13,10 +23,10 @@ Run from the repository root, for example:
         --out BENCH_example.json
     python3 scripts/level_memory.py --smoke
 
-With ``--out`` the table is stored under the file's ``peaks_by_bound`` key
-(the file is made if missing; its other keys are kept), else printed.
-``--smoke`` measures this checkout at n=6 and bounds 6 and 2^40, checks the
-layout and writes no file.
+With ``--out`` the tables are stored under the file's ``peaks_by_bound`` and
+``search_peaks_by_bound`` keys (the file is made if missing; its other keys
+are kept), else printed. ``--smoke`` measures this checkout at n=6 and
+bounds 6 and 2^40, checks both tables' layout and writes no file.
 """
 from __future__ import annotations
 
@@ -28,14 +38,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = (("product-row", 64), ("product-col", 96), ("conv", 320))
+SEARCH_SHAPES = (("product-row", 64), ("conv", 320))
 BOUNDS = (None, 1 << 20, 1 << 40)  # None: the bound n
 FAMILY, SEED = "uniform-monotone", 1
 
-# Run in the checkout's own interpreter process: argv[1] is its src/,
+# Run in the checkout's own interpreter process: argv[1] is the checkout,
 # argv[2] a JSON list of [kind, n, bound]; prints one peak in bytes per cell.
 PROBE = """
 import json, sys, tracemalloc
-sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[1] + "/src")
 from minplus import cli
 from minplus.core import MonotoneTag
 for kind, n, bound in json.loads(sys.argv[2]):
@@ -50,58 +61,110 @@ for kind, n, bound in json.loads(sys.argv[2]):
     tracemalloc.stop()
 """ % (SEED, FAMILY)
 
+# As PROBE, for one search on the top level instance; prints the search's
+# peak in bytes and its level-0 starts per cell.
+SEARCH_PROBE = """
+import json, sys, tracemalloc
+sys.path.insert(0, sys.argv[1] + "/src")
+sys.path.insert(0, sys.argv[1] + "/tests")
+from helpers import conv_level_instances, row_level_instances
+from minplus import cli
+from minplus.modulus import find_good_modulus
+from minplus.segments import conv_layout, matrix_layout
+for kind, n, bound in json.loads(sys.argv[2]):
+    payload = cli.generate_instance(kind, n, bound, %d, %r)
+    levels, layout = (conv_level_instances, conv_layout) if kind == "conv" else (row_level_instances, matrix_layout)
+    _, inst = next(levels(payload))
+    starts = len(layout(inst).starts)
+    find_good_modulus(inst)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    find_good_modulus(inst)
+    print(tracemalloc.get_traced_memory()[1] - base, starts)
+    tracemalloc.stop()
+""" % (SEED, FAMILY)
+
 
 def cells(shapes, bounds) -> list:
     return [[kind, n, bound or n] for kind, n in shapes for bound in bounds]
 
 
-def peaks(checkout: Path, grid: list) -> list:
-    """The traced peak in bytes of each cell of grid, solved in checkout."""
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(checkout / "src"), json.dumps(grid)],
+def probe(code: str, checkout: Path, grid: list) -> list:
+    """The probe's output line of each cell of grid, run in checkout, as ints."""
+    proc = subprocess.run([sys.executable, "-c", code, str(checkout), json.dumps(grid)],
                           capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         raise SystemExit(f"level_memory: {checkout} failed: {proc.stderr[-2000:]}")
-    return [int(line) for line in proc.stdout.split()]
+    return [[int(v) for v in line.split()] for line in proc.stdout.splitlines()]
 
 
 def table(checkouts: dict, grid: list) -> dict:
-    measured = {label: peaks(path, grid) for label, path in checkouts.items()}
+    measured = {label: probe(PROBE, path, grid) for label, path in checkouts.items()}
     rows = []
     for t, (kind, n, bound) in enumerate(grid):
         row = {"kind": kind, "n": n, "entry_bound": bound}
-        row.update({f"{label}_peak_mb": round(values[t] / 1e6, 6) for label, values in measured.items()})
+        row.update({f"{label}_peak_mb": round(values[t][0] / 1e6, 6) for label, values in measured.items()})
         rows.append(row)
     return {
         "what": f"tracemalloc peak of one det solve ({FAMILY}, seed {SEED}) after a warm-up solve",
-        "command": "python3 scripts/level_memory.py " + " ".join(
-            f"--checkout {label}=<path>" for label in checkouts),
+        "command": command(checkouts),
         "rows": rows,
     }
+
+
+def search_table(checkouts: dict, grid: list) -> dict:
+    measured = {label: probe(SEARCH_PROBE, path, grid) for label, path in checkouts.items()}
+    rows = []
+    for t, (kind, n, bound) in enumerate(grid):
+        row = {"kind": kind, "n": n, "entry_bound": bound}
+        for label, values in measured.items():
+            peak, starts = values[t]
+            row.update({f"{label}_starts": starts, f"{label}_peak_mb": round(peak / 1e6, 6),
+                        f"{label}_bytes_per_start": round(peak / starts, 2)})
+        rows.append(row)
+    return {
+        "what": f"tracemalloc peak of one find_good_modulus on the top level instance of a det solve "
+                f"({FAMILY}, seed {SEED}) after a warm-up search, and per level-0 segment start",
+        "command": command(checkouts),
+        "rows": rows,
+    }
+
+
+def command(checkouts: dict) -> str:
+    return "python3 scripts/level_memory.py " + " ".join(f"--checkout {label}=<path>" for label in checkouts)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--checkout", action="append", default=[],
                     help="label=path of a checkout; repeatable")
-    ap.add_argument("--out", type=Path, help="BENCH file to store the table in")
+    ap.add_argument("--out", type=Path, help="BENCH file to store the tables in")
     ap.add_argument("--smoke", action="store_true", help="this checkout, tiny cells")
     args = ap.parse_args(argv)
     if args.smoke:
-        result = table({"this": ROOT}, cells([(kind, 6) for kind, _ in SHAPES], (None, 1 << 40)))
+        bounds = (None, 1 << 40)
+        result = table({"this": ROOT}, cells([(kind, 6) for kind, _ in SHAPES], bounds))
         assert [(r["kind"], r["entry_bound"]) for r in result["rows"]] == [
-            (kind, bound) for kind, _ in SHAPES for bound in (6, 1 << 40)]
+            (kind, bound or 6) for kind, _ in SHAPES for bound in bounds]
         assert all(r["this_peak_mb"] > 0 for r in result["rows"])
-        print(json.dumps(result))
+        search = search_table({"this": ROOT}, cells([(kind, 6) for kind, _ in SEARCH_SHAPES], bounds))
+        assert [(r["kind"], r["entry_bound"]) for r in search["rows"]] == [
+            (kind, bound or 6) for kind, _ in SEARCH_SHAPES for bound in bounds]
+        assert all(r["this_starts"] > 0 and r["this_peak_mb"] > 0 and r["this_bytes_per_start"] > 0
+                   for r in search["rows"])
+        print(json.dumps({"peaks_by_bound": result, "search_peaks_by_bound": search}))
         return 0
     checkouts = dict(spec.split("=", 1) for spec in args.checkout)
     if not checkouts:
         ap.error("give at least one --checkout label=path")
-    result = table({label: Path(path).resolve() for label, path in checkouts.items()},
-                   cells(SHAPES, BOUNDS))
+    checkouts = {label: Path(path).resolve() for label, path in checkouts.items()}
+    result = table(checkouts, cells(SHAPES, BOUNDS))
+    search = search_table(checkouts, cells(SEARCH_SHAPES, BOUNDS))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        args.out.write_text(json.dumps({**doc, "peaks_by_bound": result}, indent=1) + "\n")
-    for row in result["rows"]:
+        args.out.write_text(json.dumps({**doc, "peaks_by_bound": result, "search_peaks_by_bound": search},
+                                       indent=1) + "\n")
+    for row in result["rows"] + search["rows"]:
         print(json.dumps(row))
     return 0
 

@@ -231,8 +231,9 @@ def _counting_columns(deltas: StartDeltas, Q_prev: int, pool: PrimePool) -> YTab
 
 def _search_inputs(inst, slack):
     """What the search and its audit read of a verification instance: the
-    flat layout, the level-start deltas up to levelmax_for(M), the size
-    scale n, the value bound U, and slack (default_slack(n) when None)."""
+    number of groups of its flat layout, the level-start deltas up to
+    levelmax_for(M), the size scale n, the value bound U, and slack
+    (default_slack(n) when None). The layout itself is dropped here."""
     if isinstance(inst, ConvVerificationInstance):
         layout = conv_layout(inst)
         n_scale = len(inst.A)
@@ -243,10 +244,10 @@ def _search_inputs(inst, slack):
         U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
     if slack is None:
         slack = default_slack(n_scale)
-    return layout, level_start_deltas(layout, levelmax_for(inst.M)), n_scale, U, slack
+    return layout.groups, level_start_deltas(layout, levelmax_for(inst.M)), n_scale, U, slack
 
 
-def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
+def _active_audit(groups: int, deltas: StartDeltas, U: int, Q: int, slack: float):
     """Per-level active-segment counts |S_l(Q)| and the audit bound
     slack * groups * U / Q that each of them must stay within.
 
@@ -260,7 +261,6 @@ def _active_audit(layout, deltas: StartDeltas, U: int, Q: int, slack: float):
         r = deltas.values[lo:hi] % Q
         near = np.minimum(r, Q - r) <= wins
         counts += (near * _bin_weights(deltas, lo, hi, live)).sum(axis=1)
-    groups = len(layout.gstarts) - 1
     return counts.tolist(), slack * groups * U / Q
 
 
@@ -276,7 +276,7 @@ def find_good_modulus(inst, R: int | None = None, slack: float | None = None):
     carries the result.
     """
     M = inst.M
-    layout, deltas, n_scale, U, slack = _search_inputs(inst, slack)
+    groups, deltas, n_scale, U, slack = _search_inputs(inst, slack)
     if R is None:
         R = default_range_parameter(n_scale)
     pool = primes_in_range(R)
@@ -291,7 +291,7 @@ def find_good_modulus(inst, R: int | None = None, slack: float | None = None):
         primes.append(p)
         q_values.append(Q)
 
-    active_counts, bound = _active_audit(layout, deltas, U, Q, slack)
+    active_counts, bound = _active_audit(groups, deltas, U, Q, slack)
     audit_bounds = (bound,) * len(deltas.cut)
     audit_ok = all(c <= bound for c in active_counts)
     if not audit_ok:
@@ -338,8 +338,8 @@ def audit_modulus(inst, Q: int, slack: float | None = None) -> bool:
     that reuse a Q found on a different instance run it to decide whether a
     fresh search is needed.
     """
-    layout, deltas, _, U, slack = _search_inputs(inst, slack)
-    counts, bound = _active_audit(layout, deltas, U, Q, slack)
+    groups, deltas, _, U, slack = _search_inputs(inst, slack)
+    counts, bound = _active_audit(groups, deltas, U, Q, slack)
     return all(c <= bound for c in counts)
 
 

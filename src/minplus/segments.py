@@ -28,6 +28,7 @@ in 1-based output numbering).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +54,22 @@ __all__ = [
 # group, and a break across a sign change.
 DEPTH_ALL = np.iinfo(np.int8).max
 
-_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+# Bits under a start's flat position that carry its depth while the layout
+# sorts its starts; a layout is limited to 2^(63 - DEPTH_BITS) cells.
+DEPTH_BITS = 7
 
-# Cells per block when delta is gathered at a list of starts; the block's
-# int64 index and operand temporaries stay near 1 MB.
-GATHER_BLOCK = 1 << 14
+# Cells per block wherever a list of cells is walked: the start gather,
+# the layout's fill and break depths, the run lengths of the bins. A block
+# of the gather holds four int64 per cell (128 KB), and the other walks
+# less. The model of one modulus search, which the tests hold it to: it
+# peaks at most at the operands, 28 bytes per level-0 start, 32 bytes per
+# cell of one block (GATHER_BLOCK cells, or all the starts when fewer) and
+# 16 KiB. Per start that is the layout's 9 and, where deltas repeat, the
+# binning's int64 key and order and its wrap flag (26 in all), or, when
+# every start has its own delta, 17 bytes of bins; at the det workloads'
+# shapes the starts number one to three blocks, so the block is a third to
+# a half of it.
+GATHER_BLOCK = 1 << 12
 
 
 def levelmax_for(M: int) -> int:
@@ -70,15 +82,15 @@ def levelmax_for(M: int) -> int:
 class FlatLayout:
     """All (pair, column) or (diagonal, index) cells as one flat index range.
 
-    A matrix cell (i, k, j) sits at (i*nb + k)*nc + j; conv cell i of
-    diagonal t sits at gstarts[t] + i - gbase[t]. x, y, z are the operands
-    whose entries meet at a cell, x + y against z: A, B, C for a matrix
-    layout and the arrays a, b, c for a conv layout. gstarts are the
-    per-group offsets, glabel1/glabel2 recover (i, k) or the slot, and gbase
-    is the first in-range local index of each group. starts lists, sorted,
+    A matrix cell (i, k, j) sits at (i*nb + k)*nc + j; conv cell (i, j)
+    sits after the cells of the diagonals before t = i + j, at
+    i - max(0, t - nb + 1) within its own (_diagonals). x, y, z are the
+    operands whose entries meet at a cell, x + y against z: A, B, C for a
+    matrix layout and the arrays a, b, c for a conv layout. starts lists, sorted,
     every cell that starts a level-0 segment, and depth the number of levels
-    0, 1, ... at which it starts one (DEPTH_ALL at group starts). No array
-    has one entry per cell.
+    0, 1, ... at which it starts one (DEPTH_ALL at group starts). A cell's
+    group, the pair i*nb + k or the diagonal, follows from dims
+    (_groups_of). No array has one entry per cell, or one per group.
     """
 
     kind: str
@@ -88,15 +100,17 @@ class FlatLayout:
     M: int
     starts: np.ndarray
     depth: np.ndarray
-    gstarts: np.ndarray
-    glabel1: np.ndarray
-    glabel2: np.ndarray
-    gbase: np.ndarray
     dims: tuple
 
     @property
     def size(self) -> int:
-        return int(self.gstarts[-1])
+        na, nb, nc = self.dims
+        return na * nb * nc if self.kind == "matrix" else na * nb
+
+    @property
+    def groups(self) -> int:
+        na, nb, nc = self.dims
+        return na * nb if self.kind == "matrix" else nc
 
 
 def _break_depth(rows: np.ndarray) -> np.ndarray:
@@ -104,18 +118,46 @@ def _break_depth(rows: np.ndarray) -> np.ndarray:
 
     depth[..., j] is the number of levels l = 0, 1, ... at which
     floor(x / 2^l) changes from column j-1 to j: the bit length of the two
-    entries' xor (how many powers of two are at most it), or DEPTH_ALL
-    across a sign change. Column 0 gets DEPTH_ALL.
+    entries' xor, or DEPTH_ALL across a sign change. Column 0 gets
+    DEPTH_ALL. The bit length is frexp's exponent of the xor as a float,
+    with the xor's low ten bits cleared when it has more (which keeps its
+    bit length, and below 2^62 leaves a value a float holds exactly).
+    Walked in blocks of GATHER_BLOCK entries.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    depth = np.zeros(rows.shape, dtype=np.int8)
+    flat = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1)
+    depth = np.empty(flat.size, dtype=np.int8)
+    for lo in range(1, flat.size, GATHER_BLOCK):
+        hi = min(lo + GATHER_BLOCK, flat.size)
+        diff = flat[lo:hi] ^ flat[lo - 1 : hi - 1]
+        bits = np.frexp(np.maximum(diff & -1024, diff & 1023).astype(np.float64))[1]
+        bits[diff < 0] = DEPTH_ALL
+        depth[lo:hi] = bits
+    depth = depth.reshape(np.shape(rows))
     depth[..., :1] = DEPTH_ALL
-    diff = rows[..., 1:] ^ rows[..., :-1]
-    brk = np.nonzero(diff)
-    v = diff[brk]
-    bits = np.searchsorted(_POWERS_OF_TWO, v, side="right")
-    depth[..., 1:][brk] = np.where(v < 0, DEPTH_ALL, bits)
     return depth
+
+
+def _weighted_blocks(cum: np.ndarray) -> list:
+    """(lo, hi) of consecutive item ranges, each of about GATHER_BLOCK
+    weight (a heavier item is a range of its own), given the running sums
+    of the items' weights."""
+    total = int(cum[-1]) if cum.size else 0
+    cuts = cum.searchsorted(np.arange(GATHER_BLOCK, total, GATHER_BLOCK), side="right")
+    edges = [0, *cuts.tolist(), cum.size]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+def _unpacked_layout(size: int, packed: np.ndarray, **fields) -> FlatLayout:
+    """The layout whose starts are listed in packed as position << DEPTH_BITS
+    | depth: sorted in place (its parts are sorted runs), with no second
+    copy and no permutation, then split into starts and depths."""
+    if size >= 1 << (63 - DEPTH_BITS):
+        raise ValueError(f"{size} cells are too many for one flat layout")
+    packed.sort(kind="stable")
+    depth = np.empty(packed.size, dtype=np.int8)
+    np.bitwise_and(packed, DEPTH_ALL, out=depth, casting="unsafe")
+    packed >>= DEPTH_BITS
+    return FlatLayout(starts=packed, depth=depth, **fields)
 
 
 def matrix_layout(inst: VerificationInstance) -> FlatLayout:
@@ -124,124 +166,150 @@ def matrix_layout(inst: VerificationInstance) -> FlatLayout:
     nc = B.shape[1]
     # (i, k, j) starts a segment where B row k or C row i breaks at j, and
     # column 0 starts one at every level; its depth is the larger of the two
-    # row depths.
+    # row depths. A break of B row k at j is a start of every pair (i, k); a
+    # break of C row i at j one of every pair (i, k) whose B row is quiet
+    # at j (does not break there). Flat indices: k*nc + j into B, i*nc + j
+    # into C.
     depth_BC = _break_depth(np.concatenate([B, C]))
-    depth_B, depth_C = depth_BC[:nb], depth_BC[nb:]
-    # B row k breaks at j: the cell (i, k, j) of every i
-    k_B, j_B = np.nonzero(depth_B)
-    pos_B = (np.arange(na, dtype=np.int64) * (nb * nc))[:, None] + (k_B * nc + j_B)[None, :]
-    cell_depth_B = np.maximum(depth_B[k_B, j_B][None, :], depth_C[:, j_B])
-    # C row i breaks at j >= 1: the cell (i, k, j) of every k whose B row
-    # does not break at j (the others are listed above)
-    i_C, j_C = np.nonzero(depth_C[:, 1:])
-    j_C += 1
-    brk, k = np.nonzero(depth_B.T[j_C] == 0)
-    pos_C = i_C[brk]
-    pos_C *= nb
-    pos_C += k
-    pos_C *= nc
-    pos_C += j_C[brk]
-    # each part is freed once merged: the sort below holds two copies
-    depth = np.concatenate([cell_depth_B.reshape(-1), depth_C[i_C, j_C][brk]])
-    del brk, k, cell_depth_B
-    pos = np.concatenate([pos_B.reshape(-1), pos_C])
-    del pos_B, pos_C
-    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
-    G = na * nb
-    glabel1, glabel2 = np.divmod(np.arange(G, dtype=np.int64), nb)
-    return FlatLayout(
-        kind="matrix",
-        x=A,
-        y=B,
-        z=C,
-        M=inst.M,
-        starts=pos[order],
-        depth=depth[order],
-        gstarts=np.arange(G + 1, dtype=np.int64) * nc,
-        glabel1=glabel1,
-        glabel2=glabel2,
-        gbase=np.zeros(G, dtype=np.int64),
-        dims=(na, nb, nc),
-    )
+    depth_B, depth_C = depth_BC[:nb].reshape(-1), depth_BC[nb:].reshape(-1)
+    at_B, at_C = depth_B.nonzero()[0], depth_C.nonzero()[0]
+    quiet = (depth_BC[:nb].T == 0).reshape(-1).nonzero()[0]  # j*nb + k, column by column
+    j_q = quiet // nb
+    quiet -= j_q * nb
+    quiet *= nc
+    quiet += j_q
+    quiet <<= DEPTH_BITS  # k*nc + j, packed
+    first = j_q.searchsorted(np.arange(nc + 1))  # column j's quiet pairs: quiet[first[j] : first[j + 1]]
+    del j_q
+    j_C = at_C % nc
+    per_C = first[j_C + 1] - first[j_C]
+    slots = per_C.cumsum()
+    # slot s of break t reads quiet[s + shift[t]] and adds base[t], i*nb*nc packed with the depth
+    shift = first[j_C] - (slots - per_C)
+    base = (at_C - j_C) * (nb << DEPTH_BITS)
+    base |= depth_C[at_C]
+    del at_C, j_C, first
+    n_B = na * at_B.size
+    packed = np.empty(n_B + (int(slots[-1]) if slots.size else 0), dtype=np.int64)
+    cells = packed[:n_B].reshape(na, -1)
+    np.add(np.arange(0, na * nb * nc, nb * nc)[:, None], at_B, out=cells)
+    cells <<= DEPTH_BITS
+    cells |= np.maximum(depth_B[at_B], depth_C.reshape(na, nc)[:, at_B % nc])
+    for lo, hi in _weighted_blocks(slots):
+        s0, s1 = int(slots[lo] - per_C[lo]), int(slots[hi - 1])
+        cells = packed[n_B + s0 : n_B + s1]
+        quiet.take(np.arange(s0, s1) + shift[lo:hi].repeat(per_C[lo:hi]), out=cells)
+        cells += base[lo:hi].repeat(per_C[lo:hi])
+    return _unpacked_layout(na * nb * nc, packed, kind="matrix", x=A, y=B, z=C, M=inst.M, dims=(na, nb, nc))
 
 
-def _matrix_entries(cells: np.ndarray, nb: int, nc: int):
-    """Flat indices into A, B and C of the entries A[i,k], B[k,j], C[i,j]
-    that meet at the flat matrix cells (i, k, j)."""
-    in_A = cells // nc
-    i = in_A // nb
-    return in_A, cells - i * (nb * nc), i * nc + (cells - in_A * nc)
+@lru_cache(maxsize=8)
+def _diagonals(na: int, nb: int):
+    """(gstarts, off) of the diagonals of an na x nb convolution: diagonal t
+    holds the cells i = max(0, t - nb + 1) ... from gstarts[t] on, cell i at
+    off[t] + i. Shared, so read-only; the levels of one solve share n."""
+    t = np.arange(na + nb - 1, dtype=np.int64)
+    first = np.maximum(0, t - (nb - 1))
+    gstarts = np.zeros(len(t) + 1, dtype=np.int64)
+    np.cumsum(np.minimum(na - 1, t) - first + 1, out=gstarts[1:])
+    off = gstarts[:-1] - first
+    for v in (gstarts, off):
+        v.flags.writeable = False
+    return gstarts, off
 
 
 def conv_layout(inst: ConvVerificationInstance) -> FlatLayout:
     a, b, c = inst.A.values, inst.B.values, inst.C.values
     na, nb = len(a), len(b)
-    nT = na + nb - 1
-    t = np.arange(nT, dtype=np.int64)
-    lo = np.maximum(0, t - (nb - 1))
-    lens = np.minimum(na - 1, t) - lo + 1
-    gstarts = np.concatenate([[0], np.cumsum(lens)])
-    off = gstarts[:-1] - lo  # cell i of diagonal t sits at off[t] + i
-    # Past its first cell, diagonal t starts a segment at i where a breaks
-    # between i-1 and i or b between t-i and t-i+1: depth max(da[i], db[t-i+1]).
+    off = _diagonals(na, nb)[1] << DEPTH_BITS  # cell (i, j) of diagonal i + j sits at off[i + j] + i, packed
+    # Cell (i, j) follows (i - 1, j + 1) on its diagonal: it starts a segment
+    # where a breaks at i or b between j and j + 1, at the larger depth. The
+    # first cell of a diagonal (i = 0 or j = nb - 1) starts one at every level.
     dab = _break_depth(np.concatenate([a, b]))
-    dab[na] = DEPTH_ALL  # b[0] follows no entry of b
-    da, db = dab[:na], dab[na:]
-    a_rows = da[1:].nonzero()[0] + 1
-    quiet_rows = (da[1:] == 0).nonzero()[0] + 1
-    b_cols = db[1:].nonzero()[0]
-    # a breaks at i: the cell i of every diagonal t in [i, i + nb - 2]
-    pos_a = off[a_rows[:, None] + np.arange(nb - 1)]
-    pos_a += a_rows[:, None]
-    depth_a = np.maximum(da[a_rows][:, None], db[None, 1:])
-    # b breaks between j and j+1: the cell i = t - j of every row i >= 1
-    # where a does not break (the rows where it does are listed above)
-    pos_b = off[quiet_rows[None, :] + b_cols[:, None]]
-    pos_b += quiet_rows[None, :]
-    depth_b = np.repeat(db[b_cols + 1], len(quiet_rows))
-    pos = np.concatenate([gstarts[:-1], pos_a.reshape(-1), pos_b.reshape(-1)])
-    depth = np.concatenate([np.full(nT, DEPTH_ALL, dtype=np.int8), depth_a.reshape(-1), depth_b])
-    del pos_a, pos_b, depth_a, depth_b  # freed before the sort, which holds two copies
-    order = np.argsort(pos, kind="stable")  # the parts are sorted runs
-    return FlatLayout(
-        kind="conv",
-        x=a,
-        y=b,
-        z=c,
-        M=inst.M,
-        starts=pos[order],
-        depth=depth[order],
-        gstarts=gstarts,
-        glabel1=t,
-        glabel2=lo,
-        gbase=lo,
-        dims=(na, nb, nT),
-    )
+    da, db = dab[:na], np.concatenate([dab[na + 1 :], np.int8([DEPTH_ALL])])  # db[j]: b between j and j + 1
+    rows, quiet, cols = da.nonzero()[0], (da == 0).nonzero()[0], db.nonzero()[0]
+    packed = np.empty(rows.size * nb + quiet.size * cols.size, dtype=np.int64)
+    o = 0
+    # every cell of a row where a breaks, and the cells of the other rows
+    # where b does (there the depth is b's alone)
+    for part_rows, part_cols, a_depth in ((rows, np.arange(nb), da), (quiet, cols, None)):
+        b_depth = db[part_cols]
+        step = max(1, GATHER_BLOCK // part_cols.size)
+        for r in range(0, part_rows.size, step):
+            i = part_rows[r : r + step, None]
+            cells = packed[o : o + i.size * part_cols.size].reshape(i.size, -1)
+            off.take(i + part_cols, out=cells)
+            cells += (i << DEPTH_BITS) | (b_depth if a_depth is None else np.maximum(a_depth[i], b_depth))
+            o += cells.size
+    return _unpacked_layout(na * nb, packed, kind="conv", x=a, y=b, z=c, M=inst.M, dims=(na, nb, na + nb - 1))
 
 
-def _operands_at(layout: FlatLayout, cells: np.ndarray):
-    """The entries x, y, z that meet at the given flat cells."""
-    if layout.kind == "matrix":
-        in_A, in_B, in_C = _matrix_entries(cells, *layout.dims[1:])
-        return layout.x.reshape(-1)[in_A], layout.y.reshape(-1)[in_B], layout.z.reshape(-1)[in_C]
-    t = _groups_of(layout, cells)
-    i = cells - (layout.gstarts[:-1] - layout.gbase)[t]
-    return layout.x[i], layout.y[t - i], layout.z[t]
+def _gathered(layout: FlatLayout, cells: np.ndarray, order: np.ndarray | None = None):
+    """Yield (lo, delta, high) for each block of GATHER_BLOCK cells from lo
+    on: delta = x + y - z (int64, ready for a reduction mod any Q) and
+    high = x//M + y//M - z//M, nonzero where the high parts differ, at those
+    cells (taken in the given order when there is one).
+
+    A block is worked in place in four int64 arrays of its size (for a conv
+    layout one is the diagonal index that searchsorted makes per block),
+    and forms no other per-cell temporary; delta and high are two of them,
+    valid until the next block. The positions are read from cells in place
+    when there is no order. (The indices handed to take are in range: its
+    "clip" mode only skips a buffered copy.)"""
+    n = min(cells.size, GATHER_BLOCK)
+    matrix = layout.kind == "matrix"
+    buf = np.empty((4 if matrix else 3, n), dtype=np.int64)
+    xf, yf, zf = layout.x.reshape(-1), layout.y.reshape(-1), layout.z.reshape(-1)
+    M = layout.M
+    if matrix:
+        _, nb, nc = layout.dims
+    else:
+        gstarts, off = _diagonals(*layout.dims[:2])
+        ends = gstarts[1:]
+    for lo in range(0, cells.size, GATHER_BLOCK):
+        spare, b0, b1, *b2 = buf if cells.size - lo >= n else buf[:, : cells.size - lo]
+        # the positions, read until spare is written
+        p = cells[lo : lo + n] if order is None else cells.take(order[lo : lo + n], out=spare, mode="clip")
+        if matrix:
+            b2 = b2[0]
+            np.floor_divide(p, nc, out=b0)  # i*nb + k, the entry of x
+            np.floor_divide(b0, nb, out=b1)  # i
+            np.multiply(b0, nc, out=b2)
+            np.subtract(p, b2, out=b2)  # j
+            b1 *= nc
+            b2 += b1  # i*nc + j, the entry of z
+            b1 *= nb
+            np.subtract(p, b1, out=b1)  # k*nc + j, the entry of y
+            x = xf.take(b0, out=spare, mode="clip")
+            y = yf.take(b1, out=b0, mode="clip")
+            z = zf.take(b2, out=b1, mode="clip")
+            delta = np.add(x, y, out=b2)
+        else:
+            t = ends.searchsorted(p, side="right")  # the diagonal
+            off.take(t, out=b0, mode="clip")
+            np.subtract(p, b0, out=b0)  # i, the entry of x
+            np.subtract(t, b0, out=b1)  # the entry of y
+            z = zf.take(t, out=spare, mode="clip")
+            x = xf.take(b0, out=t, mode="clip")
+            y = yf.take(b1, out=b0, mode="clip")
+            delta = np.add(x, y, out=b1)
+        delta -= z
+        x //= M
+        y //= M
+        x += y
+        z //= M
+        x -= z
+        yield lo, delta, x
 
 
 def _start_terms(layout: FlatLayout, cells: np.ndarray):
-    """delta = x + y - z (int64, ready for a reduction mod any Q) and whether
-    the high parts x//M + y//M and z//M differ, at the given flat cells.
-    Gathered GATHER_BLOCK cells at a time, so the temporaries do not grow
-    with the number of cells."""
+    """delta and the high-part test (see _gathered) at the given cells, as
+    whole arrays."""
     delta = np.empty(cells.size, dtype=np.int64)
     differ = np.empty(cells.size, dtype=bool)
-    M = layout.M
-    for lo in range(0, cells.size, GATHER_BLOCK):
-        sl = slice(lo, lo + GATHER_BLOCK)
-        x, y, z = _operands_at(layout, cells[sl])
-        delta[sl] = x + y - z
-        differ[sl] = x // M + y // M != z // M
+    for lo, d, h in _gathered(layout, cells):
+        delta[lo : lo + d.size] = d
+        np.not_equal(h, 0, out=differ[lo : lo + h.size])
     return delta, differ
 
 
@@ -327,53 +395,112 @@ class StartDeltas(NamedTuple):
     cut: np.ndarray
 
 
-def _run_heads(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor."""
-    head = np.empty(a.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(a[1:], a[:-1], out=head[1:])
-    return head
+def _run_lengths(first: np.ndarray, total: int) -> np.ndarray:
+    """The lengths of the runs that start at the sorted positions first and
+    end at total, written over first block by block (no second array)."""
+    for lo in range(0, first.size - 1, GATHER_BLOCK):
+        hi = min(lo + GATHER_BLOCK, first.size - 1)
+        first[lo:hi] = first[lo + 1 : hi + 1] - first[lo:hi]
+    first[-1:] = total - first[-1:]
+    return first
+
+
+def _start_keys(layout: FlatLayout, order: np.ndarray):
+    """The key 2*delta + differ, mod 2^64, of each level-0 start, the starts
+    taken in the given order, and whether it wrapped: its delta is outside
+    [-2^62, 2^62), and the key's sign is not the delta's."""
+    keys = np.empty(order.size, dtype=np.int64)
+    wrapped = np.empty(order.size, dtype=bool)
+    for o, delta, high in _gathered(layout, layout.starts, order):
+        key = np.add(delta, delta, out=keys[o : o + delta.size])
+        key += np.minimum(np.abs(high, out=high), 1, out=high)  # differ, as 0 or 1
+        np.less(np.bitwise_xor(delta, key, out=delta), 0, out=wrapped[o : o + delta.size])
+    return keys, wrapped
+
+
+def _wrapped_apart(keys: np.ndarray, wrapped: np.ndarray) -> tuple:
+    """Move the wrapped keys of one class to its ends, the non-negative ones
+    (deltas below -2^62) first and the negative ones (deltas from 2^62 on)
+    last; return how many went to each end."""
+    if not wrapped.any():
+        return 0, 0
+    low, high = wrapped & (keys >= 0), wrapped & (keys < 0)
+    n_low, n_high = int(np.count_nonzero(low)), int(np.count_nonzero(high))
+    keys[:n_low], keys[n_low : keys.size - n_high], keys[keys.size - n_high :] = keys[low], keys[~wrapped], keys[high]
+    return n_low, n_high
 
 
 def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
     """The per-level start-delta multisets the modulus search counters read.
 
     One pass over the level-0 starts; the result does not depend on any Q.
-    Besides the layout it holds at most about five int64 per start, when
-    every start has its own delta, and far less when deltas repeat.
+    One stable sort of the starts' capped depths (a counting sort of int8)
+    orders them deepest first, so each depth class is a run and the level-l
+    starts a prefix. The gather takes the starts in that order and writes
+    each one's key 2*delta + differ, mod 2^64, which sorts as (delta,
+    differ) does while delta is in [-2^62, 2^62). A class's keys that
+    wrapped (any int64 delta outside that range) move to a part of their
+    own before and after the rest, and each part is sorted in place and
+    run-length coded into bins: no sorted copy of the deltas, no rank of
+    one. Besides the layout it holds 17 bytes per start (a key, an order
+    entry, the wrap flag) and one gather block: 27.6 bytes per start at
+    product-row n=64, bound 64, the top level of a det solve. A class with
+    wrapped keys is moved through a copy, 11 bytes per start in it, after
+    the order is freed; the bins take 17 bytes per start when every start
+    has its own delta.
     """
-    starts = layout.starts
     cap = lmax + 1
-    delta, differ = _start_terms(layout, starts)
-    distinct = np.sort(delta)
-    distinct = distinct[_run_heads(distinct)]
-    nd = len(distinct)
-    # one key per start, (cap - capped depth, delta rank, differ), written
-    # over delta: sorting the keys puts the deepest starts first
-    key = delta
-    for lo in range(0, starts.size, GATHER_BLOCK):
-        sl = slice(lo, lo + GATHER_BLOCK)
-        shallow = cap - np.minimum(layout.depth[sl], cap).astype(np.int64)
-        key[sl] = (shallow * nd + np.searchsorted(distinct, key[sl])) * 2 + differ[sl]
-    del delta, differ
-    key.sort()
-    first = _run_heads(key).nonzero()[0]
-    bins = key[first]
-    del key
-    counts = np.empty(first.size, dtype=np.int64)
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = starts.size - first[-1:]
-    del first
-    differ = (bins & 1).astype(bool)
+    shallow = np.minimum(layout.depth, cap)
+    np.subtract(cap, shallow, out=shallow)  # 0 for the deepest class
+    order = shallow.argsort(kind="stable")
+    # the depth class cap - s is keys[edges[s] : edges[s + 1]]
+    edges = shallow[order].searchsorted(np.arange(cap + 1, dtype=np.int8)).tolist()
+    del shallow
+    keys, wrapped = _start_keys(layout, order)
+    del order
+    # A wrapped key of a delta below -2^62 is non-negative, and one of a
+    # delta from 2^62 on negative: they take the first and the last part of
+    # their class, in which they sort as (delta, differ) too. A class with
+    # no wrapped key is one part.
+    parts = edges  # the first key of each part, and the end
+    if wrapped.any():
+        parts = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            n_low, n_high = _wrapped_apart(keys[lo:hi], wrapped[lo:hi])
+            parts += [lo, lo + n_low, hi - n_high]
+        parts.append(keys.size)
+    del wrapped
+    for a, b in zip(parts[:-1], parts[1:]):
+        if b - a > 1:
+            keys[a:b].sort()
+    # a run starts where the key changes and where a part does
+    head = np.empty(keys.size + 1, dtype=bool)  # head[-1] takes the empty parts past the end
+    np.not_equal(keys[1:], keys[:-1], out=head[1:-1])
+    head[parts] = True
+    head = head[:-1]
+    bins = keys[head]
+    del keys
+    first = head.nonzero()[0]
+    del head
+    # level l holds the classes s < cap - l
+    cut = first.searchsorted(edges[cap:0:-1])
+    part_bins = [] if parts is edges else first.searchsorted(parts).tolist()
+    counts = _run_lengths(first, layout.starts.size)
+    differ = np.empty(bins.size, dtype=bool)
+    np.bitwise_and(bins, 1, out=differ, casting="unsafe")
     bins >>= 1
-    # bins now hold shallow * nd + rank; level l holds the shallow < cap - l
-    cut = np.searchsorted(bins, (cap - np.arange(cap)) * nd)
-    np.remainder(bins, nd, out=bins)
-    return StartDeltas(values=distinct[bins], counts=counts, differ=differ, cut=cut)
+    # the bins of the wrapped parts, the first and the last of each class,
+    # get their deltas' top bit back
+    for a, b in [*zip(part_bins[0::3], part_bins[1::3]), *zip(part_bins[2::3], part_bins[3::3])]:
+        bins[a:b] ^= np.iinfo(np.int64).min
+    return StartDeltas(values=bins, counts=counts, differ=differ, cut=cut)
 
 
-def _groups_of(layout: FlatLayout, starts: np.ndarray) -> np.ndarray:
-    return np.searchsorted(layout.gstarts, starts, side="right") - 1
+def _groups_of(layout: FlatLayout, cells: np.ndarray) -> np.ndarray:
+    """The group of each flat cell: its pair i*nb + k, or its diagonal."""
+    if layout.kind == "matrix":
+        return cells // layout.dims[2]
+    return _diagonals(*layout.dims[:2])[0].searchsorted(cells, side="right") - 1
 
 
 def _congruent(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int):
@@ -385,14 +512,13 @@ def _congruent(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int)
 
 def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segments into s' per (i, j)."""
-    na, _, nc = layout.dims
+    na, nb, nc = layout.dims
     s, e, g = _congruent(layout, starts, ends, Q)
-    i = layout.glabel1[g]
-    j0 = s - layout.gstarts[g]
-    j1 = e - layout.gstarts[g]
+    i = g // nb
+    g *= nc  # the group's first cell
     D = np.zeros((na, nc + 1), dtype=np.int64)
-    np.add.at(D, (i, j0), 1)
-    np.add.at(D, (i, j1 + 1), -1)
+    np.add.at(D, (i, s - g), 1)
+    np.add.at(D, (i, e - g + 1), -1)
     return np.cumsum(D[:, :-1], axis=1)
 
 
@@ -400,13 +526,13 @@ def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: 
     """Accumulate congruent level-0 segment lengths into r' per (i, k)."""
     na, nb, _ = layout.dims
     s, e, g = _congruent(layout, starts, ends, Q)
-    out = np.zeros((na, nb), dtype=np.int64)
-    np.add.at(out, (layout.glabel1[g], layout.glabel2[g]), e - s + 1)
-    return out
+    out = np.zeros(na * nb, dtype=np.int64)
+    np.add.at(out, g, e - s + 1)
+    return out.reshape(na, nb)
 
 
 def sprime_conv_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into s' per output slot."""
     nT = layout.dims[2]
     s, e, g = _congruent(layout, starts, ends, Q)
-    return np.bincount(layout.glabel1[g], weights=(e - s + 1), minlength=nT).astype(np.int64)
+    return np.bincount(g, weights=(e - s + 1), minlength=nT).astype(np.int64)

@@ -15,6 +15,7 @@ from minplus.core import (
     minplus_product_naive,
 )
 from minplus.product_row import _shift_instance, normalize_A
+from minplus.segments import StartDeltas, _start_terms
 from minplus.shifting import (
     SHIFT_M,
     congruent_witness_scan,
@@ -122,6 +123,37 @@ def conv_level_instances(payload):
         base = 2 * minplus_convolution_naive(ad >> 1, bd >> 1).values
         yield depth, _shift_instance_conv(ad, bd, base, SHIFT_M, *first_live_pair(ad, bd, SHIFT_M))
         depth += 1
+
+
+def layout_groups(layout):
+    """(gstarts, label1, label2, first) of a flat layout's groups, from its
+    dims: the group offsets; (i, k) of a matrix pair, or the conv slot and
+    its first in-range index i."""
+    na, nb, nc = layout.dims
+    if layout.kind == "matrix":
+        g = np.arange(na * nb + 1, dtype=np.int64)
+        return g * nc, g[:-1] // nb, g[:-1] % nb, np.zeros(na * nb, dtype=np.int64)
+    t = np.arange(nc, dtype=np.int64)
+    first = np.maximum(0, t - (nb - 1))
+    gstarts = np.concatenate([[0], np.cumsum(np.minimum(na - 1, t) - first + 1)])
+    return gstarts, t, first, first
+
+
+def start_deltas_reference(layout, lmax):
+    """segments.level_start_deltas by two sorts, for any int64 delta: the
+    distinct deltas, then one key per start, (cap - capped depth, delta
+    rank, differ), whose sorted runs are the bins."""
+    cap = lmax + 1
+    delta, differ = _start_terms(layout, layout.starts)
+    distinct = np.unique(delta)
+    nd = len(distinct)
+    shallow = cap - np.minimum(layout.depth, cap).astype(np.int64)
+    key = (shallow * nd + np.searchsorted(distinct, delta)) * 2 + differ
+    bins, counts = np.unique(key, return_counts=True)
+    differ = (bins & 1).astype(bool)
+    bins >>= 1
+    cut = np.searchsorted(bins, (cap - np.arange(cap)) * nd)
+    return StartDeltas(values=distinct[bins % nd], counts=counts, differ=differ, cut=cut)
 
 
 def congruence_count_direct(A, B, C, Q):

@@ -13,6 +13,7 @@ from helpers import (
     cinst,
     congruence_count_conv_direct,
     congruence_count_direct,
+    layout_groups,
     promised_conv,
     promised_matrix,
 )
@@ -232,15 +233,16 @@ def test_criterion_07_segment_hierarchy():
             U = int(max(inst.A.max(), inst.B.max(), inst.C.max(), 1))
         Q, _ = find_good_modulus(inst)
         lmax = levelmax_for(inst.M)
-        groups = len(layout.gstarts) - 1
+        gstarts = layout_groups(layout)[0]
+        groups = len(gstarts) - 1
         bounds = {}
         for level in range(lmax + 1):
             starts, ends = segment_bounds(layout, level)
             # (a) the segments tile the flat range without gaps or overlaps
             assert starts[0] == 0 and ends[-1] == layout.size - 1
             assert (starts[1:] == ends[:-1] + 1).all()
-            g_of = np.searchsorted(layout.gstarts, starts, side="right")
-            assert (np.searchsorted(layout.gstarts, ends, side="right") == g_of).all()
+            g_of = np.searchsorted(gstarts, starts, side="right")
+            assert (np.searchsorted(gstarts, ends, side="right") == g_of).all()
             # (c) the count obeys the monotone-changes bound
             assert len(starts) <= groups * (2 * math.ceil(U / (1 << level)) + 1)
             bounds[level] = (starts, ends)

@@ -1,6 +1,4 @@
-import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,14 +10,15 @@ from helpers import (
     promised_conv,
     promised_matrix,
     row_level_instances,
+    traced_peak,
     window_table,
     y_by_window_tables,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minplus import cli, modulus
-from minplus.core import ConvVerificationInstance
+from minplus import cli, modulus, segments
+from minplus.core import ConvVerificationInstance, VerificationInstance
 
 from minplus.modulus import (
     ModulusReport,
@@ -39,7 +38,6 @@ from minplus.segments import (
     level_start_deltas,
     levelmax_for,
     matrix_layout,
-    segment_bounds,
 )
 
 # A large shift modulus: ten segment levels.
@@ -147,10 +145,9 @@ def test_one_pass_scoring_equals_one_table_per_prime_and_level(deltas, R, Q_prev
 @settings(max_examples=80, deadline=None)
 @given(start_delta_bins(), st.integers(1, 5000), st.sampled_from(SCORE_BLOCKS))
 def test_one_pass_audit_equals_one_count_per_level(deltas, Q, block):
-    layout = SimpleNamespace(gstarts=np.arange(4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modulus, "SCORE_BLOCK", block)
-        counts, bound = _active_audit(layout, deltas, 10, Q, 5.0)
+        counts, bound = _active_audit(3, deltas, 10, Q, 5.0)
     assert counts == active_counts_by_level(deltas, Q)
     assert bound == 5.0 * 3 * 10 / Q
 
@@ -413,51 +410,84 @@ def test_report_round_trips_to_dict():
     assert d["audit_ok"] is True
 
 
+def search_budget(inst, starts):
+    """The memory model of one modulus search (README, "memory"): the
+    operands again, 28 bytes per level-0 segment start, 32 bytes per cell of
+    one gather block (segments.GATHER_BLOCK cells at most) and 16 KiB. 28 is
+    the layout's 9 and 17 more: the binning's key, order entry and wrap
+    flag while it gathers, or the bins when every start has its own delta,
+    and 2 to spare."""
+    conv = isinstance(inst, ConvVerificationInstance)
+    operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
+    block = min(starts, segments.GATHER_BLOCK)
+    return sum(x.nbytes for x in operands) + 28 * starts + 32 * block + (16 << 10)
+
+
+def search_peak(inst):
+    """Peak bytes of one find_good_modulus on inst, and its level-0 starts."""
+    conv = isinstance(inst, ConvVerificationInstance)
+    starts = len((conv_layout(inst) if conv else matrix_layout(inst)).starts)
+    return traced_peak(find_good_modulus, inst), starts
+
+
+def first_level_instance(kind, n):
+    levels = conv_level_instances if kind == "conv" else row_level_instances
+    return next(levels(cli.generate_instance(kind, n, n, 1, "uniform-monotone")))[1]
+
+
+@pytest.mark.parametrize("kind, n", [("product-row", 64), ("conv", 320)])
+def test_search_memory_within_model_at_det_level_shapes(kind, n):
+    """At the det workloads' shapes the starts number a few thousand, one
+    to three gather blocks, so the block is a large share of the peak: a
+    search stays within the model, block included."""
+    inst = first_level_instance(kind, n)
+    peak, starts = search_peak(inst)
+    assert 1000 < starts < 4 * segments.GATHER_BLOCK
+    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
+
+
 @pytest.mark.parametrize("kind, n", [("product-row", 256), ("conv", 4096)])
 def test_search_memory_bounded_by_segment_starts(kind, n):
-    """One search on the top level instance of a det solve allocates at most
-    the operands again and 32 bytes per level-0 segment start: nothing grows
-    with the n^3 (matrix) or n^2 (conv) cells, of which the starts are a few
-    percent."""
+    """One search on the top level instance of a det solve stays within the
+    model: nothing grows with the n^3 (matrix) or n^2 (conv) cells, of which
+    the starts are a few percent."""
+    inst = first_level_instance(kind, n)
+    peak, starts = search_peak(inst)
     conv = kind == "conv"
-    levels = conv_level_instances if conv else row_level_instances
-    _, inst = next(levels(cli.generate_instance(kind, n, n, 1, "uniform-monotone")))
-    operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
     layout = conv_layout(inst) if conv else matrix_layout(inst)
-    starts = len(segment_bounds(layout, 0)[0])
-    cells = layout.size
+    assert starts < layout.size // 10
     del layout
-    tracemalloc.start()
-    try:
-        find_good_modulus(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    budget = sum(x.nbytes for x in operands) + 32 * starts
-    assert starts < cells // 10
-    assert peak <= budget, (peak, budget)
+    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
 
 
 @pytest.mark.parametrize("kind, n", [("verify-row", 48), ("verify-conv", 512)])
 def test_search_memory_bounded_when_every_start_has_its_own_delta(kind, n):
     """The worst case for the start-delta bins: M = BIG_M (ten levels),
     entries up to 10^12 and a break at every column, so every cell starts a
-    segment and nearly every start has a delta of its own. One search then
-    allocates at most the operands, the layout's 9 bytes per start and five
-    int64 per start for the deltas, their keys and the bins."""
-    conv = kind == "verify-conv"
+    segment and nearly every start has a delta of its own. The bins then
+    take 17 bytes per start beside the layout's 9, and one search stays
+    within the model."""
     inst = cli._instance_from(cli.generate_instance(kind, n, 10**12, 1, "uniform-monotone", M=BIG_M))
-    operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
-    layout = conv_layout(inst) if conv else matrix_layout(inst)
-    starts = len(layout.starts)
+    layout = conv_layout(inst) if kind == "verify-conv" else matrix_layout(inst)
     distinct = len(np.unique(level_start_deltas(layout, levelmax_for(BIG_M)).values))
     del layout
-    tracemalloc.start()
-    try:
-        find_good_modulus(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    budget = sum(x.nbytes for x in operands) + (9 + 5 * 8) * starts
+    peak, starts = search_peak(inst)
     assert distinct > 0.9 * starts
-    assert peak <= budget, (peak, budget)
+    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
+
+
+def test_search_memory_bounded_when_start_keys_wrap():
+    """Entries near 2^61 in magnitude, of either sign: about a quarter of
+    the start deltas fall outside [-2^62, 2^62), where a start's binning key
+    wraps, and their depth classes are split into parts through a copy.
+    One search still stays within the model."""
+    rng = np.random.default_rng(1)
+    A, B, C = ((2**61 - rng.integers(1, 10**6, (48, 48))) * rng.choice([-1, 1], (48, 48)) for _ in range(3))
+    inst = VerificationInstance(A=A, B=B, C=C, M=BIG_M)
+    layout = matrix_layout(inst)
+    delta = segments._start_terms(layout, layout.starts)[0]
+    wrapped = np.count_nonzero((delta < -(2**62)) | (delta >= 2**62))
+    del layout, delta
+    peak, starts = search_peak(inst)
+    assert wrapped > 0.2 * starts
+    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))

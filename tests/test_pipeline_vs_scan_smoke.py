@@ -8,8 +8,11 @@ pipeline and the scan disagree, fails here. It writes no file.
 `scripts/ab_pairs.py --smoke` compares this checkout with itself in
 alternating benchmark pairs, untraced and traced, and checks the layout of
 the BENCH file it would write and that the digests agree.
+`scripts/search_timing.py --smoke` times the search and the verify solvers
+of this checkout against itself, in one process, on tiny cases.
 `scripts/level_memory.py --smoke` measures the peak of one tiny solve per
-driver at a small and a large entry bound.
+driver, and of one tiny modulus search per row and conv driver, at a small
+and a large entry bound.
 """
 import json
 import subprocess
@@ -63,5 +66,20 @@ def test_level_memory_smoke_exits_zero():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    rows = json.loads(proc.stdout.splitlines()[-1])["rows"]
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    rows = doc["peaks_by_bound"]["rows"]
     assert [row["kind"] for row in rows] == ["product-row"] * 2 + ["product-col"] * 2 + ["conv"] * 2
+    search = doc["search_peaks_by_bound"]["rows"]
+    assert [row["kind"] for row in search] == ["product-row"] * 2 + ["conv"] * 2
+    assert all(set(row) == {"kind", "n", "entry_bound", "this_starts", "this_peak_mb", "this_bytes_per_start"}
+               for row in search)
+
+
+def test_search_timing_smoke_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "scripts/search_timing.py", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    rows = json.loads(proc.stdout.splitlines()[-1])["rows"]
+    assert [row["timed"] for row in rows] == ["find_good_modulus", "verify-conv", "find_good_modulus", "verify-row"]

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import cinst, minst, promised_conv, promised_matrix
+from helpers import cinst, layout_groups, minst, promised_conv, promised_matrix, start_deltas_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,20 +144,22 @@ def sprime_conv_oracle(inst, Q):
 
 def matrix_tuples(layout, starts, ends):
     """Flat matrix segments as (i, k, j0, j1)."""
-    g = np.searchsorted(layout.gstarts, starts, side="right") - 1
-    j0, j1 = starts - layout.gstarts[g], ends - layout.gstarts[g]
+    gstarts, label1, label2, _ = layout_groups(layout)
+    g = np.searchsorted(gstarts, starts, side="right") - 1
+    j0, j1 = starts - gstarts[g], ends - gstarts[g]
     return [
         (int(i), int(k), int(a), int(b))
-        for i, k, a, b in zip(layout.glabel1[g], layout.glabel2[g], j0, j1)
+        for i, k, a, b in zip(label1[g], label2[g], j0, j1)
     ]
 
 
 def conv_tuples(layout, starts, ends):
     """Flat convolution segments as (k, i0, i1)."""
-    g = np.searchsorted(layout.gstarts, starts, side="right") - 1
-    off = layout.gbase[g] - layout.gstarts[g]
+    gstarts, label1, _, first = layout_groups(layout)
+    g = np.searchsorted(gstarts, starts, side="right") - 1
+    off = first[g] - gstarts[g]
     return [
-        (int(k), int(a), int(b)) for k, a, b in zip(layout.glabel1[g], starts + off, ends + off)
+        (int(k), int(a), int(b)) for k, a, b in zip(label1[g], starts + off, ends + off)
     ]
 
 
@@ -293,7 +295,7 @@ def test_conv_aggregate_stamp():
     # diagonal k=2 of a 3-point instance covers i in {0,1,2}
     inst = cinst([0, 0, 0], [0, 0, 0], [0, 0, 143, 0, 0], M=100)
     layout = conv_layout(inst)
-    first = int(layout.gstarts[2])
+    first = int(layout_groups(layout)[0][2])
     got = sprime_conv_flat(layout, *one_segment(first, first + 2), 143)
     assert np.array_equal(got, [0, 0, 3, 0, 0])
 
@@ -700,3 +702,58 @@ def test_start_gathers_unchanged_by_many_blocks(monkeypatch, block):
     for (inst, conv), want in zip(insts, whole):
         for got, ref in zip(results(inst, conv), want):
             assert np.array_equal(got, ref)
+
+
+# Entry ranges for the start-delta bins: small, just below 2^61 and just
+# above -2^61, the largest magnitude an instance takes. Mixed, they give
+# deltas from about -3*2^61 to 3*2^61 (2^62.6), and deltas that differ by
+# 2^63 or more in one depth class.
+ENTRY_RANGES = ((0, 40), (2**61 - 40, 2**61 - 1), (-(2**61) + 1, -(2**61) + 40))
+
+
+@st.composite
+def start_delta_case(draw):
+    """A small matrix or conv layout whose operands each draw their entries
+    from one to three of ENTRY_RANGES, or hold one value throughout (every
+    delta equal); 1 x 1 x 1 and n = 1 give a single start."""
+    conv = draw(st.booleans())
+    shapes = [(n, n, 2 * n - 1) for n in [draw(st.integers(1, 6))]] if conv else [
+        ((na, nb), (nb, nc), (na, nc)) for na, nb, nc in [[draw(st.integers(1, 4)) for _ in range(3)]]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constant = draw(st.sampled_from(["none", "some", "all"]))
+    operands = []
+    for shape in shapes[0]:
+        lo, hi = np.array(draw(st.lists(st.sampled_from(ENTRY_RANGES), min_size=1, max_size=3))).T
+        size = (1,) if constant == "all" or (constant == "some" and draw(st.booleans())) else shape
+        pick = rng.integers(len(lo), size=size)
+        operands.append(np.broadcast_to(rng.integers(lo[pick], hi[pick], endpoint=True), shape).copy())
+    M = 100 * draw(st.integers(1, 10**6))
+    inst = cinst(*operands, M=M) if conv else minst(*operands, M=M)
+    layout = conv_layout(inst) if conv else matrix_layout(inst)
+    return layout, draw(st.integers(0, 10)), draw(st.sampled_from([1, 3, segments.GATHER_BLOCK]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(start_delta_case())
+def test_start_deltas_equal_the_two_sort_reference(case):
+    """One pass and one sort per part give the bins of the two-sort
+    reference, byte for byte, at any lmax and gather block, deltas of
+    magnitude 2^62 and more included."""
+    layout, lmax, block = case
+    want = start_deltas_reference(layout, lmax)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segments, "GATHER_BLOCK", block)
+        got = level_start_deltas(layout, lmax)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_layout_refuses_more_cells_than_its_sort_can_pack(monkeypatch):
+    """A start's position and depth share one int64 while the layout sorts
+    them; a layout of 2^(63 - DEPTH_BITS) cells or more is refused."""
+    inst = promised_matrix(np.random.default_rng(0), 2, 2, 2)
+    monkeypatch.setattr(segments, "DEPTH_BITS", 61)
+    with pytest.raises(ValueError, match="too many"):
+        matrix_layout(inst)
+    with pytest.raises(ValueError, match="too many"):
+        conv_layout(promised_conv(np.random.default_rng(0), 2))
