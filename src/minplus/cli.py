@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +39,7 @@ from .core import (
     VerificationInstance,
     as_exact_int64,
     as_shift_modulus,
+    is_integer,
     minplus_convolution_naive,
     minplus_product_naive,
     require_valid_instance,
@@ -223,6 +223,13 @@ def _field(payload: dict, key: str, convert=as_exact_int64):
         raise CliError(f"malformed field {key!r}", field=key, reason=str(e))
 
 
+def _integer(value) -> int:
+    """An integer header field; a float, string or bool is refused, not cast."""
+    if not is_integer(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _kind_of(payload: dict) -> str:
     kind = payload.get("kind")
     if kind not in KINDS:
@@ -252,7 +259,7 @@ def _instance_from(payload: dict, operands: tuple | None = None):
     integer is a malformed field; the instance checks its shapes and M."""
     A, B = operands or _operands(payload)
     C = _field(payload, "C")
-    M = _field(payload, "M", operator.index)
+    M = _field(payload, "M", _integer)
     instance = ConvVerificationInstance if payload["kind"] == "verify-conv" else VerificationInstance
     return instance(A=A, B=B, C=C, M=M)
 
@@ -278,7 +285,7 @@ def _solve(payload: dict, kind: str, config: SolverConfig, operands: tuple | Non
         operands = (inst,)
         args, kwargs = operands, {"Q": Q, "config": config}
     else:
-        tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", int))
+        tag = MonotoneTag(axis=axis, entry_bound=_field(payload, "entry_bound", _integer))
         operands = operands or _operands(payload)
         args, kwargs = (*operands, tag, config), {}
     t0 = time.perf_counter()
@@ -327,7 +334,7 @@ def _out_paths(args, in_path: Path):
 def _oracle_cells(payload: dict, kind: str) -> tuple:
     """Oracle volume, sized from the arrays, and the converted (A, B); a
     "dims" field that disagrees with their shapes is malformed."""
-    dims = _field(payload, "dims", lambda dims: [int(d) for d in dims])
+    dims = _field(payload, "dims", lambda dims: [_integer(d) for d in dims])
     A, B = _operands(payload)
     conv = kind in ("conv", "verify-conv")
     shape = list(A.shape[:1] if conv else A.shape[:2] + B.shape[1:2])

@@ -160,11 +160,14 @@ def as_shift_modulus(M) -> int:
     return int(M)
 
 
+_INT_DTYPES = [(int(np.iinfo(dt).max), np.dtype(dt)) for dt in (np.int8, np.int16, np.int32, np.int64)]
+
+
 def narrow_int_dtype(bound: int) -> np.dtype:
     """The smallest signed integer dtype that holds every value in [-bound, bound]."""
-    for dt in (np.int8, np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
+    for top, dt in _INT_DTYPES:
+        if bound <= top:
+            return dt
     raise OverflowError(f"{bound} does not fit a signed 64-bit integer")
 
 

@@ -514,21 +514,19 @@ def sprime_rows_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q
     """Accumulate congruent level-0 segments into s' per (i, j)."""
     na, nb, nc = layout.dims
     s, e, g = _congruent(layout, starts, ends, Q)
-    i = g // nb
-    g *= nc  # the group's first cell
-    D = np.zeros((na, nc + 1), dtype=np.int64)
-    np.add.at(D, (i, s - g), 1)
-    np.add.at(D, (i, e - g + 1), -1)
-    return np.cumsum(D[:, :-1], axis=1)
+    # a segment adds 1 from (i, j) = (i, s - g*nc) up to its end, in the
+    # difference array of the rows i, each nc + 1 long, keyed i*(nc + 1) + j
+    row = g // nb * (nc + 1) - g * nc
+    size = na * (nc + 1)
+    D = np.bincount(row + s, minlength=size) - np.bincount(row + e + 1, minlength=size)
+    return np.cumsum(D.reshape(na, nc + 1)[:, :-1], axis=1)
 
 
 def rprime_ik_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:
     """Accumulate congruent level-0 segment lengths into r' per (i, k)."""
     na, nb, _ = layout.dims
     s, e, g = _congruent(layout, starts, ends, Q)
-    out = np.zeros(na * nb, dtype=np.int64)
-    np.add.at(out, g, e - s + 1)
-    return out.reshape(na, nb)
+    return np.bincount(g, weights=(e - s + 1), minlength=na * nb).astype(np.int64).reshape(na, nb)
 
 
 def sprime_conv_flat(layout: FlatLayout, starts: np.ndarray, ends: np.ndarray, Q: int) -> np.ndarray:

@@ -24,18 +24,17 @@ every live (s, t) instance. congruent_witness_scan and
 congruent_witness_scan_conv are the det engine's test: the witness rule of
 every class pair at once reduces to the equality A + B == candidate. The
 candidates of one level differ only by a constant shift of 2C', so det
-makes one equality scan of all triples (or pairs) per level, forming each
-block's sums once and comparing them with every shifted candidate, over
-about log2(bound) + 2 levels. The per-level modulus search the row and conv
-drivers still run is read by nothing; it stays only for the benchmark's
-Workload.exercises.
+makes one equality scan of all triples (or pairs) per level, over about
+log2(bound) + 2 levels, on sum_hit_blocks or sum_hit_blocks_conv: one
+blocked step per shape, shared with the congruence counts of polyring.
+The per-level modulus search the row and conv drivers still run is read
+by nothing; it stays only for the benchmark's Workload.exercises.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SolverConfig
 from .core import WitnessMask, magnitude_sum, narrow_int_dtype
@@ -51,6 +50,8 @@ __all__ = [
     "first_live_pair",
     "congruent_witness_scan",
     "congruent_witness_scan_conv",
+    "sum_hit_blocks",
+    "sum_hit_blocks_conv",
     "antidiagonal_rows",
 ]
 
@@ -60,10 +61,10 @@ __all__ = [
 # (BENCH_pipeline_vs_scan.json).
 SHIFT_M = 100
 
-# Triples (matrix scan) or pairs (conv scan) per block of the equality scans.
-# Every temporary of a scan holds at most one block (256 KB at int16), so
-# the scans' memory beyond their narrow operand copies does not grow with
-# the instance.
+# Triples or pairs per block of the sum steps, over all the shifts tested:
+# a block's hits take SCAN_BLOCK bools and its sums SCAN_BLOCK / len(shifts)
+# narrow entries (or one row's), so the scans and counts hold no more than
+# that beyond their narrow operand copies, whatever the instance.
 SCAN_BLOCK = 1 << 17
 
 # The shifts s of the candidates 2C' + s that settle_by_halving asks a level
@@ -186,10 +187,8 @@ def congruent_witness_scan(
     class window and the high-part agreement bound the defect
     |C - A - B| below 2M/100, so for any Q > 7M/100 the congruence mod Q
     holds only at defect 0. The answer therefore depends on neither M nor Q,
-    and the scan tests equality directly, in the narrowest signed dtype that
-    holds every sum A + B and every C + s, in blocks of SCAN_BLOCK triples.
-    Each block's sums are formed once and compared with every shifted
-    candidate, so a level's candidates 2C' + s share one pass.
+    and the scan tests equality directly: each block of sum_hit_blocks has
+    its hits reduced with any.
 
     masks[t] is the mask of shifts[t]. query_axis "ij" answers per output
     cell over inner k; "ik" answers per (i, k) over output columns j,
@@ -197,16 +196,14 @@ def congruent_witness_scan(
     """
     if query_axis not in ("ij", "ik"):
         raise ValueError(f"unknown query axis {query_axis!r}")
-    A, B, C, shifts = _narrow(A, B, C, shifts)
-    na, nb = A.shape
-    nc = B.shape[1]
-    masks = np.zeros((shifts.size,) + ((na, nc) if query_axis == "ij" else (na, nb)), dtype=bool)
-    rows = max(1, SCAN_BLOCK // max(nb * nc, 1))
-    for lo in range(0, na, rows):
-        sl = slice(lo, lo + rows)
-        sums = A[sl, :, None] + B
-        for t, s in enumerate(shifts):
-            masks[t, sl] = (sums == (C[sl] + s)[:, None, :]).any(axis=1 if query_axis == "ij" else 2)
+    na, nb = np.shape(A)
+    nc = np.shape(B)[1]
+    masks = np.zeros((len(shifts), na, nc if query_axis == "ij" else nb), dtype=bool)
+    axis = 1 if query_axis == "ij" else 3  # over k, or over j
+    for lo, hits in sum_hit_blocks(A, B, C, shifts):
+        rows = masks[:, lo : lo + hits.shape[2]]
+        hits.any(axis=axis, out=rows if axis == 1 else rows.swapaxes(1, 2))
+        del hits  # not held beside the next block
     return masks
 
 
@@ -218,38 +215,69 @@ def congruent_witness_scan_conv(
 
     a has length na and b length nb; c has length na + nb - 1, slot t holding
     the candidate for semantic index t + 2. Pair (i, j) hits shift s when
-    a[i] + b[j] == c[i + j] + s; masks[t] folds the hits of shifts[t] onto
-    their diagonals. The pass runs in blocks of whole rows i: each block's
-    sums are formed once, compared with every shifted candidate and freed
-    before the hits are folded, and a block holds at most
-    SCAN_BLOCK / len(shifts) pairs, so its hits of all shifts together stay
-    within SCAN_BLOCK.
+    a[i] + b[j] == c[i + j] + s; masks[t] folds the hits of shifts[t] from
+    each block of sum_hit_blocks_conv onto their antidiagonals.
     """
-    a, b, c, shifts = _narrow(a, b, c, shifts)
-    na, nb = a.size, b.size
-    # row i of window t holds c[i : i + nb] + shifts[t], the candidates of the pairs (i, j)
-    windows = sliding_window_view(c + shifts[:, None], nb, axis=1)
-    masks = np.zeros((shifts.size, na + nb - 1), dtype=bool)
-    rows = max(1, SCAN_BLOCK // (nb * shifts.size))
-    for lo in range(0, na, rows):
-        sl = slice(lo, lo + rows)
-        sums = a[sl, None] + b
-        hits = [sums == window[sl] for window in windows]
-        # free the sums before the folds, and the hits before the next block
-        del sums
+    nb = np.size(b)
+    masks = np.zeros((len(shifts), np.size(a) + nb - 1), dtype=bool)
+    for lo, hits in sum_hit_blocks_conv(a, b, c, shifts):
         for mask, hit in zip(masks, hits):
             mask[lo : lo + hit.shape[0] + nb - 1] |= antidiagonal_rows(hit).any(axis=0)
-        del hits, hit
+        del hits, hit  # not held beside the next block
     return masks
+
+
+def sum_hit_blocks(A: np.ndarray, B: np.ndarray, C: np.ndarray, shifts: tuple):
+    """Yields (lo, hits) per block of whole rows i of the triples (i, k, j):
+    hits[t, k, r, j] is A[lo + r, k] + B[k, j] == C[lo + r, j] + shifts[t].
+
+    The one blocked step of the matrix scan and count, on operands narrowed
+    by _narrow. A block holds at most SCAN_BLOCK // len(shifts) triples (one
+    row when a row alone is larger). Its sums are formed once and dropped
+    before the yield, and its hits when the step resumes; a caller drops its
+    own references to them first, so no two blocks are held at once. k
+    leads, so a reduction over k runs over whole (r, j) planes; A is held
+    transposed to match.
+    """
+    A, B, C, shifts = _narrow(np.asarray(A).T, B, C, shifts)
+    nb, na = A.shape
+    rows = max(1, SCAN_BLOCK // max(B.size * shifts.size, 1))
+    for lo in range(0, na, rows):
+        sums = A[:, lo : lo + rows, None] + B[:, None, :]
+        hits = sums == (C[lo : lo + rows] + shifts[:, None, None])[:, None]
+        del sums
+        yield lo, hits
+        del hits
+
+
+def sum_hit_blocks_conv(a: np.ndarray, b: np.ndarray, c: np.ndarray, shifts: tuple):
+    """Yields (lo, hits) per block of whole rows i of the pairs (i, j), by
+    the rule of sum_hit_blocks: hits[t, r, j] is
+    a[lo + r] + b[j] == c[lo + r + j] + shifts[t]. Row i of shift t reads
+    c[i : i + nb] + shifts[t] through a strided view built directly:
+    sliding_window_view's checks took a sixth of a count at n = 128.
+    """
+    a, b, c, shifts = _narrow(a, b, c, shifts)
+    shifted = c + shifts[:, None]
+    item = shifted.itemsize
+    windows = np.ndarray((shifts.size, a.size, b.size), shifted.dtype, shifted, 0,
+                         (shifted.strides[0], item, item))
+    rows = max(1, SCAN_BLOCK // (b.size * shifts.size))
+    for lo in range(0, a.size, rows):
+        sums = a[lo : lo + rows, None] + b
+        hits = sums == windows[:, lo : lo + rows]
+        del sums
+        yield lo, hits
+        del hits
 
 
 def _narrow(a: np.ndarray, b: np.ndarray, c: np.ndarray, shifts: tuple) -> list:
     """The two operands, the candidates and the shifts in the narrowest
     signed dtype that holds every sum of an entry of a and one of b, and
     every entry of c plus a shift."""
-    shifts = np.asarray(shifts)
-    dtype = narrow_int_dtype(max(magnitude_sum(a, b), magnitude_sum(c, shifts)))
-    return [np.asarray(x).astype(dtype) for x in (a, b, c, shifts)]
+    top = max(magnitude_sum(a, b), magnitude_sum(c) + max(map(abs, shifts), default=0))
+    dtype = narrow_int_dtype(top)
+    return [np.asarray(x).astype(dtype, order="C") for x in (a, b, c, shifts)]
 
 
 def antidiagonal_rows(hit: np.ndarray) -> np.ndarray:

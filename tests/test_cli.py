@@ -287,6 +287,39 @@ def test_malformed_field_is_a_diagnostic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("golden, field, value", [
+    ("product-row-n4.json", "entry_bound", 3.5),
+    ("product-row-n4.json", "entry_bound", 8.9),
+    ("product-row-n4.json", "entry_bound", 6.0),
+    ("product-row-n4.json", "entry_bound", "8"),
+    ("product-row-n4.json", "entry_bound", True),
+    ("verify-row-n3.json", "M", 100.0),
+    ("verify-row-n3.json", "M", True),
+])
+def test_non_integer_header_field_is_malformed(tmp_path, capsys, command, golden, field, value):
+    # An integer field is not truncated (3.5 ran as bound 3, 8.9 as 8), parsed
+    # ("8" ran as 8) or read as 1 (true).
+    path = tmp_path / golden
+    cli.write_payload(path, {**cli.load_payload(GOLDEN / golden), field: value})
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag["error"] == f"malformed field {field!r}" and diag["field"] == field
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("dims", [[4.0, 4, 4], [4, 4.5, 4], ["4", 4, 4], [True, 4, 4], 4])
+def test_non_integer_dims_are_malformed(tmp_path, capsys, dims):
+    path = tmp_path / "dims.json"
+    cli.write_payload(path, {**cli.load_payload(GOLDEN / "product-row-n4.json"), "dims": dims})
+    code, diag = _main_diagnostic(capsys, "check", str(path))
+    assert code == 2
+    assert diag["error"] == "malformed field 'dims'" and diag["field"] == "dims"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
 def test_col_reference_engine_is_a_diagnostic(tmp_path, capsys, command):
     path = tmp_path / "col.json"
     cli.write_payload(path, cli.load_payload(GOLDEN / "product-col-n4.json"))

@@ -8,8 +8,9 @@ pipeline and the scan disagree, fails here. It writes no file.
 `scripts/ab_pairs.py --smoke` compares this checkout with itself in
 alternating benchmark pairs, untraced and traced, and checks the layout of
 the BENCH file it would write and that the digests agree.
-`scripts/search_timing.py --smoke` times the search and the verify solvers
-of this checkout against itself, in one process, on tiny cases.
+`scripts/search_timing.py --smoke` times the search, the verify solvers and
+the four sum kernels of this checkout against itself, in one process, on
+tiny cases.
 `scripts/level_memory.py --smoke` measures the peak of one tiny solve per
 driver, and of one tiny modulus search per row and conv driver, at a small
 and a large entry bound.
@@ -81,5 +82,9 @@ def test_search_timing_smoke_exits_zero():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    rows = json.loads(proc.stdout.splitlines()[-1])["rows"]
-    assert [row["timed"] for row in rows] == ["find_good_modulus", "verify-conv", "find_good_modulus", "verify-row"]
+    kernels, search = (json.loads(line)["rows"] for line in proc.stdout.splitlines()[-2:])
+    assert [row["kernel"] for row in kernels] == [
+        "congruent_witness_scan", "congruent_witness_scan_conv", "count_congruent", "count_congruent_conv"]
+    assert [row["shifts"] for row in kernels[:2]] == [[0, 1], [0, 1]]
+    assert [row["Q"] for row in kernels[2:]] == [143, 143]
+    assert [row["timed"] for row in search] == ["find_good_modulus", "verify-conv", "find_good_modulus", "verify-row"]

@@ -61,10 +61,12 @@ def test_count_congruent_conv_matches_direct(Q, lengths):
 
 
 # Both ends of the order range, both sides of every switch of the residue
-# dtype (2Q fits int8 up to Q = 63, int16 up to 16383, int32 up to 2^30 - 1),
-# and the largest Q whose residues alone fit each narrower dtype, where
-# a + b exceeds that dtype.
-DTYPE_ORDERS = (1, 2, 63, 64, 127, 16383, 16384, 32767, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31)
+# dtype (with residues up to Q - 1 the residues and their targets c + Q take
+# the narrowest dtype that holds 2Q - 1: int8 up to Q = 64, int16 up to
+# 16384, int32 up to 2^30), and the largest Q whose residues alone fit each
+# narrower dtype, where a + b exceeds that dtype.
+DTYPE_ORDERS = (1, 2, 63, 64, 65, 127, 16383, 16384, 16385, 32767, (1 << 30) - 1, 1 << 30,
+                (1 << 30) + 1, (1 << 31) - 1, 1 << 31)
 
 
 @pytest.mark.parametrize("Q", DTYPE_ORDERS)
@@ -106,9 +108,10 @@ def test_counts_match_direct_at_any_order(Q, dims, lengths, seed):
 
 def test_block_split_matches_oracle(monkeypatch):
     # compute_s_matrix and compute_r_matrix count in blocks of whole rows of
-    # at most SCAN_BLOCK triples. At 1 and 5 every row is its own block; at
-    # 37 the 10-row instance splits 3, 3, 3, 1 (12 triples per row), so
-    # block boundaries fall inside the rows of the output.
+    # at most SCAN_BLOCK / 2 triples (each is tested against c and c + Q).
+    # At 1, 5 and 37 every row is its own block; at 74 the 10-row instance
+    # splits 3, 3, 3, 1 (12 triples per row), so block boundaries fall inside
+    # the rows of the output.
     rng = np.random.default_rng(31)
     Q = 13  # small, so that counts above 1 occur
     for kind, count, axis in (("row", compute_s_matrix, 1), ("col", compute_r_matrix, 2)):
@@ -116,7 +119,7 @@ def test_block_split_matches_oracle(monkeypatch):
         A, B, C = inst.A, inst.B, inst.C
         want = ((A[:, :, None] + B[None, :, :] - C[:, None, :]) % Q == 0).sum(axis=axis)
         assert want.max() > 1
-        for block in (1, 5, 37):
+        for block in (1, 5, 37, 74):
             monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
             assert np.array_equal(count(inst, Q), want), (kind, block)
 
@@ -124,8 +127,9 @@ def test_block_split_matches_oracle(monkeypatch):
 @pytest.mark.parametrize("lengths", [(11, 4), (4, 11), (9, 9)])
 def test_conv_block_split_matches_oracle(monkeypatch, lengths):
     # count_congruent_conv counts in blocks of whole rows i of at most
-    # SCAN_BLOCK pairs. At 1 and 5 every row is its own block; at 37 the
-    # blocks hold 9, 3 or 4 rows, so they end inside antidiagonals, and a
+    # SCAN_BLOCK / 2 pairs (each is tested against c and c + Q). At 1 and 5
+    # every row is its own block; at 37 the blocks hold 4, 1 or 2 rows and
+    # at 74 they hold 9, 3 or 4, so they end inside antidiagonals, and a
     # 9-row block of 4 pairs each is folded through its transpose.
     na, nb = lengths
     rng = np.random.default_rng(na * 10 + nb)
@@ -137,7 +141,7 @@ def test_conv_block_split_matches_oracle(monkeypatch, lengths):
     a, b, c = pick(na), pick(nb), pick(na + nb - 1)
     want = congruence_count_conv_direct(a, b, c, Q)
     assert want.max() > 1
-    for block in (1, 5, 37):
+    for block in (1, 5, 37, 74):
         monkeypatch.setattr(shifting, "SCAN_BLOCK", block)
         assert np.array_equal(count_congruent_conv(a, b, c, Q), want), block
 
@@ -223,16 +227,17 @@ def test_counting_solvers_build_no_ring_product(monkeypatch):
 
 @pytest.mark.parametrize("count, copies", [(compute_s_matrix, 0), (compute_r_matrix, 2)])
 def test_matrix_count_memory_bounded_by_block(count, copies):
-    """A matrix count at n=64 holds its residue copies (each formed from an
-    int64 remainder), one block of SCAN_BLOCK triples (the narrow a + b - c
-    and two bool tests), the int64 output and numpy's buffer for the
-    bool-to-int64 row sums; compute_r_matrix adds its two negated int64
-    operands. Nothing grows with the n^3 triples or with Q."""
+    """A matrix count at n=64 holds its int64 residues and their narrow
+    copies, one block of at most SCAN_BLOCK / 2 triples (the narrow sums
+    and two bool hits per triple, one for c and one for c + Q), the int64
+    output and numpy's buffer for the bool-to-int64 sums;
+    compute_r_matrix adds its two negated int64 operands. Nothing grows
+    with the n^3 triples or with Q."""
     n, Q = 64, 143
     inst = promised_matrix(np.random.default_rng(2), n, n, n, hi=50)
-    width = np.dtype(narrow_int_dtype(2 * Q)).itemsize
-    residues = 3 * n * n * width + n * n * 8
-    block = shifting.SCAN_BLOCK * (width + 2)
+    width = np.dtype(narrow_int_dtype(2 * Q - 1)).itemsize
+    residues = 3 * n * n * (width + 8)
+    block = shifting.SCAN_BLOCK // 2 * (width + 2)
     output = n * n * 8 + np.getbufsize() * 8
     assert n**3 > shifting.SCAN_BLOCK  # more than one block
     peak = traced_peak(count, inst, Q)
@@ -240,15 +245,16 @@ def test_matrix_count_memory_bounded_by_block(count, copies):
 
 
 def conv_count_budget(n, Q):
-    """What a convolution count of two length-n operands may hold: the three
-    narrow residue copies (each formed from an int64 remainder), one block
-    of SCAN_BLOCK pairs (the narrow a + b - c, two bool tests and the
-    zero-padded antidiagonal copy of at most two cells per pair), one
-    block's antidiagonal sums (at most int64) with numpy's reduction buffer,
-    and the int64 output."""
-    width = np.dtype(narrow_int_dtype(2 * Q)).itemsize
-    residues = 3 * (2 * n) * width + (2 * n) * 8
-    block = shifting.SCAN_BLOCK * (width + 2 + 2)
+    """What a convolution count of two length-n operands may hold: the int64
+    residues of a, b and c with their narrow copies and the narrow targets
+    c and c + Q, one block of at most SCAN_BLOCK / 2 pairs (the narrow sums
+    and two bool hits per pair, or the hits and the zero-padded
+    antidiagonal copy of at most two cells per pair), one block's
+    antidiagonal sums (at most int64) with numpy's reduction buffer, and
+    the int64 output."""
+    width = np.dtype(narrow_int_dtype(2 * Q - 1)).itemsize
+    residues = (2 * n) * 2 * (width + 8) + 2 * (2 * n) * width
+    block = shifting.SCAN_BLOCK // 2 * max(width + 2, 4)
     sums = (shifting.SCAN_BLOCK // n + n) * 8 + np.getbufsize() * 8
     return residues + block + sums + (2 * n) * 8
 

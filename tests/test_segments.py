@@ -276,6 +276,25 @@ def test_aggregate_empty_set():
     assert not rprime_ik_flat(layout, none, none, 143).any()
 
 
+@pytest.mark.parametrize("pick", [slice(None), slice(None, None, 2), slice(1, None, 3)])
+def test_row_aggregates_equal_a_sum_over_their_segments(pick):
+    """s' and r' of level-0 segments over several rows, pairs and columns
+    equal a plain sum over the segments given (at Q = 1 each is congruent):
+    s' counts a segment on every cell (i, j) it covers, r' adds its length
+    to its pair (i, k)."""
+    inst = promised_matrix(np.random.default_rng(6), 5, 4, 9)
+    layout = matrix_layout(inst)
+    starts, ends = (x[pick] for x in segment_bounds(layout, 0))
+    s_want, r_want = np.zeros((5, 9), dtype=np.int64), np.zeros((5, 4), dtype=np.int64)
+    for i, k, j0, j1 in matrix_tuples(layout, starts, ends):
+        s_want[i, j0 : j1 + 1] += 1
+        r_want[i, k] += j1 - j0 + 1
+    assert s_want.max() > 1 and starts.size > 5 * 4  # pairs of several segments
+    for got, want in ((sprime_rows_flat(layout, starts, ends, 1), s_want),
+                      (rprime_ik_flat(layout, starts, ends, 1), r_want)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_conv_single_point():
     inst = cinst([7], [8], [100])
     layout = conv_layout(inst)

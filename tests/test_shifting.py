@@ -267,9 +267,13 @@ SCAN_SHIFTS = ((0,), (0, 1), (0, 1, 2))
 @pytest.mark.parametrize("query_axis", ["ij", "ik"])
 def test_scan_memory_bounded_by_blocks(query_axis):
     """One matrix scan at n=256 (n^3 = 16.8M triples) allocates at most the
-    three narrow operand copies, one n x n mask per shift and four
-    SCAN_BLOCK temporaries, so no n^3 temporary is formed, with one, two or
-    three shifts."""
+    three narrow operand copies, one n x n mask per shift, one block of
+    whole rows i of at most SCAN_BLOCK / len(shifts) triples (one row when
+    a row alone is larger) with its narrow sums and one bool hit per shift,
+    and numpy's fixed ufunc buffer (8192 entries), so no n^3 temporary is
+    formed, with one, two or three shifts. A block of SCAN_BLOCK triples
+    whatever the shifts, its sums held while its hits are formed, exceeds
+    the bound at two and three shifts."""
     n = 256
     rng = np.random.default_rng(0)
     A = rng.integers(0, 10000, (n, n))
@@ -277,8 +281,10 @@ def test_scan_memory_bounded_by_blocks(query_axis):
     C = rng.integers(0, 20000, (n, n))
     item = narrow_int_dtype(20000).itemsize
     for shifts in SCAN_SHIFTS:
+        S = len(shifts)
+        block = max(1, shifting.SCAN_BLOCK // (n * n * S)) * n * n
         peak = traced_peak(congruent_witness_scan, A, B, C, query_axis, shifts)
-        assert peak <= 3 * n * n * item + len(shifts) * n * n + 4 * shifting.SCAN_BLOCK * item, shifts
+        assert peak <= 3 * n * n * item + S * n * n + block * (item + S) + 8192 * 8, shifts
 
 
 def test_conv_scan_memory_bounded_by_blocks(monkeypatch):
