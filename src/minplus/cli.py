@@ -10,10 +10,17 @@ file runs its driver. A verify file is searched for its modulus Q once, by
 find_good_modulus, whose report digest goes into the run report; then its
 solve_verification_* solver runs with that Q. A run report's timings hold
 only the phases that were measured: solve, and modulus_search for verify
-files.
+files. A verify file takes no engine: its solver is the verification
+pipeline, and run, check and bench refuse any --engine but det for it.
 
-Exit codes: 0 success / check passed, 1 check or stats found a mismatch,
-2 structured diagnostic (bad file, broken promise, refused oracle size).
+Each command takes only the options it reads: run and bench --engine, --R
+and --slack; check those and --oracle-limit, the largest brute-force volume
+it accepts; stats --R and --slack. bench --jobs must be at least 1 and
+starts at most one worker per file.
+
+Exit codes: 0 success / check passed, 1 check found a mismatch, 2
+structured diagnostic (bad file, broken promise, refused option or oracle
+size).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .core import (
     require_valid_instance,
     witness_mask_naive,
 )
-from .modulus import count_X_bruteforce, count_Z_bruteforce, find_good_modulus
+from .modulus import find_good_modulus
 from .product_col import (
     minplus_monotone_col,
     normalize_nonincreasing,
@@ -53,10 +60,10 @@ from .product_col import (
     solve_verification_col,
 )
 from .product_row import _shift_instance, minplus_monotone_row, solve_verification_row
-from .segments import levelmax_for
 from .shifting import first_live_pair
 
 FORMAT_VERSION = 1
+ORACLE_LIMIT = 1 << 22  # check's default cap on the brute-force volume
 # kind -> (solving function, axis, oracle). A product or conv driver solves
 # (A, B) under a MonotoneTag on its axis; a verify solver solves the
 # instance, and its axis indexes the witness mask. Each oracle takes the same
@@ -200,14 +207,12 @@ def generate_instance(kind: str, n: int, entry_bound: int, seed: int, family: st
 # run
 
 def _config_from(args) -> SolverConfig:
-    """The SolverConfig of the parsed flags; a value it refuses is a CliError."""
+    """The SolverConfig of whichever config flags the command has; a value
+    it refuses is a CliError."""
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)
+              if hasattr(args, f.name)}
     try:
-        return SolverConfig(
-            engine=args.engine,
-            R=args.R,
-            slack=args.slack,
-            oracle_limit=args.oracle_limit,
-        )
+        return SolverConfig(**fields)
     except ValueError as e:
         raise CliError("invalid solver option", reason=str(e))
 
@@ -240,7 +245,7 @@ def _kind_of(payload: dict) -> str:
 @contextlib.contextmanager
 def _diagnosed(kind: str):
     """Report a refusal from the library (broken promise, shape mismatch,
-    unsupported option, oracle beyond its limit) as a CliError."""
+    unsupported option) as a CliError."""
     try:
         yield
     except ValueError as e:
@@ -269,13 +274,17 @@ def _solve(payload: dict, kind: str, config: SolverConfig, operands: tuple | Non
 
     A product or conv file runs its driver on (A, B) under a tag on the
     driver's axis. A verify file is searched for Q once, and its solver runs
-    with that Q. A and B are taken as given in operands, when the caller has
-    converted them already, and converted from the file otherwise. The
-    operands returned are what the kind's oracle takes.
+    with that Q; it takes no engine, so any but "det" is refused. A and B
+    are taken as given in operands, when the caller has converted them
+    already, and converted from the file otherwise. The operands returned
+    are what the kind's oracle takes.
     """
     solver, axis, _ = SOLVERS[kind]
     timings, digests = {}, []
     if kind.startswith("verify"):
+        if config.engine != "det":
+            raise CliError(f"a verify file takes no engine, not {config.engine!r}",
+                           kind=kind, engine=config.engine)
         inst = _instance_from(payload, operands)
         require_valid_instance(inst)
         t0 = time.perf_counter()
@@ -345,18 +354,21 @@ def _oracle_cells(payload: dict, kind: str) -> tuple:
     return (cells * cells if conv else cells), (A, B)
 
 
-def check_instance(payload: dict, config: SolverConfig):
+def check_instance(payload: dict, config: SolverConfig, oracle_limit: int = ORACLE_LIMIT):
     """Compare the deterministic engine against the brute-force oracle.
 
-    Returns (ok, first_mismatch_coord). Raises CliError when the oracle
-    volume exceeds config.oracle_limit.
+    Returns (ok, first_mismatch_coord). Raises CliError when oracle_limit is
+    not a non-negative integer or the oracle volume exceeds it.
     """
+    if not (is_integer(oracle_limit) and oracle_limit >= 0):
+        raise CliError("invalid oracle limit",
+                       reason=f"oracle_limit must be a non-negative integer, not {oracle_limit!r}")
     kind = _kind_of(payload)
     cells, operands = _oracle_cells(payload, kind)
-    if cells > config.oracle_limit:
+    if cells > oracle_limit:
         raise CliError(
             "instance too large for the oracle; raise --oracle-limit to force",
-            cells=cells, oracle_limit=config.oracle_limit,
+            cells=cells, oracle_limit=oracle_limit,
         )
     _, _, oracle = SOLVERS[kind]
     with _diagnosed(kind):
@@ -373,43 +385,21 @@ def check_instance(payload: dict, config: SolverConfig):
 # ---------------------------------------------------------------------------
 # stats
 
-def stats_instance(payload: dict, config: SolverConfig, test_mode: bool = False) -> dict:
+def stats_instance(payload: dict, config: SolverConfig) -> dict:
     kind = payload.get("kind")
     if kind not in ("verify-row", "verify-col", "verify-conv"):
         raise CliError("stats needs a verify-* instance file", kind=kind)
     with _diagnosed(kind):
         inst = _instance_from(payload)
         require_valid_instance(inst)
-        Q, rep = find_good_modulus(inst, R=config.R, slack=config.slack)
-        dump = {
-            "format": FORMAT_VERSION,
-            "kind": "stats",
-            "of_kind": kind,
-            "modulus_report": rep.to_dict(),
-            "level_segments": list(rep.level_segments),
-            "first_crossing": bool(rep.q_values[-1] >= rep.M > (rep.q_values[-2] if len(rep.q_values) > 1 else 1)),
-        }
-        if test_mode:
-            levels = range(levelmax_for(inst.M) + 1)
-            Z_of = [count_Z_bruteforce(inst, level, limit=config.oracle_limit) for level in levels]
-            checks = []
-            verified = True
-            for step in rep.steps:
-                for pi, p in enumerate(step.table.primes):
-                    Qp = step.Q_prev * p
-                    for level in levels:
-                        X = count_X_bruteforce(inst, Qp, level, limit=config.oracle_limit)
-                        Z = Z_of[level]
-                        Y = int(step.table.Y[level, pi])
-                        ok = X == Y - Z
-                        verified &= ok
-                        checks.append({"Q_prev": step.Q_prev, "p": int(p), "level": level,
-                                       "X": X, "Y": Y, "Z": Z, "ok": ok})
-            dump["xyz_checks"] = checks
-            dump["xyz_verified"] = verified
-            dump["x_at_Q"] = [count_X_bruteforce(inst, Q, level, limit=config.oracle_limit)
-                              for level in levels]
-    return dump
+        _, rep = find_good_modulus(inst, R=config.R, slack=config.slack)
+    return {
+        "format": FORMAT_VERSION,
+        "kind": "stats",
+        "of_kind": kind,
+        "modulus_report": rep.to_dict(),
+        "level_segments": list(rep.level_segments),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +421,17 @@ def _bench_one(job):
 
 
 def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
+    """Run each file as run does, on min(jobs, len(paths)) worker processes
+    when that is above 1 and in this process otherwise; jobs < 1 is a
+    CliError."""
+    if jobs < 1:
+        raise CliError("--jobs must be at least 1", jobs=jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs_list = [(str(p), str(out_dir), dataclasses.asdict(config)) for p in paths]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(jobs_list))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_one, jobs_list))
     else:
         results = [_bench_one(j) for j in jobs_list]
@@ -451,11 +447,11 @@ def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--engine", choices=ENGINES, default="det")
+def _add_config_flags(p: argparse.ArgumentParser, engine: bool = True):
+    if engine:
+        p.add_argument("--engine", choices=ENGINES, default="det")
     p.add_argument("--R", type=int, default=None)
     p.add_argument("--slack", type=float, default=None)
-    p.add_argument("--oracle-limit", type=int, default=1 << 22)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="compare det against the naive oracle")
     c.add_argument("file")
+    c.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     _add_config_flags(c)
 
     b = sub.add_parser("bench", help="run many instance files, optionally in parallel")
@@ -490,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stats", help="modulus-search diagnostics for a verify-* file")
     s.add_argument("file")
-    s.add_argument("--test-mode", action="store_true")
-    _add_config_flags(s)
+    _add_config_flags(s, engine=False)
     return ap
 
 
@@ -515,7 +511,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "check":
             payload = load_payload(args.file)
-            ok, coord = check_instance(payload, _config_from(args))
+            ok, coord = check_instance(payload, _config_from(args), args.oracle_limit)
             if ok:
                 print(f"PASS {args.file}")
                 return 0
@@ -530,12 +526,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "stats":
             payload = load_payload(args.file)
-            dump = stats_instance(payload, _config_from(args), test_mode=args.test_mode)
+            dump = stats_instance(payload, _config_from(args))
             sys.stdout.write(canonical_bytes(dump).decode("utf-8"))
-            if args.test_mode:
-                line = "X = Y - Z verified" if dump["xyz_verified"] else "X = Y - Z MISMATCH"
-                print(line, file=sys.stderr)
-                return 0 if dump["xyz_verified"] else 1
             return 0
     except CliError as e:
         json.dump(e.details, sys.stderr)

@@ -23,24 +23,21 @@ class SolverConfig:
     must be finite and positive. The drivers shift by the fixed modulus
     shifting.SHIFT_M and the verify solvers by the instance's own M; the
     column driver searches no modulus and refuses R or slack set away from
-    their defaults. oracle_limit caps the brute-force volume the CLI's check
-    and stats commands accept (a non-negative integer). No knob turns on
-    invariant checks: the tests check the halving sandwich, the column
-    driver's two-pointer masks and the good-modulus audit.
+    their defaults. The CLI's run, check and bench commands set all three
+    knobs and stats sets R and slack. No knob turns on invariant checks: the
+    tests check the halving sandwich, the column driver's two-pointer masks
+    and the good-modulus audit.
     """
 
     engine: str = "det"
     R: int | None = None
     slack: float | None = None
-    oracle_limit: int = 1 << 22
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         if self.R is not None and not (is_integer(self.R) and self.R >= 4):
             raise ValueError("range parameter R must be an integer at least 4")
-        if not (is_integer(self.oracle_limit) and self.oracle_limit >= 0):
-            raise ValueError("oracle_limit must be a non-negative integer")
         real = isinstance(self.slack, Real) and not isinstance(self.slack, bool)
         if self.slack is not None and not (real and math.isfinite(self.slack) and self.slack > 0):
             raise ValueError("slack must be a finite and positive real number")

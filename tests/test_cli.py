@@ -190,8 +190,18 @@ def test_check_converts_each_operand_once(monkeypatch, name):
 
 def test_check_refuses_oversized_oracle():
     payload = cli.load_payload(GOLDEN / "product-row-n4.json")
-    with pytest.raises(cli.CliError):
-        cli.check_instance(payload, SolverConfig(oracle_limit=8))
+    for limit in (0, 8):
+        with pytest.raises(cli.CliError) as exc:
+            cli.check_instance(payload, CFG, oracle_limit=limit)
+        assert exc.value.details["oracle_limit"] == limit and exc.value.details["cells"] == 64
+
+
+@pytest.mark.parametrize("limit", [-1, 2.5, True, "8"])
+def test_check_refuses_an_invalid_oracle_limit(limit):
+    payload = cli.load_payload(GOLDEN / "product-row-n4.json")
+    with pytest.raises(cli.CliError) as exc:
+        cli.check_instance(payload, CFG, oracle_limit=limit)
+    assert "non-negative integer" in exc.value.details["reason"]
 
 
 def test_stats_requires_verify_kind():
@@ -199,28 +209,16 @@ def test_stats_requires_verify_kind():
         cli.stats_instance(cli.load_payload(GOLDEN / "conv-n4.json"), CFG)
 
 
-def test_stats_reports_bounds_and_xyz():
-    dump = cli.stats_instance(cli.load_payload(GOLDEN / "verify-row-n3.json"), CFG, test_mode=True)
+def test_stats_reports_bounds_and_segments():
+    dump = cli.stats_instance(cli.load_payload(GOLDEN / "verify-row-n3.json"), CFG)
+    assert set(dump) == {"format", "kind", "of_kind", "modulus_report", "level_segments"}
     rep = dump["modulus_report"]
     assert rep["M"] <= rep["Q"] <= rep["M"] * rep["R"]
-    assert dump["first_crossing"]
-    assert dump["xyz_verified"]
-    assert all(c["ok"] for c in dump["xyz_checks"])
     assert len(dump["level_segments"]) == len(rep["active_counts"])
     inst = cli._instance_from(cli.load_payload(GOLDEN / "verify-row-n3.json"))
     assert dump["level_segments"] == [
         len(_scan_segments_matrix(inst, level)) for level in range(levelmax_for(inst.M) + 1)
     ]
-
-
-def test_stats_all_zero_instance_has_no_spurious_matches():
-    payload = {
-        "format": 1, "kind": "verify-conv", "dims": [3], "M": 100,
-        "A": [0, 0, 0], "B": [0, 0, 0], "C": [0, 0, 0, 0, 0],
-    }
-    dump = cli.stats_instance(payload, CFG, test_mode=True)
-    assert all(x == 0 for x in dump["x_at_Q"])
-    assert dump["xyz_verified"]
 
 
 def test_bench_parallel_outputs_are_byte_identical(tmp_path):
@@ -232,6 +230,40 @@ def test_bench_parallel_outputs_are_byte_identical(tmp_path):
     for f in files:
         out_name = f"{f.stem}.out.json"
         assert (d1 / out_name).read_bytes() == (d2 / out_name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_a_diagnostic(tmp_path, capsys, jobs):
+    argv = ["bench", str(GOLDEN / "conv-n4.json"), "--out-dir", str(tmp_path / "o"), "--jobs", jobs]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag == {"error": "--jobs must be at least 1", "jobs": int(jobs)}
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_starts_at_most_one_worker_per_file(monkeypatch, tmp_path):
+    started = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    files = [GOLDEN / "conv-n4.json", GOLDEN / "product-row-n4.json"]
+    summary = cli.bench_files(files, tmp_path, CFG, jobs=64)
+    assert started == [2]
+    assert len(summary["runs"]) == 2
 
 
 def test_main_subprocess_gen_run_check(tmp_path):
@@ -383,17 +415,19 @@ def test_col_entry_bound_beyond_int64_is_a_diagnostic(tmp_path, capsys, command)
     assert "entry bound too large" in diag["error"]
 
 
-@pytest.mark.parametrize("flag,value,reason", [
-    ("--slack", "-1", "finite and positive"),
-    ("--slack", "0", "finite and positive"),
-    ("--R", "3", "at least 4"),
-    ("--oracle-limit", "-1", "non-negative"),
-])
-@pytest.mark.parametrize("command,golden", [
-    ("run", "product-row-n4.json"),
-    ("check", "product-row-n4.json"),
-    ("stats", "verify-row-n3.json"),
-])
+@pytest.mark.parametrize("command,golden,flag,value,reason", [
+    (command, golden, flag, value, reason)
+    for command, golden in [
+        ("run", "product-row-n4.json"),
+        ("check", "product-row-n4.json"),
+        ("stats", "verify-row-n3.json"),
+    ]
+    for flag, value, reason in [
+        ("--slack", "-1", "finite and positive"),
+        ("--slack", "0", "finite and positive"),
+        ("--R", "3", "at least 4"),
+    ]
+] + [("check", "product-row-n4.json", "--oracle-limit", "-1", "non-negative")])
 def test_invalid_config_flag_is_a_diagnostic(tmp_path, capsys, command, golden, flag, value, reason):
     path = tmp_path / golden
     cli.write_payload(path, cli.load_payload(GOLDEN / golden))
@@ -430,12 +464,16 @@ def test_gen_M_on_a_kind_without_one_is_a_diagnostic(tmp_path, capsys, kind, M):
     assert not out.exists()
 
 
-def test_stats_oracle_beyond_limit_is_a_diagnostic(tmp_path, capsys):
-    path = tmp_path / "v.json"
-    cli.write_payload(path, cli.generate_instance("verify-row", 20, 64, seed=1,
-                                                  family="uniform-monotone"))
-    code, diag = _main_diagnostic(capsys, "stats", str(path), "--test-mode",
-                                  "--oracle-limit", "100")
+@pytest.mark.parametrize("engine", ["naive", "det-reference"])
+@pytest.mark.parametrize("command", ["run", "check", "bench"])
+def test_verify_file_refuses_an_engine(tmp_path, capsys, command, engine):
+    argv = [command, str(GOLDEN / "verify-row-n3.json"), "--engine", engine]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o.json")]
+    elif command == "bench":
+        argv += ["--out-dir", str(tmp_path)]
+    code, diag = _main_diagnostic(capsys, *argv)
     assert code == 2
-    assert "too large for brute-force counting" in diag["error"]
-    assert diag["kind"] == "verify-row"
+    assert diag["error"] == f"a verify file takes no engine, not {engine!r}"
+    assert diag["engine"] == engine and diag["kind"] == "verify-row"
+    assert not list(tmp_path.iterdir())

@@ -1,10 +1,10 @@
-"""Every SolverConfig knob is read by the package, and every config flag of
-the CLI sets one; a knob nothing reads, or a flag nothing maps, is dead.
-Out-of-range knobs are refused when the config is built. No knob turns on
-invariant checks inside the solvers: those live in the tests."""
-import argparse
+"""Every SolverConfig knob is read by the package, and each CLI command
+takes only the options it reads: its config flags build a SolverConfig, and
+check alone adds --oracle-limit. A knob nothing reads, or a flag nothing
+maps, is dead. Out-of-range knobs are refused when the config is built. No
+knob turns on invariant checks inside the solvers, and no test mode exists
+in the package: those checks live in the tests."""
 import dataclasses
-import inspect
 import re
 from pathlib import Path
 
@@ -13,8 +13,6 @@ import pytest
 
 from minplus import cli
 from minplus.config import SolverConfig
-from minplus.modulus import find_good_modulus
-from minplus.shifting import settle_by_halving
 
 PACKAGE = Path(cli.__file__).resolve().parent
 FIELDS = [f.name for f in dataclasses.fields(SolverConfig)]
@@ -27,20 +25,44 @@ def test_every_config_field_is_read(name):
     assert any(read.search(src) for src in sources), f"nothing reads SolverConfig.{name}"
 
 
-def test_every_config_flag_sets_a_field():
-    parser = argparse.ArgumentParser()
-    cli._add_config_flags(parser)
-    flags = vars(parser.parse_args([]))
-    assert set(flags) <= set(FIELDS)
-    assert cli._config_from(argparse.Namespace(**flags)) == SolverConfig()
+# Each command's parsed options: its own arguments, then its config flags.
+COMMAND_OPTIONS = {
+    "run": {"file", "out", "report", "engine", "R", "slack"},
+    "check": {"file", "oracle_limit", "engine", "R", "slack"},
+    "bench": {"files", "out_dir", "jobs", "summary", "engine", "R", "slack"},
+    "stats": {"file", "R", "slack"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_takes_only_its_own_options(command):
+    required = ["--out-dir", "d"] if command == "bench" else []
+    args = cli.build_parser().parse_args([command, "x.json", *required])
+    options = vars(args)
+    assert options.pop("command") == command
+    assert set(options) == COMMAND_OPTIONS[command]
+    assert cli._config_from(args) == SolverConfig()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "x.json", "--oracle-limit", "5"],
+    ["bench", "x.json", "--out-dir", "d", "--oracle-limit", "5"],
+    ["stats", "x.json", "--engine", "naive"],
+    ["stats", "x.json", "--test-mode"],
+], ids=["run-oracle-limit", "bench-oracle-limit", "stats-engine", "stats-test-mode"])
+def test_an_option_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [
+    ("engine", "auto"),
     ("R", 3),
     ("R", 4.5),
     ("R", True),
-    ("oracle_limit", -1),
-    ("oracle_limit", 2.5),
+    ("R", "4"),
     ("slack", 0.0),
     ("slack", -1.0),
     ("slack", float("nan")),
@@ -55,17 +77,18 @@ def test_out_of_range_knob_is_refused(field, value):
         SolverConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3), ("oracle_limit", 0)])
+@pytest.mark.parametrize("field,value", [("R", 4), ("slack", 1e-3)])
 def test_smallest_valid_knob_is_accepted(field, value):
     assert getattr(SolverConfig(**{field: value}), field) == value
 
 
-def test_the_knob_set_is_engine_R_slack_and_oracle_limit():
-    assert FIELDS == ["engine", "R", "slack", "oracle_limit"]
-    with pytest.raises(TypeError):
-        SolverConfig(test_mode=True)
+def test_the_knob_set_is_engine_R_and_slack():
+    assert FIELDS == ["engine", "R", "slack"]
+    for knob in ("test_mode", "oracle_limit"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{knob: True})
 
 
-@pytest.mark.parametrize("fn", [find_good_modulus, settle_by_halving])
-def test_no_solver_takes_a_test_mode(fn):
-    assert "test_mode" not in inspect.signature(fn).parameters
+def test_no_solver_takes_a_test_mode():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not re.search(r"test[_-]mode", path.read_text()), path.name
