@@ -19,8 +19,8 @@ it accepts; stats --R and --slack. bench --jobs must be at least 1 and
 starts at most one worker per file.
 
 Exit codes: 0 success / check passed, 1 check found a mismatch, 2
-structured diagnostic (bad file, broken promise, refused option or oracle
-size).
+structured diagnostic (usage error, bad file, broken promise, refused
+option or oracle size); bench checks every file before it runs any.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ class CliError(Exception):
     def __init__(self, message: str, **details):
         super().__init__(message)
         self.details = {"error": message, **details}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are CliErrors, not plain text."""
+
+    def error(self, message):
+        raise CliError("invalid usage", reason=message)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +242,13 @@ def _integer(value) -> int:
     return value
 
 
-def _kind_of(payload: dict) -> str:
+def _kind_of(payload: dict, config: SolverConfig) -> str:
     kind = payload.get("kind")
     if kind not in KINDS:
         raise CliError(f"unknown kind {kind!r}", kinds=list(KINDS))
+    if kind.startswith("verify") and config.engine != "det":
+        raise CliError(f"a verify file takes no engine, not {config.engine!r}",
+                       kind=kind, engine=config.engine)
     return kind
 
 
@@ -274,17 +284,13 @@ def _solve(payload: dict, kind: str, config: SolverConfig, operands: tuple | Non
 
     A product or conv file runs its driver on (A, B) under a tag on the
     driver's axis. A verify file is searched for Q once, and its solver runs
-    with that Q; it takes no engine, so any but "det" is refused. A and B
-    are taken as given in operands, when the caller has converted them
-    already, and converted from the file otherwise. The operands returned
-    are what the kind's oracle takes.
+    with that Q. A and B are taken as given in operands, when the caller has
+    converted them already, and converted from the file otherwise. The
+    operands returned are what the kind's oracle takes.
     """
     solver, axis, _ = SOLVERS[kind]
     timings, digests = {}, []
     if kind.startswith("verify"):
-        if config.engine != "det":
-            raise CliError(f"a verify file takes no engine, not {config.engine!r}",
-                           kind=kind, engine=config.engine)
         inst = _instance_from(payload, operands)
         require_valid_instance(inst)
         t0 = time.perf_counter()
@@ -309,7 +315,7 @@ def run_instance(payload: dict, config: SolverConfig):
     The report's checksum covers the canonical output bytes only, so it is
     stable across reruns while the timing fields are free to vary.
     """
-    kind = _kind_of(payload)
+    kind = _kind_of(payload, config)
     with _diagnosed(kind):
         result, _, timings, digests = _solve(payload, kind, config)
     if kind.startswith("verify"):
@@ -329,12 +335,6 @@ def run_instance(payload: dict, config: SolverConfig):
         "timings": {k: round(v, 6) for k, v in timings.items()},
     }
     return output, report
-
-
-def _out_paths(args, in_path: Path):
-    out = Path(args.out) if args.out else in_path.with_suffix(".out.json")
-    rep = Path(args.report) if getattr(args, "report", None) else out.with_suffix(".report.json")
-    return out, rep
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def check_instance(payload: dict, config: SolverConfig, oracle_limit: int = ORAC
     if not (is_integer(oracle_limit) and oracle_limit >= 0):
         raise CliError("invalid oracle limit",
                        reason=f"oracle_limit must be a non-negative integer, not {oracle_limit!r}")
-    kind = _kind_of(payload)
+    kind = _kind_of(payload, config)
     cells, operands = _oracle_cells(payload, kind)
     if cells > oracle_limit:
         raise CliError(
@@ -406,29 +406,33 @@ def stats_instance(payload: dict, config: SolverConfig) -> dict:
 # bench
 
 def _bench_one(job):
-    path, out_dir, config_kwargs = job
-    payload = load_payload(path)
-    config = SolverConfig(**config_kwargs)
+    path, payload, out_dir, config = job
     t0 = time.perf_counter()
     output, report = run_instance(payload, config)
     wall = time.perf_counter() - t0
-    stem = Path(path).stem
-    out_path = Path(out_dir) / f"{stem}.out.json"
-    rep_path = Path(out_dir) / f"{stem}.report.json"
-    write_payload(out_path, output)
-    write_payload(rep_path, report)
+    stem = Path(out_dir) / Path(path).stem
+    write_payload(f"{stem}.out.json", output)
+    write_payload(f"{stem}.report.json", report)
     return str(path), report["checksum"], wall
 
 
 def bench_files(paths, out_dir, config: SolverConfig, jobs: int) -> dict:
     """Run each file as run does, on min(jobs, len(paths)) worker processes
-    when that is above 1 and in this process otherwise; jobs < 1 is a
-    CliError."""
+    when that is above 1 and in this process otherwise. Every file is read
+    first, and the batch is a CliError before out_dir is made when jobs < 1,
+    a file is unreadable or malformed, a verify file meets an engine, or two
+    files share a stem (their outputs would overwrite each other)."""
     if jobs < 1:
         raise CliError("--jobs must be at least 1", jobs=jobs)
+    payloads = [load_payload(p) for p in paths]
+    for payload in payloads:
+        _kind_of(payload, config)
+    stems = [Path(p).stem for p in paths]
+    if len(set(stems)) < len(stems):
+        raise CliError("input files share a stem", stems=sorted({s for s in stems if stems.count(s) > 1}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs_list = [(str(p), str(out_dir), dataclasses.asdict(config)) for p in paths]
+    jobs_list = [(str(p), payload, str(out_dir), config) for p, payload in zip(paths, payloads)]
     workers = min(jobs, len(jobs_list))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -455,7 +459,7 @@ def _add_config_flags(p: argparse.ArgumentParser, engine: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="minplus", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="minplus", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
@@ -492,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "gen":
             payload = generate_instance(
                 args.kind, args.n, args.entry_bound, args.seed, args.family, M=args.M
@@ -504,7 +508,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             payload = load_payload(args.file)
             output, report = run_instance(payload, _config_from(args))
-            out_path, rep_path = _out_paths(args, Path(args.file))
+            out_path = Path(args.out) if args.out else Path(args.file).with_suffix(".out.json")
+            rep_path = Path(args.report) if args.report else out_path.with_suffix(".report.json")
             write_payload(out_path, output)
             write_payload(rep_path, report)
             print(f"wrote {out_path} ({report['checksum']})")

@@ -255,12 +255,12 @@ def _active_audit(groups: int, deltas: StartDeltas, U: int, Q: int, slack: float
     level l when its high parts differ and its delta lies within 4*2^l of
     a multiple of Q."""
     wins = np.left_shift(4, np.arange(len(deltas.cut)))[:, None]
-    live = np.where(deltas.differ, deltas.counts, 0)
     counts = np.zeros(len(deltas.cut), dtype=np.int64)
     for lo, hi in _bin_blocks(deltas, len(deltas.cut)):
         r = deltas.values[lo:hi] % Q
         near = np.minimum(r, Q - r) <= wins
-        counts += (near * _bin_weights(deltas, lo, hi, live)).sum(axis=1)
+        near &= deltas.differ[lo:hi]
+        counts += (near * _bin_weights(deltas, lo, hi, deltas.counts)).sum(axis=1)
     return counts.tolist(), slack * groups * U / Q
 
 
@@ -273,7 +273,8 @@ def find_good_modulus(inst, R: int | None = None, slack: float | None = None):
     measured per-level active-segment counts at the final Q and the number
     of segment starts per level. The final Q is audited against the slack
     bound: a failed audit only warns (UserWarning), and report.audit_ok
-    carries the result.
+    carries the result. A segment-start delta outside [-2^62, 2^62), which
+    no promised instance has, is a PromiseViolationError.
     """
     M = inst.M
     groups, deltas, n_scale, U, slack = _search_inputs(inst, slack)
@@ -336,7 +337,8 @@ def audit_modulus(inst, Q: int, slack: float | None = None) -> bool:
 
     This is the same audit find_good_modulus runs on its own result; callers
     that reuse a Q found on a different instance run it to decide whether a
-    fresh search is needed.
+    fresh search is needed. It refuses what find_good_modulus refuses: a
+    segment-start delta outside [-2^62, 2^62) is a PromiseViolationError.
     """
     groups, deltas, _, U, slack = _search_inputs(inst, slack)
     counts, bound = _active_audit(groups, deltas, U, Q, slack)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConvVerificationInstance, VerificationInstance, as_shift_modulus
+from .core import ConvVerificationInstance, PromiseViolationError, VerificationInstance, as_shift_modulus
 
 __all__ = [
     "levelmax_for",
@@ -62,13 +62,12 @@ DEPTH_BITS = 7
 # the layout's fill and break depths, the run lengths of the bins. A block
 # of the gather holds four int64 per cell (128 KB), and the other walks
 # less. The model of one modulus search, which the tests hold it to: it
-# peaks at most at the operands, 28 bytes per level-0 start, 32 bytes per
+# peaks at most at the operands, 27 bytes per level-0 start, 32 bytes per
 # cell of one block (GATHER_BLOCK cells, or all the starts when fewer) and
 # 16 KiB. Per start that is the layout's 9 and, where deltas repeat, the
-# binning's int64 key and order and its wrap flag (26 in all), or, when
-# every start has its own delta, 17 bytes of bins; at the det workloads'
-# shapes the starts number one to three blocks, so the block is a third to
-# a half of it.
+# binning's int64 key and order (25 in all), or, when every start has its
+# own delta, 17 bytes of bins; at the det workloads' shapes the starts
+# number one to three blocks, so the block is a third to a half of it.
 GATHER_BLOCK = 1 << 12
 
 
@@ -405,29 +404,18 @@ def _run_lengths(first: np.ndarray, total: int) -> np.ndarray:
     return first
 
 
-def _start_keys(layout: FlatLayout, order: np.ndarray):
-    """The key 2*delta + differ, mod 2^64, of each level-0 start, the starts
-    taken in the given order, and whether it wrapped: its delta is outside
-    [-2^62, 2^62), and the key's sign is not the delta's."""
+def _start_keys(layout: FlatLayout, order: np.ndarray) -> np.ndarray:
+    """The key 2*delta + differ of each level-0 start, the starts taken in
+    the given order. A delta outside [-2^62, 2^62), where the key would wrap
+    and lose its sign, is a PromiseViolationError: a promised instance's
+    entries lie in [0, 2^61), so its deltas never leave that range."""
     keys = np.empty(order.size, dtype=np.int64)
-    wrapped = np.empty(order.size, dtype=bool)
     for o, delta, high in _gathered(layout, layout.starts, order):
         key = np.add(delta, delta, out=keys[o : o + delta.size])
         key += np.minimum(np.abs(high, out=high), 1, out=high)  # differ, as 0 or 1
-        np.less(np.bitwise_xor(delta, key, out=delta), 0, out=wrapped[o : o + delta.size])
-    return keys, wrapped
-
-
-def _wrapped_apart(keys: np.ndarray, wrapped: np.ndarray) -> tuple:
-    """Move the wrapped keys of one class to its ends, the non-negative ones
-    (deltas below -2^62) first and the negative ones (deltas from 2^62 on)
-    last; return how many went to each end."""
-    if not wrapped.any():
-        return 0, 0
-    low, high = wrapped & (keys >= 0), wrapped & (keys < 0)
-    n_low, n_high = int(np.count_nonzero(low)), int(np.count_nonzero(high))
-    keys[:n_low], keys[n_low : keys.size - n_high], keys[keys.size - n_high :] = keys[low], keys[~wrapped], keys[high]
-    return n_low, n_high
+        if np.bitwise_xor(delta, key, out=delta).min() < 0:
+            raise PromiseViolationError("a segment-start delta lies outside [-2^62, 2^62)")
+    return keys
 
 
 def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
@@ -437,17 +425,12 @@ def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
     One stable sort of the starts' capped depths (a counting sort of int8)
     orders them deepest first, so each depth class is a run and the level-l
     starts a prefix. The gather takes the starts in that order and writes
-    each one's key 2*delta + differ, mod 2^64, which sorts as (delta,
-    differ) does while delta is in [-2^62, 2^62). A class's keys that
-    wrapped (any int64 delta outside that range) move to a part of their
-    own before and after the rest, and each part is sorted in place and
-    run-length coded into bins: no sorted copy of the deltas, no rank of
-    one. Besides the layout it holds 17 bytes per start (a key, an order
-    entry, the wrap flag) and one gather block: 27.6 bytes per start at
-    product-row n=64, bound 64, the top level of a det solve. A class with
-    wrapped keys is moved through a copy, 11 bytes per start in it, after
-    the order is freed; the bins take 17 bytes per start when every start
-    has its own delta.
+    each one's key 2*delta + differ, which sorts as (delta, differ) does;
+    a delta outside [-2^62, 2^62) is refused (_start_keys). Each class's
+    keys are sorted in place and run-length coded into bins: no sorted copy
+    of the deltas, no rank of one. Besides the layout it holds 16 bytes per
+    start (a key and an order entry) and one gather block; the bins take 17
+    bytes per start when every start has its own delta.
     """
     cap = lmax + 1
     shallow = np.minimum(layout.depth, cap)
@@ -456,27 +439,15 @@ def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
     # the depth class cap - s is keys[edges[s] : edges[s + 1]]
     edges = shallow[order].searchsorted(np.arange(cap + 1, dtype=np.int8)).tolist()
     del shallow
-    keys, wrapped = _start_keys(layout, order)
+    keys = _start_keys(layout, order)
     del order
-    # A wrapped key of a delta below -2^62 is non-negative, and one of a
-    # delta from 2^62 on negative: they take the first and the last part of
-    # their class, in which they sort as (delta, differ) too. A class with
-    # no wrapped key is one part.
-    parts = edges  # the first key of each part, and the end
-    if wrapped.any():
-        parts = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n_low, n_high = _wrapped_apart(keys[lo:hi], wrapped[lo:hi])
-            parts += [lo, lo + n_low, hi - n_high]
-        parts.append(keys.size)
-    del wrapped
-    for a, b in zip(parts[:-1], parts[1:]):
+    for a, b in zip(edges[:-1], edges[1:]):
         if b - a > 1:
             keys[a:b].sort()
-    # a run starts where the key changes and where a part does
-    head = np.empty(keys.size + 1, dtype=bool)  # head[-1] takes the empty parts past the end
+    # a run starts where the key changes and where a class does
+    head = np.empty(keys.size + 1, dtype=bool)  # head[-1] takes the empty classes past the end
     np.not_equal(keys[1:], keys[:-1], out=head[1:-1])
-    head[parts] = True
+    head[edges] = True
     head = head[:-1]
     bins = keys[head]
     del keys
@@ -484,15 +455,10 @@ def level_start_deltas(layout: FlatLayout, lmax: int) -> StartDeltas:
     del head
     # level l holds the classes s < cap - l
     cut = first.searchsorted(edges[cap:0:-1])
-    part_bins = [] if parts is edges else first.searchsorted(parts).tolist()
     counts = _run_lengths(first, layout.starts.size)
     differ = np.empty(bins.size, dtype=bool)
     np.bitwise_and(bins, 1, out=differ, casting="unsafe")
     bins >>= 1
-    # the bins of the wrapped parts, the first and the last of each class,
-    # get their deltas' top bit back
-    for a, b in [*zip(part_bins[0::3], part_bins[1::3]), *zip(part_bins[2::3], part_bins[3::3])]:
-        bins[a:b] ^= np.iinfo(np.int64).min
     return StartDeltas(values=bins, counts=counts, differ=differ, cut=cut)
 
 

@@ -266,6 +266,70 @@ def test_bench_starts_at_most_one_worker_per_file(monkeypatch, tmp_path):
     assert len(summary["runs"]) == 2
 
 
+def _pool_must_not_start(*args, **kwargs):
+    raise AssertionError("the batch was refused, so no pool may start")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("second, error", [
+    ("verify-row-n3.json", "a verify file takes no engine, not 'naive'"),
+    ("missing.json", "cannot read"),
+    ("not-json.json", "not valid JSON"),
+    ("unknown-kind.json", "unknown kind 'matrix'"),
+])
+def test_bench_refuses_a_bad_batch_before_it_runs_anything(monkeypatch, tmp_path, capsys, jobs, second, error):
+    (tmp_path / "not-json.json").write_text("{")
+    cli.write_payload(tmp_path / "unknown-kind.json", {"format": cli.FORMAT_VERSION, "kind": "matrix"})
+    cli.write_payload(tmp_path / "verify-row-n3.json", cli.load_payload(GOLDEN / "verify-row-n3.json"))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _pool_must_not_start)
+    out = tmp_path / "bo"
+    argv = ["bench", str(GOLDEN / "conv-n4.json"), str(tmp_path / second), "--out-dir", str(out),
+            "--engine", "naive", "--jobs", jobs, "--summary", str(tmp_path / "s.json")]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag["error"].startswith(error)
+    assert not out.exists() and not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_refuses_files_that_share_a_stem(monkeypatch, tmp_path, capsys, jobs):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        cli.write_payload(tmp_path / sub / "x.json", cli.load_payload(GOLDEN / "conv-n4.json"))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _pool_must_not_start)
+    out = tmp_path / "bo"
+    argv = ["bench", str(tmp_path / "a" / "x.json"), str(tmp_path / "b" / "x.json"), "--out-dir", str(out),
+            "--jobs", jobs]
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag == {"error": "input files share a stem", "stems": ["x"]}
+    assert not out.exists()
+
+
+def test_bench_reads_each_file_once(monkeypatch, tmp_path):
+    loaded = []
+    load = cli.load_payload
+    monkeypatch.setattr(cli, "load_payload", lambda path: loaded.append(str(path)) or load(path))
+    files = [GOLDEN / "conv-n4.json", GOLDEN / "verify-row-n3.json"]
+    summary = cli.bench_files(files, tmp_path, CFG, jobs=1)
+    assert sorted(loaded) == sorted(map(str, files))
+    assert [r["file"] for r in summary["runs"]] == sorted(map(str, files))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "f.json", "--R", "4.5"],
+    ["check", "f.json", "--oracle-limit", "2.5"],
+    ["bench", "f.json", "--out-dir", "d", "--jobs", "x"],
+    ["run", "f.json", "--engine", "fast"],
+    ["frobnicate"],
+    [],
+], ids=["run-R", "check-oracle-limit", "bench-jobs", "run-engine", "unknown-command", "no-command"])
+def test_usage_error_is_a_diagnostic(capsys, argv):
+    code, diag = _main_diagnostic(capsys, *argv)
+    assert code == 2
+    assert diag["error"] == "invalid usage" and diag["reason"]
+
+
 def test_main_subprocess_gen_run_check(tmp_path):
     inst = tmp_path / "inst.json"
 

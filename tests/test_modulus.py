@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus import cli, modulus, segments
-from minplus.core import ConvVerificationInstance, VerificationInstance
+from minplus.core import ConvVerificationInstance, PromiseViolationError, VerificationInstance
 
 from minplus.modulus import (
     ModulusReport,
     YTable,
     _active_audit,
     _counting_columns,
+    audit_modulus,
     compute_W,
     count_X_bruteforce,
     count_Z_bruteforce,
@@ -412,15 +413,15 @@ def test_report_round_trips_to_dict():
 
 def search_budget(inst, starts):
     """The memory model of one modulus search (README, "memory"): the
-    operands again, 28 bytes per level-0 segment start, 32 bytes per cell of
-    one gather block (segments.GATHER_BLOCK cells at most) and 16 KiB. 28 is
-    the layout's 9 and 17 more: the binning's key, order entry and wrap
-    flag while it gathers, or the bins when every start has its own delta,
-    and 2 to spare."""
+    operands again, 27 bytes per level-0 segment start, 32 bytes per cell of
+    one gather block (segments.GATHER_BLOCK cells at most) and 16 KiB. 27 is
+    the layout's 9, then the binning's key and order entry while it gathers
+    (16) or the bins when every start has its own delta (17), and 1 to
+    spare."""
     conv = isinstance(inst, ConvVerificationInstance)
     operands = (inst.A.values, inst.B.values, inst.C.values) if conv else (inst.A, inst.B, inst.C)
     block = min(starts, segments.GATHER_BLOCK)
-    return sum(x.nbytes for x in operands) + 28 * starts + 32 * block + (16 << 10)
+    return sum(x.nbytes for x in operands) + 27 * starts + 32 * block + (16 << 10)
 
 
 def search_peak(inst):
@@ -430,9 +431,9 @@ def search_peak(inst):
     return traced_peak(find_good_modulus, inst), starts
 
 
-def first_level_instance(kind, n):
+def first_level_instance(kind, n, bound=None):
     levels = conv_level_instances if kind == "conv" else row_level_instances
-    return next(levels(cli.generate_instance(kind, n, n, 1, "uniform-monotone")))[1]
+    return next(levels(cli.generate_instance(kind, n, bound or n, 1, "uniform-monotone")))[1]
 
 
 @pytest.mark.parametrize("kind, n", [("product-row", 64), ("conv", 320)])
@@ -476,18 +477,29 @@ def test_search_memory_bounded_when_every_start_has_its_own_delta(kind, n):
     assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
 
 
-def test_search_memory_bounded_when_start_keys_wrap():
+def test_search_memory_within_model_when_the_audit_walks_every_bin():
+    """conv n=320 at entry bound 2^40, the top level of a det solve: nearly
+    every start has its own delta, so the audit of the final Q walks about
+    10^5 bins. It takes the high-part test per block, not as a per-bin copy
+    of the counts, and the search stays within the model."""
+    inst = first_level_instance("conv", 320, 1 << 40)
+    peak, starts = search_peak(inst)
+    assert starts > 10 * segments.GATHER_BLOCK
+    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
+
+
+def test_search_refuses_start_deltas_beyond_2_62():
     """Entries near 2^61 in magnitude, of either sign: about a quarter of
-    the start deltas fall outside [-2^62, 2^62), where a start's binning key
-    wraps, and their depth classes are split into parts through a copy.
-    One search still stays within the model."""
+    the start deltas fall outside [-2^62, 2^62), which no promised instance
+    reaches and where a start's binning key would wrap. The search and the
+    audit refuse the instance."""
     rng = np.random.default_rng(1)
     A, B, C = ((2**61 - rng.integers(1, 10**6, (48, 48))) * rng.choice([-1, 1], (48, 48)) for _ in range(3))
     inst = VerificationInstance(A=A, B=B, C=C, M=BIG_M)
     layout = matrix_layout(inst)
     delta = segments._start_terms(layout, layout.starts)[0]
-    wrapped = np.count_nonzero((delta < -(2**62)) | (delta >= 2**62))
-    del layout, delta
-    peak, starts = search_peak(inst)
-    assert wrapped > 0.2 * starts
-    assert peak <= search_budget(inst, starts), (peak, search_budget(inst, starts))
+    assert np.count_nonzero((delta < -(2**62)) | (delta >= 2**62)) > 0.2 * len(delta)
+    with pytest.raises(PromiseViolationError, match="outside"):
+        find_good_modulus(inst)
+    with pytest.raises(PromiseViolationError, match="outside"):
+        audit_modulus(inst, 10 * BIG_M)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minplus import cli, segments
-from minplus.core import ConvVerificationInstance, magnitude_sum, validate_instance
+from minplus.core import ConvVerificationInstance, PromiseViolationError, magnitude_sum, validate_instance
 from minplus.modulus import find_good_modulus
 from minplus.segments import (
     active_level0_bounds,
@@ -725,8 +725,8 @@ def test_start_gathers_unchanged_by_many_blocks(monkeypatch, block):
 
 # Entry ranges for the start-delta bins: small, just below 2^61 and just
 # above -2^61, the largest magnitude an instance takes. Mixed, they give
-# deltas from about -3*2^61 to 3*2^61 (2^62.6), and deltas that differ by
-# 2^63 or more in one depth class.
+# deltas from about -3*2^61 to 3*2^61 (2^62.6): some inside [-2^62, 2^62),
+# where the bins are defined, and some outside, which is refused.
 ENTRY_RANGES = ((0, 40), (2**61 - 40, 2**61 - 1), (-(2**61) + 1, -(2**61) + 40))
 
 
@@ -755,15 +755,20 @@ def start_delta_case(draw):
 @settings(max_examples=150, deadline=None)
 @given(start_delta_case())
 def test_start_deltas_equal_the_two_sort_reference(case):
-    """One pass and one sort per part give the bins of the two-sort
-    reference, byte for byte, at any lmax and gather block, deltas of
-    magnitude 2^62 and more included."""
+    """One pass and one sort per depth class give the bins of the two-sort
+    reference, byte for byte, at any lmax and gather block; a layout with a
+    start delta outside [-2^62, 2^62), and only such a layout, is refused."""
     layout, lmax, block = case
-    want = start_deltas_reference(layout, lmax)
+    delta = segments._start_terms(layout, layout.starts)[0]
+    outside = bool(((delta < -(2**62)) | (delta >= 2**62)).any())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segments, "GATHER_BLOCK", block)
+        if outside:
+            with pytest.raises(PromiseViolationError, match="outside"):
+                level_start_deltas(layout, lmax)
+            return
         got = level_start_deltas(layout, lmax)
-    for g, w in zip(got, want):
+    for g, w in zip(got, start_deltas_reference(layout, lmax)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
